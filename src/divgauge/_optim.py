@@ -30,6 +30,30 @@ def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
     return np.squeeze(out, axis=axis)
 
 
+def _golden_section(
+    safe: Callable[[float], float], a: float, b: float, rel_tol: float, max_iter: int
+) -> tuple[float, float]:
+    """Golden-section refinement of the bracket [a, b]; returns the better
+    of the two final probes as (x, value)."""
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = safe(x1), safe(x2)
+    for _ in range(max_iter):
+        if (b - a) <= rel_tol * max(abs(a), abs(b), 1.0):
+            break
+        if f1 <= f2:
+            b = x2
+            x2, f2 = x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = safe(x1)
+        else:
+            a = x1
+            x1, f1 = x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = safe(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
 def golden_min(
     fn: Callable[[float], float],
     lo: float = LOG_BRACKET_LO,
@@ -61,24 +85,7 @@ def golden_min(
     i = min(range(grid), key=fs.__getitem__)
     a2 = xs[max(i - 1, 0)]
     b2 = xs[min(i + 1, grid - 1)]
-
-    x1 = b2 - _INVPHI * (b2 - a2)
-    x2 = a2 + _INVPHI * (b2 - a2)
-    f1, f2 = safe(x1), safe(x2)
-    for _ in range(max_iter):
-        if (b2 - a2) <= rel_tol * max(abs(a2), abs(b2), 1.0):
-            break
-        if f1 <= f2:
-            b2 = x2
-            x2, f2 = x1, f1
-            x1 = b2 - _INVPHI * (b2 - a2)
-            f1 = safe(x1)
-        else:
-            a2 = x1
-            x1, f1 = x2, f2
-            x2 = a2 + _INVPHI * (b2 - a2)
-            f2 = safe(x2)
-    xbest, fbest = (x1, f1) if f1 <= f2 else (x2, f2)
+    xbest, fbest = _golden_section(safe, a2, b2, rel_tol, max_iter)
     if fs[i] < fbest:
         xbest, fbest = xs[i], fs[i]
     return decode(xbest), fbest
@@ -190,23 +197,7 @@ def min_convex_line(
             fa, fm, fb = fm, fb, safe(b)
         else:
             break
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = safe(x1), safe(x2)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * max(abs(a), abs(b), 1.0):
-            break
-        if f1 <= f2:
-            b = x2
-            x2, f2 = x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = safe(x1)
-        else:
-            a = x1
-            x1, f1 = x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = safe(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+    return _golden_section(safe, a, b, rel_tol, max_iter)
 
 
 def bisect_increasing(

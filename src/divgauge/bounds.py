@@ -20,8 +20,10 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,13 +37,28 @@ from ._optim import (
 )
 from .dist import AbsContPair, EventMask, JointFinite, event_probability
 from .divergences import (
+    CHI2,
+    KL,
+    REVERSE_CHI2,
+    REVERSE_KL,
+    SQUARED_HELLINGER,
+    VINCZE_LECAM,
     DivergenceKind,
     bernoulli_kl,
     generator_derivative,
     generator_values,
+    hockey_stick_kind,
+    power_kind,
 )
 from .errors import RangeError, ValidationError
-from .orlicz import OrliczSpec, amemiya_norm, amemiya_norm_values, luxemburg_norm_values
+from .orlicz import (
+    OrliczSpec,
+    amemiya_norm,
+    amemiya_norm_rows,
+    amemiya_norm_values,
+    luxemburg_norm_values,
+    power_orlicz,
+)
 
 
 @dataclass(frozen=True)
@@ -94,6 +111,16 @@ def _override(q, raw):
     return np.where(q <= 0.0, 0.0, np.where(q >= 1.0, 1.0, raw))
 
 
+def _two_point(name: str, core, q: float, d: float, what: str, **params) -> BoundResult:
+    """A bound at fixed params: check q and d, then evaluate core(q, d, **params)."""
+    q = _check_q(q)
+    d = _check_div(d, what)
+    deg = _degenerate(name, q, params)
+    if deg:
+        return deg
+    return BoundResult(name, float(core(q, d, **params)), params)
+
+
 # ---------------------------------------------------------------------------
 # hockey-stick (E_gamma) and the strong-converse comparison point
 # ---------------------------------------------------------------------------
@@ -107,12 +134,7 @@ def egamma_core(q, e_gamma, gamma):
 
 def bound_egamma(q: float, e_gamma: float, gamma: float) -> BoundResult:
     """P(E) <= gamma Q(E) + E_gamma(P || Q), any real gamma."""
-    q = _check_q(q)
-    params = {"gamma": float(gamma)}
-    deg = _degenerate("egamma", q, params)
-    if deg:
-        return deg
-    return BoundResult("egamma", float(gamma * q + _check_div(e_gamma, "E_gamma")), params)
+    return _two_point("egamma", egamma_core, q, e_gamma, "E_gamma", gamma=float(gamma))
 
 
 def strong_converse_core(q, tail_mass, gamma):
@@ -152,11 +174,7 @@ def chi2_core(q, chi2):
 
 def bound_chi2(q: float, chi2: float) -> BoundResult:
     """P(E) <= q + sqrt(q (1-q) chi^2(P||Q))."""
-    q = _check_q(q)
-    deg = _degenerate("chi2", q, {})
-    if deg:
-        return deg
-    return BoundResult("chi2", float(chi2_core(q, _check_div(chi2))), {})
+    return _two_point("chi2", chi2_core, q, chi2, "divergence")
 
 
 def kl_fixed_core(q, d, c):
@@ -164,13 +182,19 @@ def kl_fixed_core(q, d, c):
         return (d + np.log1p(np.asarray(q, dtype=float) * np.expm1(c))) / c
 
 
-def kl_opt_core(q, d):
-    """Minimize the KL bound over c > 0.  Returns (raw, c_star) arrays."""
+def _best_c(family, q, d):
+    """Minimize family(q, d, c) over c on the log bracket [1e-12, 1e12].
+    Returns (raw, c_star) arrays."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    c_star, val = golden_min_vec(lambda c: kl_fixed_core(qs, d, c), 1e-12, 1e12, q.shape)
+    c_star, val = golden_min_vec(lambda c: family(qs, d, c), 1e-12, 1e12, q.shape)
     return _override(q, val), c_star
+
+
+def kl_opt_core(q, d):
+    """Minimize the KL bound over c > 0.  Returns (raw, c_star) arrays."""
+    return _best_c(kl_fixed_core, q, d)
 
 
 def kl_closed_core(q, d):
@@ -190,9 +214,8 @@ def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
     """
     q = _check_q(q)
     kl = _check_div(kl, "KL")
-    if q in (0.0, 1.0):
-        deg = _degenerate("kl", q, {})
-        assert deg is not None
+    deg = _degenerate("kl", q, {})
+    if deg:
         return deg
     if c is not None:
         if c <= 0:
@@ -521,6 +544,27 @@ def f_hs_core(q, df, gamma, slope_gap):
     return _override(q, gamma * q + df / slope_gap)
 
 
+def f_slope_gap(
+    f: DivergenceKind | Callable[[float], float], gamma: float, lipschitz: float | None = None
+) -> tuple[float, float]:
+    """(f'(gamma0) - f'(1), gamma0) for the hockey-stick composition.
+
+    gamma0 = gamma, or with a Lipschitz constant L for f' on [gamma, inf)
+    gamma0 = gamma + sqrt(2 (f(gamma) - f'(1)(gamma - 1)) / L).
+    """
+    if isinstance(f, DivergenceKind):
+        fprime = lambda t: generator_derivative(f, t)  # noqa: E731
+        fval = lambda t: float(generator_values(f, np.asarray(t, dtype=float)))  # noqa: E731
+    else:
+        fprime = lambda t: _richardson_derivative(f, t)  # noqa: E731
+        fval = lambda t: float(f(t))  # noqa: E731
+    gamma_eff = gamma
+    if lipschitz is not None:
+        tilde = fval(gamma) - fprime(1.0) * (gamma - 1.0)
+        gamma_eff = gamma + math.sqrt(max(2.0 * tilde / lipschitz, 0.0))
+    return fprime(gamma_eff) - fprime(1.0), gamma_eff
+
+
 def bound_f_via_egamma(
     q: float,
     df: float,
@@ -531,35 +575,22 @@ def bound_f_via_egamma(
     """P(E) <= gamma q + D_f / (f'(gamma) - f'(1)) for gamma > 1.
 
     With a Lipschitz constant L for f' on [gamma, inf), the denominator
-    improves to f'(gamma0) - f'(1) at
-    gamma0 = gamma + sqrt(2 (f(gamma) - f'(1)(gamma - 1)) / L).
+    improves to f'(gamma0) - f'(1) (see :func:`f_slope_gap`).
     """
     q = _check_q(q)
     df = _check_div(df, "D_f")
     gamma = float(gamma)
     if gamma <= 1.0:
         raise RangeError("need gamma > 1")
+    if lipschitz is not None and lipschitz <= 0:
+        raise RangeError("Lipschitz constant must be positive")
 
-    if isinstance(f, DivergenceKind):
-        fprime = lambda t: generator_derivative(f, t)  # noqa: E731
-        fval = lambda t: float(generator_values(f, np.asarray(t, dtype=float)))  # noqa: E731
-        fname = str(f)
-    else:
-        fprime = lambda t: _richardson_derivative(f, t)  # noqa: E731
-        fval = lambda t: float(f(t))  # noqa: E731
-        fname = getattr(f, "__name__", "custom")
-
+    fname = str(f) if isinstance(f, DivergenceKind) else getattr(f, "__name__", "custom")
     params: dict = {"gamma": gamma, "f": fname}
-    gamma_eff = gamma
+    gap, gamma_eff = f_slope_gap(f, gamma, lipschitz)
     if lipschitz is not None:
-        if lipschitz <= 0:
-            raise RangeError("Lipschitz constant must be positive")
-        tilde = fval(gamma) - fprime(1.0) * (gamma - 1.0)
-        gamma_eff = gamma + math.sqrt(max(2.0 * tilde / lipschitz, 0.0))
         params["gamma0"] = gamma_eff
         params["lipschitz"] = float(lipschitz)
-
-    gap = fprime(gamma_eff) - fprime(1.0)
     params["slope_gap"] = gap
     deg = _degenerate("f_from_egamma", q, params)
     if deg:
@@ -585,12 +616,7 @@ def reverse_chi2_core(q, r):
 
 
 def bound_reverse_chi2(q: float, rchi2: float) -> BoundResult:
-    q = _check_q(q)
-    rchi2 = _check_div(rchi2, "chi^2(Q||P)")
-    deg = _degenerate("reverse_chi2", q, {})
-    if deg:
-        return deg
-    return BoundResult("reverse_chi2", float(reverse_chi2_core(q, rchi2)), {})
+    return _two_point("reverse_chi2", reverse_chi2_core, q, rchi2, "chi^2(Q||P)")
 
 
 def bernoulli_kl_core(a, b):
@@ -635,17 +661,10 @@ def reverse_kl_explicit_core(q, d):
 
 def bound_reverse_kl(q: float, dqp: float, mode: str = "exact") -> BoundResult:
     """Reverse-KL bounds: the sharp kl-inversion or its explicit relaxation."""
-    q = _check_q(q)
-    dqp = _check_div(dqp, "D(Q||P)")
-    name = f"reverse_kl_{mode}"
-    deg = _degenerate(name, q, {})
-    if deg:
-        return deg
-    if mode == "exact":
-        return BoundResult(name, float(invert_binary_kl(q, dqp)), {})
-    if mode == "explicit":
-        return BoundResult(name, float(reverse_kl_explicit_core(q, dqp)), {})
-    raise ValidationError(f"unknown reverse-KL mode {mode!r}")
+    if mode not in ("exact", "explicit"):
+        raise ValidationError(f"unknown reverse-KL mode {mode!r}")
+    core = invert_binary_kl if mode == "exact" else reverse_kl_explicit_core
+    return _two_point(f"reverse_kl_{mode}", core, q, dqp, "D(Q||P)")
 
 
 def vincze_core(q, vc):
@@ -659,12 +678,7 @@ def vincze_core(q, vc):
 
 
 def bound_vincze_lecam(q: float, vc: float) -> BoundResult:
-    q = _check_q(q)
-    vc = _check_div(vc, "Vincze-Le Cam divergence")
-    deg = _degenerate("vincze_lecam", q, {})
-    if deg:
-        return deg
-    return BoundResult("vincze_lecam", float(vincze_core(q, vc)), {})
+    return _two_point("vincze_lecam", vincze_core, q, vc, "Vincze-Le Cam divergence")
 
 
 def invert_binary_kl(q: float, d: float) -> float:
@@ -792,31 +806,25 @@ def comp_sq_hellinger_core(q, h2, c=None):
     return _override(q, raw), valid
 
 
+def comp_reverse_chi2_ac(q, r, c):
+    """The reverse chi-square competitor family at a fixed c > 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = (q * np.sqrt(c) + (1.0 - q) * np.sqrt(1.0 + c)) ** 2
+        return 1.0 + c - np.where(np.isinf(r), 0.0, num / (1.0 + r))
+
+
 def comp_reverse_chi2_core(q, r):
-    q = np.asarray(q, dtype=float)
-    r = np.broadcast_to(np.asarray(r, dtype=float), q.shape)
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
+    return _best_c(comp_reverse_chi2_ac, q, r)
 
-    def obj(c):
-        with np.errstate(over="ignore", invalid="ignore"):
-            num = (qs * np.sqrt(c) + (1.0 - qs) * np.sqrt(1.0 + c)) ** 2
-            return 1.0 + c - np.where(np.isinf(r), 0.0, num / (1.0 + r))
 
-    c_star, val = golden_min_vec(obj, 1e-12, 1e12, qs.shape)
-    return _override(q, val), c_star
+def comp_reverse_kl_ac(q, d, c):
+    """The reverse-KL competitor family at a fixed c > 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 1.0 + c - np.exp(q * np.log(c) + (1.0 - q) * np.log1p(c) - d)
 
 
 def comp_reverse_kl_core(q, d):
-    q = np.asarray(q, dtype=float)
-    d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-
-    def obj(c):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return 1.0 + c - np.exp(qs * np.log(c) + (1.0 - qs) * np.log1p(c) - d)
-
-    c_star, val = golden_min_vec(obj, 1e-12, 1e12, qs.shape)
-    return _override(q, val), c_star
+    return _best_c(comp_reverse_kl_ac, q, d)
 
 
 def comp_vincze_ac(q, vc, c):
@@ -844,6 +852,16 @@ def comp_vincze_core(q, vc):
     return _override(q, raw), c_star
 
 
+def _comp_power_at(log_q, log_1q, amp, qb, s):
+    """The power competitor at shift s, from log q, log(1 - q), the
+    amplitude (1 + (beta-1) H_beta)^(1/beta) and qb = beta / (beta - 1)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t1 = np.where(s < 1.0, log_q + qb * np.log1p(-np.minimum(s, 1.0 - 1e-300)), -np.inf)
+        t2 = np.where(s < 0.0, log_1q + qb * np.log(np.maximum(-s, 1e-300)), -np.inf)
+        norm = np.exp(np.logaddexp(t1, t2) / qb)
+        return s + amp * norm
+
+
 def comp_power_core(q, h_beta, beta):
     """Competitor with a free shift s, minimized over the real line."""
     q = np.asarray(q, dtype=float)
@@ -853,27 +871,17 @@ def comp_power_core(q, h_beta, beta):
     qb = beta / (beta - 1.0)
     log_q = np.log(qs)
     log_1q = np.log1p(-qs)
-
-    def obj(s):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t1 = np.where(s < 1.0, log_q + qb * np.log1p(-np.minimum(s, 1.0 - 1e-300)), -np.inf)
-            t2 = np.where(s < 0.0, log_1q + qb * np.log(np.maximum(-s, 1e-300)), -np.inf)
-            norm = np.exp(np.logaddexp(t1, t2) / qb)
-        return s + amp * norm
-
-    s_star, val = golden_min_vec(obj, -1e8, 1.0 - 1e-9, qs.shape, log_space=False)
+    s_star, val = golden_min_vec(
+        lambda s: _comp_power_at(log_q, log_1q, amp, qb, s), -1e8, 1.0 - 1e-9, qs.shape, log_space=False
+    )
     return _override(q, val), s_star
 
 
-_COMP_ROWS = (
-    "kl",
-    "chi2",
-    "power",
-    "squared_hellinger",
-    "reverse_chi2",
-    "reverse_kl",
-    "vincze_lecam",
-)
+def comp_power_fixed(q: float, h_beta: float, beta: float, s: float) -> float:
+    """The power competitor at a fixed shift s."""
+    qs = min(max(q, 1e-300), 1.0 - 1e-16)
+    amp = (1.0 + (beta - 1.0) * h_beta) ** (1.0 / beta)
+    return float(_comp_power_at(np.log(qs), np.log1p(-qs), amp, beta / (beta - 1.0), s))
 
 
 def competitor_bound(
@@ -891,68 +899,175 @@ def competitor_bound(
     power-beta, squared Hellinger, chi^2(Q||P), D(Q||P), or Vincze-Le Cam).
     Free parameters are optimized when not supplied.
     """
-    if row not in _COMP_ROWS:
+    if row not in DOMINANCE_ROWS:
         raise ValidationError(f"unknown competitor row {row!r}")
+    if c is not None and c <= 0:
+        raise RangeError("need c > 0")
     q = _check_q(q)
     div = _check_div(div)
     name = f"competitor_{row}"
-    params: dict = {}
-    deg = _degenerate(name, q, params)
+    deg = _degenerate(name, q, {})
     if deg:
         return deg
-
-    if row == "kl":
-        if c is not None:
-            if c <= 0:
-                raise RangeError("need c > 0")
-            return BoundResult(name, float(kl_fixed_core(q, div, c)), {"c": float(c)})
-        raw, c_star = kl_opt_core(np.asarray(q), div)
-        return BoundResult(name, float(raw), {"c": float(c_star)})
     if row == "chi2":
         return BoundResult(name, float(chi2_core(q, div)), {})
-    if row == "power":
-        if beta is None:
-            raise RangeError("power row needs beta")
-        beta = _check_beta(beta)
-        if s is not None:
-            val = comp_power_fixed(q, div, beta, s)
-            return BoundResult(name, float(val), {"beta": beta, "s": float(s)})
-        raw, s_star = comp_power_core(q, div, beta)
-        return BoundResult(name, float(raw), {"beta": beta, "s": float(s_star)})
     if row == "squared_hellinger":
         if div > 2.0:
             raise RangeError("squared Hellinger distance must lie in [0, 2]")
         raw, valid = comp_sq_hellinger_core(q, div, c)
         params = {} if c is None else {"c": float(c)}
         return BoundResult(name, float(raw), params, preconditions_met=bool(valid))
-    if row == "reverse_chi2":
-        if c is not None:
-            with np.errstate(over="ignore"):
-                num = (q * math.sqrt(c) + (1.0 - q) * math.sqrt(1.0 + c)) ** 2
-            val = 1.0 + c - (0.0 if math.isinf(div) else num / (1.0 + div))
-            return BoundResult(name, float(val), {"c": float(c)})
-        raw, c_star = comp_reverse_chi2_core(np.asarray(q), div)
+    if row == "power":
+        if beta is None:
+            raise RangeError("power row needs beta")
+        beta = _check_beta(beta)
+        if s is not None:
+            return BoundResult(name, comp_power_fixed(q, div, beta, s), {"beta": beta, "s": float(s)})
+        raw, s_star = comp_power_core(q, div, beta)
+        return BoundResult(name, float(raw), {"beta": beta, "s": float(s_star)})
+    # the rows with a free c > 0
+    spec = DOMINANCE_ROWS[row].competitor
+    if c is None:
+        raw, c_star = spec.core(np.asarray(q), div)
         return BoundResult(name, float(raw), {"c": float(c_star)})
-    if row == "reverse_kl":
-        if c is not None:
-            val = 1.0 + c - math.exp(q * math.log(c) + (1.0 - q) * math.log1p(c) - div)
-            return BoundResult(name, float(val), {"c": float(c)})
-        raw, c_star = comp_reverse_kl_core(np.asarray(q), div)
-        return BoundResult(name, float(raw), {"c": float(c_star)})
-    if row == "vincze_lecam":
-        if c is not None:
-            return BoundResult(
-                name, float(comp_vincze_ac(q, div, c)), {"c": float(c)}
-            )
-        raw, c_star = comp_vincze_core(np.asarray(q), div)
-        return BoundResult(name, float(raw), {"c": float(c_star)})
-    raise AssertionError("unreachable")
+    return BoundResult(name, float(spec.fixed(q, div, c)), {"c": float(c)})
 
 
-def comp_power_fixed(q: float, h_beta: float, beta: float, s: float) -> float:
-    qb = beta / (beta - 1.0)
-    amp = (1.0 + (beta - 1.0) * h_beta) ** (1.0 / beta)
-    norm = (
-        q * max(1.0 - s, 0.0) ** qb + (1.0 - q) * max(-s, 0.0) ** qb
-    ) ** (1.0 / qb)
-    return s + amp * norm
+# ---------------------------------------------------------------------------
+# the bound table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One bound: the divergence it reads and its two-point core.
+
+    ``kind`` is a DivergenceKind or a factory from the case params (beta,
+    gamma, ...); a bound that reads a pair statistic other than a divergence
+    gives ``stat(r, p, q, **params)`` instead, on (batch, n) arrays of
+    dP/dQ, P and Q.  ``core(q, d, **params)`` evaluates the bound at event
+    masses q; it returns raw values, or a tuple led by them, or with
+    ``checked`` the pair (raw, valid) where valid masks the trials whose
+    preconditions hold.  ``grid`` holds the params of the master suite.
+
+    A bound of ours may carry the prior-art ``competitor`` for its
+    divergence, itself a Bound, with the ``claim`` of the comparison
+    ("same", "ours" or "incomparable") and the params of its dominance
+    row.  A competitor with a free parameter c gives its value at a fixed c
+    as ``fixed(q, d, c)``.  ``scalar`` is the `divgauge bound` entry point,
+    called as scalar(q, div, **options) with the command-line options named
+    in ``scalar_args``.
+    """
+
+    id: str
+    kind: DivergenceKind | Callable[..., DivergenceKind] | None
+    core: Callable
+    grid: tuple[dict, ...] = ({},)
+    checked: bool = False
+    stat: Callable | None = None
+    competitor: Bound | None = None
+    claim: str | None = None
+    row_params: dict = field(default_factory=dict)
+    fixed: Callable | None = None
+    scalar: Callable[..., BoundResult] | None = None
+    scalar_args: tuple[str, ...] = ()
+
+    def divergence(self, params: dict) -> DivergenceKind:
+        return self.kind(**params) if callable(self.kind) else self.kind
+
+    def evaluate(self, q, d, params: dict):
+        """(raw, valid) at event masses q and divergence d; valid None
+        means every entry is checked."""
+        out = self.core(q, d, **params)
+        if self.checked:
+            return out
+        return (out[0] if isinstance(out, tuple) else out), None
+
+
+def _grid(**axes) -> tuple[dict, ...]:
+    """Every combination of the given values, first axis outermost."""
+    return tuple(dict(zip(axes, values)) for values in itertools.product(*axes.values()))
+
+
+def _tail_masses(r, p, q, gamma):
+    return ((r > gamma) * p).sum(axis=1, keepdims=True)
+
+
+def _amemiya_norms(r, p, q, kappa, gamma):
+    return amemiya_norm_rows(np.maximum(r - gamma, 0.0), q, power_orlicz(kappa))[:, None]
+
+
+def _orlicz_case(q, amemiya, kappa, gamma):
+    return orlicz_core(q, amemiya, gamma, power_orlicz(kappa))
+
+
+def _power_qmax_case(q, h_beta, beta):
+    """The q_max relaxation at the tightest admissible cap, q_max = Q(E)."""
+    raw, _m, valid = power_qmax_core(q, h_beta, beta, np.clip(q, 1e-300, 1 - 1e-12))
+    return raw, valid & (q < 1.0)
+
+
+def _f_kind(kind, **_):
+    return _F_KINDS[kind]
+
+
+def _f_hs_case(q, df, kind, gamma, lipschitz=None):
+    gap, _ = f_slope_gap(_F_KINDS[kind], gamma, lipschitz)
+    if gap <= 0.0:
+        return np.full(np.shape(q), np.inf), np.zeros(np.shape(q), dtype=bool)
+    return f_hs_core(q, df, gamma, gap), None
+
+
+_HS_GRID = _grid(gamma=(0.5, 1.0, 2.0, 5.0))
+_BETA_GRID = _grid(beta=(1.5, 2.0, 4.0))
+_F_GRID = _grid(kind=("chi2", "kl", "squared_hellinger"), gamma=(1.5, 2.0, 5.0)) + _grid(
+    kind=("chi2",), gamma=(1.5, 2.0, 5.0), lipschitz=(2.0,)
+)
+_POWER_ARGS = ("beta", "q_max")
+
+# Ours, each followed by its competitor; the competitors' order is the
+# row order of the dominance report.
+_TABLE = (
+    Bound("egamma", hockey_stick_kind, egamma_core, _HS_GRID,
+          scalar=bound_egamma, scalar_args=("gamma",)),
+    Bound("strong_converse", None, strong_converse_core, _HS_GRID, stat=_tail_masses),
+    Bound("kl", KL, kl_opt_core, scalar=bound_kl, scalar_args=("c",), claim="same",
+          competitor=Bound("competitor_kl", KL, kl_opt_core, fixed=kl_fixed_core)),
+    Bound("kl_closed", KL, kl_closed_core),
+    Bound("chi2", CHI2, chi2_core, scalar=bound_chi2, claim="same",
+          competitor=Bound("competitor_chi2", CHI2, chi2_core)),
+    Bound("power_implicit", power_kind, power_implicit_core, _BETA_GRID,
+          scalar=partial(bound_power_beta, mode="implicit"), scalar_args=_POWER_ARGS),
+    Bound("power_qmax", power_kind, _power_qmax_case, _BETA_GRID, checked=True,
+          scalar=partial(bound_power_beta, mode="qmax"), scalar_args=_POWER_ARGS),
+    Bound("power_small_q", power_kind, power_small_q_core, _BETA_GRID,
+          scalar=partial(bound_power_beta, mode="small_q"), scalar_args=_POWER_ARGS,
+          claim="incomparable", row_params={"beta": 2.0},
+          competitor=Bound("competitor_power", power_kind, comp_power_core, _BETA_GRID)),
+    Bound("hellinger", SQUARED_HELLINGER, hellinger_core, scalar=bound_hellinger, claim="ours",
+          competitor=Bound("competitor_squared_hellinger", SQUARED_HELLINGER,
+                           comp_sq_hellinger_core, checked=True)),
+    Bound("f_from_egamma", _f_kind, _f_hs_case, _F_GRID, checked=True),
+    Bound("orlicz", None, _orlicz_case, _grid(kappa=(1.5, 2.0, 4.0), gamma=(0.0, 1.0, 2.0)),
+          stat=_amemiya_norms),
+    Bound("reverse_chi2", REVERSE_CHI2, reverse_chi2_core, scalar=bound_reverse_chi2,
+          claim="ours",
+          competitor=Bound("competitor_reverse_chi2", REVERSE_CHI2, comp_reverse_chi2_core,
+                           fixed=comp_reverse_chi2_ac)),
+    Bound("reverse_kl_exact", REVERSE_KL, reverse_kl_exact_core,
+          scalar=partial(bound_reverse_kl, mode="exact"), claim="ours",
+          competitor=Bound("competitor_reverse_kl", REVERSE_KL, comp_reverse_kl_core,
+                           fixed=comp_reverse_kl_ac)),
+    Bound("reverse_kl_explicit", REVERSE_KL, reverse_kl_explicit_core,
+          scalar=partial(bound_reverse_kl, mode="explicit")),
+    Bound("vincze_lecam", VINCZE_LECAM, vincze_core, scalar=bound_vincze_lecam, claim="ours",
+          competitor=Bound("competitor_vincze_lecam", VINCZE_LECAM, comp_vincze_core,
+                           fixed=comp_vincze_ac)),
+)
+BOUNDS: dict[str, Bound] = {
+    b.id: b for ours in _TABLE for b in (ours, ours.competitor) if b is not None
+}
+# the bounds of ours with a competitor, keyed by the competitor's row name
+DOMINANCE_ROWS = {b.competitor.id.removeprefix("competitor_"): b for b in _TABLE if b.competitor}
+# the generators f_from_egamma composes with: every fixed kind of the table
+_F_KINDS = {b.kind.name: b.kind for b in _TABLE if isinstance(b.kind, DivergenceKind)}

@@ -26,6 +26,7 @@ from .dist import (
     FiniteDistribution,
     JointFinite,
     event_probability,
+    product_pair,
 )
 from .errors import DivgaugeError, ValidationError
 from .experiments import (
@@ -135,21 +136,21 @@ def _resolve_seed(args) -> int:
     return int(env) if env else 0
 
 
+# the kinds with an order parameter: its option and the kind factory
+_PARAM_KINDS = {
+    "power": ("beta", dv.power_kind),
+    "hockey_stick": ("gamma", dv.hockey_stick_kind),
+    "renyi": ("alpha", dv.renyi_kind),
+}
+
+
 def _kind_from_args(args) -> dv.DivergenceKind:
-    name = args.kind
-    if name == "power":
-        if args.beta is None:
-            raise ValidationError("--kind power needs --beta")
-        return dv.power_kind(args.beta)
-    if name == "hockey_stick":
-        if args.gamma is None:
-            raise ValidationError("--kind hockey_stick needs --gamma")
-        return dv.hockey_stick_kind(args.gamma)
-    if name == "renyi":
-        if args.alpha is None:
-            raise ValidationError("--kind renyi needs --alpha")
-        return dv.renyi_kind(args.alpha)
-    return dv.DivergenceKind(name)
+    if args.kind not in _PARAM_KINDS:
+        return dv.DivergenceKind(args.kind)
+    option, factory = _PARAM_KINDS[args.kind]
+    if getattr(args, option) is None:
+        raise ValidationError(f"--kind {args.kind} needs --{option}")
+    return factory(getattr(args, option))
 
 
 _JOINT_KINDS = ("sibson", "maximal_leakage", "mutual_information")
@@ -159,33 +160,23 @@ def cmd_div(args) -> int:
     if (args.pair is None) == (args.joint is None):
         raise ValidationError("provide exactly one of --pair / --joint")
     params: dict = {}
-    if args.joint:
+    kind_name = args.kind
+    if args.joint and args.kind in _JOINT_KINDS:
         joint = load_joint(args.joint)
         if args.kind == "sibson":
             if args.alpha is None:
                 raise ValidationError("--kind sibson needs --alpha")
             value = dv.sibson_mi(joint, args.alpha)
             params = {"order": args.alpha}
-            kind_name = "sibson"
         elif args.kind == "maximal_leakage":
             value = dv.maximal_leakage(joint)
-            kind_name = "maximal_leakage"
-        elif args.kind == "mutual_information":
-            value = dv.mutual_information(joint)
-            kind_name = "mutual_information"
         else:
-            # f-divergences of a joint mean: joint law against its product law
-            from .dist import product_pair
-
-            kind = _kind_from_args(args)
-            pair = product_pair(joint)
-            value = dv.renyi(pair, kind.param) if kind.name == "renyi" else dv.f_divergence(pair, kind).value
-            params = {} if kind.param is None else {"order": kind.param}
-            kind_name = kind.name
+            value = dv.mutual_information(joint)
     else:
         if args.kind in _JOINT_KINDS:
             raise ValidationError(f"--kind {args.kind} needs --joint")
-        pair = load_pair(args.pair)
+        # f-divergences of a joint mean: joint law against its product law
+        pair = product_pair(load_joint(args.joint)) if args.joint else load_pair(args.pair)
         kind = _kind_from_args(args)
         value = dv.renyi(pair, kind.param) if kind.name == "renyi" else dv.f_divergence(pair, kind).value
         params = {} if kind.param is None else {"order": kind.param}
@@ -200,48 +191,23 @@ def cmd_div(args) -> int:
     return 0
 
 
-_BOUND_DISPATCH = {
-    "egamma",
-    "chi2",
-    "kl",
-    "hellinger",
-    "power_implicit",
-    "power_qmax",
-    "power_small_q",
-    "reverse_chi2",
-    "reverse_kl_exact",
-    "reverse_kl_explicit",
-    "vincze_lecam",
-}
+# the bounds with a scalar entry point, from the bound table
+_BOUND_DISPATCH = {spec.id: spec for spec in B.BOUNDS.values() if spec.scalar}
+# options a bound cannot do without, whenever it takes them
+_REQUIRED = {"gamma": "egamma needs --gamma", "beta": "power bounds need --beta"}
 
 
 def cmd_bound(args) -> int:
-    name, q, d = args.name, args.q, args.div
-    if name not in _BOUND_DISPATCH:
+    spec = _BOUND_DISPATCH.get(args.name)
+    if spec is None:
         raise ValidationError(
-            f"unknown bound {name!r}; choose one of {sorted(_BOUND_DISPATCH)}"
+            f"unknown bound {args.name!r}; choose one of {sorted(_BOUND_DISPATCH)}"
         )
-    if name == "egamma":
-        if args.gamma is None:
-            raise ValidationError("egamma needs --gamma")
-        res = B.bound_egamma(q, d, args.gamma)
-    elif name == "chi2":
-        res = B.bound_chi2(q, d)
-    elif name == "kl":
-        res = B.bound_kl(q, d, c=args.c)
-    elif name == "hellinger":
-        res = B.bound_hellinger(q, d)
-    elif name.startswith("power_"):
-        if args.beta is None:
-            raise ValidationError("power bounds need --beta")
-        mode = name.removeprefix("power_")
-        res = B.bound_power_beta(q, d, args.beta, mode=mode, q_max=args.q_max)
-    elif name == "reverse_chi2":
-        res = B.bound_reverse_chi2(q, d)
-    elif name.startswith("reverse_kl"):
-        res = B.bound_reverse_kl(q, d, mode=name.removeprefix("reverse_kl_"))
-    else:
-        res = B.bound_vincze_lecam(q, d)
+    options = {name: getattr(args, name) for name in spec.scalar_args}
+    for name, value in options.items():
+        if value is None and name in _REQUIRED:
+            raise ValidationError(_REQUIRED[name])
+    res = spec.scalar(args.q, args.div, **options)
     payload = {
         "config": _config_echo(args),
         "name": res.name,
@@ -337,18 +303,20 @@ def _identity_suite(seed: int, trials: int = 200) -> tuple[bool, list[dict]]:
         e1 = dv.f_divergence(pair, dv.hockey_stick_kind(1.0)).value
         worst_tv = max(worst_tv, abs(tv - e1))
     entries = [
-        {"bound": "identity:egamma_variational", "trials": trials * 4,
-         "violations": int(worst_var > 1e-12), "worst_slack": worst_var, "seed": seed,
-         "witness": None},
-        {"bound": "identity:renyi2_chi2", "trials": trials,
-         "violations": int(worst_d2 > 1e-12), "worst_slack": worst_d2, "seed": seed,
-         "witness": None},
-        {"bound": "identity:unit_hockey_stick_tv", "trials": trials,
-         "violations": int(worst_tv > 1e-12), "worst_slack": worst_tv, "seed": seed,
-         "witness": None},
+        {"bound": f"identity:{name}", "trials": n, "violations": int(worst > 1e-12),
+         "worst_slack": worst, "seed": seed, "witness": None}
+        for name, n, worst in (
+            ("egamma_variational", trials * 4, worst_var),
+            ("renyi2_chi2", trials, worst_d2),
+            ("unit_hockey_stick_tv", trials, worst_tv),
+        )
     ]
     ok = all(e["violations"] == 0 for e in entries)
     return ok, entries
+
+
+# the divergence values gen_tail_bounds needs, by keyword
+_TAIL_KEYS = ("gamma", "e_gamma", "chi2", "h2", "beta", "h_beta")
 
 
 def _tail_rows(args, eta_grid, divs, exact_tail=None) -> list[dict]:
@@ -356,24 +324,9 @@ def _tail_rows(args, eta_grid, divs, exact_tail=None) -> list[dict]:
     rows = []
     for eta in eta_grid:
         eta = float(eta)
-        res = gb.gen_tail_bounds(
-            setting,
-            eta,
-            gamma=divs["gamma"],
-            e_gamma=divs["e_gamma"],
-            chi2=divs["chi2"],
-            h2=divs["h2"],
-            beta=divs["beta"],
-            h_beta=divs["h_beta"],
-        )
-        row = {
-            "eta": eta,
-            "theta": res.theta,
-            "hockey_stick": res.branches["hockey_stick"].raw,
-            "chi2": res.branches["chi2"].raw,
-            "hellinger": res.branches["hellinger"].raw,
-            "power": res.branches["power"].raw,
-        }
+        res = gb.gen_tail_bounds(setting, eta, **{key: divs[key] for key in _TAIL_KEYS})
+        row = {"eta": eta, "theta": res.theta}
+        row.update((branch, bound.raw) for branch, bound in res.branches.items())
         if "leakage" in divs:
             row["maximal_leakage"] = gb.gen_tail_ml(setting, eta, divs["leakage"]).raw
         if "i_alpha" in divs and "alpha" in divs:
@@ -391,7 +344,7 @@ def cmd_genbound(args) -> int:
     eta_grid = parse_grid(args.eta_grid)
     exact_tail = None
     if args.experiment:
-        run = run_gibbs_experiment(_gibbs_from_file(args.experiment))
+        run = run_gibbs_experiment(_experiment_from_file(args.experiment)[0])
         panel = run.divergence_panel(
             alphas=(args.alpha,) if args.alpha else (2.0,),
             betas=(args.beta,),
@@ -412,7 +365,7 @@ def cmd_genbound(args) -> int:
         exact_tail = run.exact_tail
     elif args.div_file:
         divs = _load_json(args.div_file)
-        for key in ("gamma", "e_gamma", "chi2", "h2", "beta", "h_beta"):
+        for key in _TAIL_KEYS:
             if key not in divs:
                 raise ValidationError(f"{args.div_file}: missing key {key!r}")
     else:
@@ -423,55 +376,50 @@ def cmd_genbound(args) -> int:
     return 0
 
 
-def _gibbs_from_file(path: str) -> GibbsExperiment:
+_EXPERIMENT_TYPES = {"gibbs": GibbsExperiment, "supersample": SuperSampleExperiment}
+
+
+def _experiment_from_file(path: str):
+    """(experiment, config object) from an experiment JSON file; its
+    "type" (default gibbs) selects the experiment class."""
     obj = _load_json(path)
-    return GibbsExperiment(
-        p_z=FiniteDistribution(np.asarray(obj["p_z"], dtype=float)),
-        loss_table=np.asarray(obj["loss_table"], dtype=float),
-        n=int(obj["n"]),
-        temperature=float(obj["temperature"]) if obj["temperature"] != "inf" else math.inf,
-    )
+    kind = obj.get("type", "gibbs") if isinstance(obj, dict) else None
+    if kind not in _EXPERIMENT_TYPES:
+        raise ValidationError(f"unknown experiment type {kind!r}")
+    for key in ("p_z", "loss_table", "n", "temperature"):
+        if key not in obj:
+            raise ValidationError(f"{path}: missing key {key!r}")
+    temperature = obj["temperature"]
+    try:  # malformed values, e.g. "n": "eight"
+        p_z = np.asarray(obj["p_z"], dtype=float)
+        loss_table = np.asarray(obj["loss_table"], dtype=float)
+        n = int(obj["n"])
+        temperature = math.inf if temperature == "inf" else float(temperature)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    exp = _EXPERIMENT_TYPES[kind](FiniteDistribution(p_z), loss_table, n, temperature)
+    return exp, obj
 
 
 def cmd_experiment(args) -> int:
-    obj = _load_json(args.config)
-    kind = obj.get("type", "gibbs")
     eta_grid = parse_grid(args.eta_grid) if args.eta_grid else None
-    if kind == "gibbs":
-        run = run_gibbs_experiment(_gibbs_from_file(args.config))
-        payload = {
-            "config": _config_echo(args),
-            "type": "gibbs",
-            "divergences": _jsonable(run.divergence_panel()),
-        }
-        if eta_grid is not None:
-            payload["tails"] = [
-                {"eta": float(e), "exact_tail": run.exact_tail(float(e))}
-                for e in eta_grid
-            ]
-    elif kind == "supersample":
-        exp = SuperSampleExperiment(
-            p_z=FiniteDistribution(np.asarray(obj["p_z"], dtype=float)),
-            loss_table=np.asarray(obj["loss_table"], dtype=float),
-            n=int(obj["n"]),
-            temperature=float(obj["temperature"]) if obj["temperature"] != "inf" else math.inf,
-        )
+    exp, obj = _experiment_from_file(args.config)
+    payload = {"config": _config_echo(args)}
+    if isinstance(exp, GibbsExperiment):
+        run = run_gibbs_experiment(exp)
+        payload["type"] = "gibbs"
+        payload["divergences"] = _jsonable(run.divergence_panel())
+    else:
         run = run_supersample_experiment(exp)
         gammas = obj.get("gammas", [1.0, 2.0, 4.0])
-        payload = {
-            "config": _config_echo(args),
-            "type": "supersample",
-            "conditional_hockey_stick": {
-                str(g): run.conditional_hockey_stick(float(g)) for g in gammas
-            },
+        payload["type"] = "supersample"
+        payload["conditional_hockey_stick"] = {
+            str(g): run.conditional_hockey_stick(float(g)) for g in gammas
         }
-        if eta_grid is not None:
-            payload["tails"] = [
-                {"eta": float(e), "exact_tail": run.exact_tail(float(e))}
-                for e in eta_grid
-            ]
-    else:
-        raise ValidationError(f"unknown experiment type {kind!r}")
+    if eta_grid is not None:
+        payload["tails"] = [
+            {"eta": float(e), "exact_tail": run.exact_tail(float(e))} for e in eta_grid
+        ]
     _emit(args, payload)
     return 0
 

@@ -33,7 +33,8 @@ from .errors import (
 
 MASS_TOL = 1e-12
 JOINT_SUM_TOL = 1e-9
-ENUM_CAP = 24  # 2^24 event masks
+ENUM_CAP = 24  # 2^24 event masks, yielded lazily by enumerate_events
+EXHAUSTIVE_LIMIT = 16  # largest support whose 2^n masks are held as one matrix
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -107,10 +108,7 @@ def make_distribution(weights, labels=None) -> FiniteDistribution:
     total = float(w.sum())
     if total <= 0:
         raise ValidationError("at least one weight must be positive")
-    p = w / total
-    # absorb the normalization rounding into the largest atom
-    p[int(np.argmax(p))] += 1.0 - p.sum()
-    return FiniteDistribution(p, tuple(labels) if labels is not None else None)
+    return FiniteDistribution(normalized(w), tuple(labels) if labels is not None else None)
 
 
 @dataclass(frozen=True)
@@ -222,10 +220,10 @@ def enumerate_events(support_size: int) -> Iterator[EventMask]:
 
 @lru_cache(maxsize=32)
 def event_mask_matrix(support_size: int) -> np.ndarray:
-    """(2^n, n) boolean matrix of all event masks; cached, n <= 16."""
+    """(2^n, n) boolean matrix of all event masks; cached, n <= EXHAUSTIVE_LIMIT."""
     n = int(support_size)
-    if n > 16:
-        raise ResourceError("mask matrix is limited to support size 16")
+    if n > EXHAUSTIVE_LIMIT:
+        raise ResourceError(f"mask matrix is limited to support size {EXHAUSTIVE_LIMIT}")
     codes = np.arange(1 << n, dtype=np.uint32)[:, None]
     m = ((codes >> np.arange(n, dtype=np.uint32)[None, :]) & 1).astype(bool)
     m.flags.writeable = False
@@ -275,25 +273,21 @@ class JointFinite:
         col = col / col.sum()
         return FiniteDistribution(col)
 
+    def _conditional(self, axis: int, what: str) -> np.ndarray:
+        """The matrix over its marginal along `axis`; errors on zero mass."""
+        marginal = self.matrix.sum(axis=axis, keepdims=True)
+        if np.any(marginal == 0.0):
+            dead = np.flatnonzero(marginal == 0.0).tolist()
+            raise DegenerateMarginalError(f"conditional {what} {dead}")
+        return self.matrix / marginal
+
     def conditional_w_given_s(self) -> np.ndarray:
         """Row-stochastic |S| x |W| matrix P(w | s); errors on zero rows."""
-        rows = self.matrix.sum(axis=1)
-        if np.any(rows == 0.0):
-            dead = np.flatnonzero(rows == 0.0).tolist()
-            raise DegenerateMarginalError(
-                f"conditional W|S undefined at zero-mass rows {dead}"
-            )
-        return self.matrix / rows[:, None]
+        return self._conditional(1, "W|S undefined at zero-mass rows")
 
     def conditional_s_given_w(self) -> np.ndarray:
         """Column-stochastic |S| x |W| matrix P(s | w); errors on zero columns."""
-        cols = self.matrix.sum(axis=0)
-        if np.any(cols == 0.0):
-            dead = np.flatnonzero(cols == 0.0).tolist()
-            raise DegenerateMarginalError(
-                f"conditional S|W undefined at zero-mass columns {dead}"
-            )
-        return self.matrix / cols[None, :]
+        return self._conditional(0, "S|W undefined at zero-mass columns")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -321,14 +315,18 @@ def product_pair(joint: JointFinite) -> AbsContPair:
     ms = joint.matrix.sum(axis=1)
     mw = joint.matrix.sum(axis=0)
     prod = np.outer(ms, mw)
-    p = FiniteDistribution(_renormalized(joint.matrix.ravel()))
-    q = FiniteDistribution(_renormalized(prod.ravel()))
+    p = FiniteDistribution(normalized(joint.matrix.ravel()))
+    q = FiniteDistribution(normalized(prod.ravel()))
     return AbsContPair(p, q)
 
 
-def _renormalized(v: np.ndarray) -> np.ndarray:
-    out = np.array(v, dtype=float, copy=True)
-    s = out.sum()
-    out /= s
-    out[int(np.argmax(out))] += 1.0 - out.sum()
-    return out
+def absorb_rounding(v: np.ndarray) -> np.ndarray:
+    """Add the rounding remainder 1 - sum(v) to the largest atom, in place."""
+    v[int(np.argmax(v))] += 1.0 - v.sum()
+    return v
+
+
+def normalized(v) -> np.ndarray:
+    """A new float vector v / sum(v) with its rounding remainder absorbed."""
+    v = np.asarray(v, dtype=float)
+    return absorb_rounding(v / v.sum())

@@ -27,17 +27,57 @@ from .errors import (
     ValidationError,
 )
 
-_NON_RENYI = (
-    "kl",
-    "reverse_kl",
-    "chi2",
-    "reverse_chi2",
-    "tv",
-    "squared_hellinger",
-    "power",
-    "hockey_stick",
-    "vincze_lecam",
-)
+# Every f-divergence kind, declared once: its generator f on arrays of t >= 0
+# (with f(0) = lim f, +inf where that diverges), the closed-form f'(t) for
+# t > 0 (subgradient 0 at a kink), and the Lipschitz constant of f' on
+# [gamma, inf) (None if unbounded or kinked).  `par` is the kind's parameter.
+_GENERATORS = {
+    "kl": (
+        lambda t, par: np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0),
+        lambda t, par: math.log(t) + 1.0,
+        lambda g, par: 1.0 / g,
+    ),
+    "reverse_kl": (
+        lambda t, par: np.where(t > 0, -np.log(np.where(t > 0, t, 1.0)), np.inf),
+        lambda t, par: -1.0 / t,
+        lambda g, par: 1.0 / g**2,
+    ),
+    "chi2": (
+        lambda t, par: t * t - 1.0,
+        lambda t, par: 2.0 * t,
+        lambda g, par: 2.0,
+    ),
+    "reverse_chi2": (
+        lambda t, par: np.where(t > 0, 1.0 / np.where(t > 0, t, 1.0) - 1.0, np.inf),
+        lambda t, par: -1.0 / (t * t),
+        lambda g, par: 2.0 / g**3,
+    ),
+    "tv": (
+        lambda t, par: 0.5 * np.abs(t - 1.0),
+        lambda t, par: 0.0 if t == 1.0 else (0.5 if t > 1.0 else -0.5),
+        lambda g, par: None,
+    ),
+    "squared_hellinger": (
+        lambda t, par: (1.0 - np.sqrt(t)) ** 2,
+        lambda t, par: 1.0 - 1.0 / math.sqrt(t),
+        lambda g, par: 0.5 * g**-1.5,
+    ),
+    "power": (
+        lambda t, par: (np.power(t, par) - 1.0) / (par - 1.0),
+        lambda t, par: par * t ** (par - 1.0) / (par - 1.0),
+        lambda g, par: par * g ** (par - 2.0) if par <= 2.0 else None,  # f'' grows without bound
+    ),
+    "hockey_stick": (
+        lambda t, par: np.maximum(t - par, 0.0),
+        lambda t, par: 0.0 if t < par else 1.0,
+        lambda g, par: None,
+    ),
+    "vincze_lecam": (
+        lambda t, par: (2.0 - 2.0 * t) / (t + 1.0),
+        lambda t, par: -4.0 / (1.0 + t) ** 2,
+        lambda g, par: 8.0 / (1.0 + g) ** 3,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -48,7 +88,7 @@ class DivergenceKind:
     param: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in _NON_RENYI and self.name != "renyi":
+        if self.name not in _GENERATORS and self.name != "renyi":
             raise ValidationError(f"unknown divergence kind {self.name!r}")
         if self.name == "power":
             if self.param is None or not 1.0 < self.param <= 50.0:
@@ -101,77 +141,28 @@ def generator_values(kind: DivergenceKind, t) -> np.ndarray:
     Entries where the limit diverges come back as +inf.
     """
     t = np.asarray(t, dtype=float)
-    name, par = kind.name, kind.param
+    if kind.name not in _GENERATORS:
+        raise ValidationError(f"{kind} has no pointwise generator")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if name == "kl":
-            return np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
-        if name == "reverse_kl":
-            return np.where(t > 0, -np.log(np.where(t > 0, t, 1.0)), np.inf)
-        if name == "chi2":
-            return t * t - 1.0
-        if name == "reverse_chi2":
-            return np.where(t > 0, 1.0 / np.where(t > 0, t, 1.0) - 1.0, np.inf)
-        if name == "tv":
-            return 0.5 * np.abs(t - 1.0)
-        if name == "squared_hellinger":
-            return (1.0 - np.sqrt(t)) ** 2
-        if name == "power":
-            return (np.power(t, par) - 1.0) / (par - 1.0)
-        if name == "hockey_stick":
-            return np.maximum(t - par, 0.0)
-        if name == "vincze_lecam":
-            return (2.0 - 2.0 * t) / (t + 1.0)
-    raise ValidationError(f"{kind} has no pointwise generator")
+        return _GENERATORS[kind.name][0](t, kind.param)
 
 
 def generator_derivative(kind: DivergenceKind, t: float) -> float:
     """Closed-form f'(t) for t > 0 (subgradient 0 at the TV kink)."""
-    name, par = kind.name, kind.param
     if t <= 0:
         raise RangeError("generator derivative needs t > 0")
-    if name == "kl":
-        return math.log(t) + 1.0
-    if name == "reverse_kl":
-        return -1.0 / t
-    if name == "chi2":
-        return 2.0 * t
-    if name == "reverse_chi2":
-        return -1.0 / (t * t)
-    if name == "tv":
-        return 0.0 if t == 1.0 else (0.5 if t > 1.0 else -0.5)
-    if name == "squared_hellinger":
-        return 1.0 - 1.0 / math.sqrt(t)
-    if name == "power":
-        return par * t ** (par - 1.0) / (par - 1.0)
-    if name == "hockey_stick":
-        return 0.0 if t < par else 1.0
-    if name == "vincze_lecam":
-        return -4.0 / (1.0 + t) ** 2
-    raise ValidationError(f"{kind} has no pointwise generator")
+    if kind.name not in _GENERATORS:
+        raise ValidationError(f"{kind} has no pointwise generator")
+    return _GENERATORS[kind.name][1](t, kind.param)
 
 
 def generator_lipschitz(kind: DivergenceKind, gamma: float) -> float | None:
     """Lipschitz constant of f' on [gamma, inf), or None if unbounded/kinked."""
-    name, par = kind.name, kind.param
     if gamma <= 0:
         raise RangeError("need gamma > 0")
-    if name == "kl":
-        return 1.0 / gamma
-    if name == "reverse_kl":
-        return 1.0 / gamma**2
-    if name == "chi2":
-        return 2.0
-    if name == "reverse_chi2":
-        return 2.0 / gamma**3
-    if name == "squared_hellinger":
-        return 0.5 * gamma**-1.5
-    if name == "power":
-        if par <= 2.0:
-            return par * gamma ** (par - 2.0)
-        return None  # f'' grows without bound
-    if name == "vincze_lecam":
-        return 8.0 / (1.0 + gamma) ** 3
-    return None  # tv / hockey_stick have kinks
+    if kind.name not in _GENERATORS:
+        return None
+    return _GENERATORS[kind.name][2](gamma, kind.param)
 
 
 def f_divergence_from_ratios(

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import AbsContPair, FiniteDistribution, JointFinite, product_pair
+from .dist import AbsContPair, FiniteDistribution, JointFinite, normalized, product_pair
 from .divergences import (
     KL,
     f_divergence,
@@ -45,6 +45,17 @@ def _counts(digits: np.ndarray, m: int) -> np.ndarray:
     return np.stack([(digits == c).sum(axis=1) for c in range(m)], axis=1)
 
 
+def _string_probs(counts: np.ndarray, p_z: FiniteDistribution) -> np.ndarray:
+    """I.i.d. probability of each sample string, from its letter counts."""
+    ps = np.exp(counts @ np.log(p_z.probs))
+    return ps / ps.sum()
+
+
+def _check_atoms(atoms: int) -> None:
+    if atoms > ATOM_CAP:
+        raise ResourceError(f"{atoms} atoms exceed the cap {ATOM_CAP}")
+
+
 def _posterior(emp_loss: np.ndarray, temperature: float) -> np.ndarray:
     """Gibbs posterior over hypotheses, rows = datasets.
 
@@ -63,12 +74,9 @@ def _posterior(emp_loss: np.ndarray, temperature: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GibbsExperiment:
-    """A Gibbs learner over k hypotheses on an m-letter sample alphabet.
-
-    loss_table is k x m with entries in [a, b]; temperature >= 0 scales the
-    posterior exp(-temperature * empirical loss), with inf meaning argmin.
-    """
+class _Learner:
+    """A learner over k hypotheses on an m-letter sample alphabet, drawing
+    n samples from p_z; the fields and checks both experiments share."""
 
     p_z: FiniteDistribution
     loss_table: np.ndarray
@@ -100,6 +108,15 @@ class GibbsExperiment:
     @property
     def loss_range(self) -> tuple[float, float]:
         return float(self.loss_table.min()), float(self.loss_table.max())
+
+
+@dataclass(frozen=True)
+class GibbsExperiment(_Learner):
+    """A Gibbs learner over k hypotheses on an m-letter sample alphabet.
+
+    loss_table is k x m with entries in [a, b]; temperature >= 0 scales the
+    posterior exp(-temperature * empirical loss), with inf meaning argmin.
+    """
 
     def sub_gaussian_setting(self) -> SubGaussianSetting:
         a, b = self.loss_range
@@ -165,15 +182,9 @@ def run_gibbs_experiment(exp: GibbsExperiment) -> GibbsRun:
     risk of w minus its empirical risk on s.
     """
     m, k, n = exp.m, exp.k, exp.n
-    atoms = m**n * k
-    if atoms > ATOM_CAP:
-        raise ResourceError(f"{atoms} atoms exceed the cap {ATOM_CAP}")
-    digits = _digit_matrix(m, n)
-    counts = _counts(digits, m)
-    log_pz = np.log(exp.p_z.probs)
-    log_ps = counts @ log_pz
-    ps = np.exp(log_ps)
-    ps /= ps.sum()
+    _check_atoms(m**n * k)
+    counts = _counts(_digit_matrix(m, n), m)
+    ps = _string_probs(counts, exp.p_z)
 
     emp_loss = counts @ exp.loss_table.T / n  # (m^n, k)
     post = _posterior(emp_loss, exp.temperature)
@@ -186,41 +197,12 @@ def run_gibbs_experiment(exp: GibbsExperiment) -> GibbsRun:
 
 
 @dataclass(frozen=True)
-class SuperSampleExperiment:
+class SuperSampleExperiment(_Learner):
     """Paired-sample variant: 2n i.i.d. draws plus n uniform selector bits.
 
     The learner sees the selected half Z(S), with Z_i(S_i) = Ztilde_{i + S_i n};
     the complement half Z(S-bar) uses the flipped bits.
     """
-
-    p_z: FiniteDistribution
-    loss_table: np.ndarray
-    n: int
-    temperature: float
-
-    def __post_init__(self) -> None:
-        table = np.asarray(self.loss_table, dtype=float)
-        if table.ndim != 2 or table.shape[1] != self.p_z.size:
-            raise ValidationError("loss_table must be k x |Z|")
-        if self.n < 1:
-            raise RangeError("n must be at least 1")
-        if self.temperature < 0:
-            raise RangeError("temperature must be nonnegative")
-        if np.any(self.p_z.probs == 0.0):
-            raise ValidationError("sample distribution must be strictly positive")
-        object.__setattr__(self, "loss_table", table)
-
-    @property
-    def k(self) -> int:
-        return int(self.loss_table.shape[0])
-
-    @property
-    def m(self) -> int:
-        return int(self.loss_table.shape[1])
-
-    @property
-    def loss_range(self) -> tuple[float, float]:
-        return float(self.loss_table.min()), float(self.loss_table.max())
 
     def bounded_loss_setting(self) -> BoundedLossSetting:
         a, b = self.loss_range
@@ -249,15 +231,10 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
     m, k, n = exp.m, exp.k, exp.n
     n_z = m ** (2 * n)
     n_s = 2**n
-    atoms = n_z * n_s * k
-    if atoms > ATOM_CAP:
-        raise ResourceError(f"{atoms} atoms exceed the cap {ATOM_CAP}")
+    _check_atoms(n_z * n_s * k)
 
     digits = _digit_matrix(m, 2 * n)  # all super-samples
-    log_pz = np.log(exp.p_z.probs)
-    log_pzt = _counts(digits, m) @ log_pz
-    pzt = np.exp(log_pzt)
-    pzt /= pzt.sum()
+    pzt = _string_probs(_counts(digits, m), exp.p_z)
 
     selectors = _digit_matrix(2, n)  # all selector vectors
     cols = np.arange(n)
@@ -279,15 +256,8 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
     q_atoms = (pzt[None, :, None] / n_s) * np.broadcast_to(w_given_z, post_by_s.shape)
     gen_hat = emp_comp - emp_sel
 
-    p = FiniteDistribution(_exact_one(p_atoms.ravel()))
-    q = FiniteDistribution(_exact_one(q_atoms.ravel()))
+    p = FiniteDistribution(normalized(p_atoms.ravel()))
+    q = FiniteDistribution(normalized(q_atoms.ravel()))
     pair = AbsContPair(p, q)
     tail = ExactTail(gen_hat.ravel(), p.probs)
     return SuperSampleRun(exp, pair, gen_hat.ravel(), tail)
-
-
-def _exact_one(v: np.ndarray) -> np.ndarray:
-    out = np.array(v, dtype=float)
-    out /= out.sum()
-    out[int(np.argmax(out))] += 1.0 - out.sum()
-    return out

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import bisect_increasing, golden_min
+from ._optim import bisect_increasing, golden_min, golden_min_vec
 from .dist import AbsContPair
 from .errors import OrliczSpecError, RangeError
 
@@ -139,14 +139,19 @@ def luxemburg_indicator_norm(q: float, spec: OrliczSpec) -> float:
     return float(1.0 / spec.inverse(1.0 / q))
 
 
-def luxemburg_norm_values(values, weights, spec: OrliczSpec) -> float:
-    """Generic Luxemburg norm inf{s > 0 : E[psi(|U|/s)] <= 1} on a finite space."""
+def _live(values, weights) -> tuple[np.ndarray, np.ndarray]:
+    """|U| and its weights on the atoms where both are positive."""
     u = np.abs(np.asarray(values, dtype=float))
     w = np.asarray(weights, dtype=float)
     live = (w > 0) & (u > 0)
-    if not live.any():
+    return u[live], w[live]
+
+
+def luxemburg_norm_values(values, weights, spec: OrliczSpec) -> float:
+    """Generic Luxemburg norm inf{s > 0 : E[psi(|U|/s)] <= 1} on a finite space."""
+    u, w = _live(values, weights)
+    if u.size == 0:
         return 0.0
-    u, w = u[live], w[live]
     if spec.kappa is not None:
         # closed form for the power family
         k = spec.kappa
@@ -174,12 +179,9 @@ def luxemburg_norm_values(values, weights, spec: OrliczSpec) -> float:
 def amemiya_norm_values(values, weights, spec: OrliczSpec) -> float:
     """Amemiya norm wrt the conjugate gauge:
     inf_{t>0} (E[psi*(t |U|)] + 1) / t."""
-    u = np.abs(np.asarray(values, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    live = (w > 0) & (u > 0)
-    if not live.any():
+    u, w = _live(values, weights)
+    if u.size == 0:
         return 0.0  # empty positive part: inf_t 1/t = 0
-    u, w = u[live], w[live]
 
     def objective(t: float) -> float:
         with np.errstate(over="ignore"):
@@ -191,6 +193,23 @@ def amemiya_norm_values(values, weights, spec: OrliczSpec) -> float:
     if not math.isfinite(best):
         raise OrliczSpecError("conjugate gauge is non-finite on the whole bracket")
     return best
+
+
+def amemiya_norm_rows(u: np.ndarray, w: np.ndarray, spec: OrliczSpec) -> np.ndarray:
+    """Row-wise :func:`amemiya_norm_values` of (batch, n) data, by one
+    vectorized search."""
+    live = (u > 0) & (w > 0)
+    any_live = live.any(axis=1)
+    u = np.where(live, u, 0.0)
+
+    def obj(t: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(spec.conjugate(t[:, None] * u), dtype=float)
+            vals = np.where(live, vals, 0.0)
+            return ((vals * w).sum(axis=1) + 1.0) / t
+
+    _, best = golden_min_vec(obj, 1e-12, 1e12, (u.shape[0],))
+    return np.where(any_live, best, 0.0)
 
 
 def amemiya_norm(pair: AbsContPair, gamma: float, spec: OrliczSpec) -> float:

@@ -24,30 +24,19 @@ import numpy as np
 from . import bounds as B
 from ._optim import logsumexp
 from .dist import (
+    EXHAUSTIVE_LIMIT,
     AbsContPair,
     FiniteDistribution,
     JointFinite,
+    absorb_rounding,
     event_mask_matrix,
+    event_probability,
+    normalized,
 )
-from .divergences import (
-    CHI2,
-    KL,
-    REVERSE_CHI2,
-    REVERSE_KL,
-    SQUARED_HELLINGER,
-    VINCZE_LECAM,
-    DivergenceKind,
-    f_divergence_from_ratios,
-    generator_derivative,
-    generator_values,
-    hockey_stick_kind,
-    power_kind,
-)
+from .divergences import CHI2, DivergenceKind, f_divergence_from_ratios
 from .errors import RangeError, ResourceError, UnknownBoundError, ValidationError
-from .orlicz import OrliczSpec, power_orlicz
 
 SLACK_TOL = 1e-9
-EXHAUSTIVE_LIMIT = 16
 SAMPLED_EVENTS = 100_000
 
 
@@ -67,11 +56,7 @@ def random_pair(seed, index: int, support: int, zero_prob: float = 0.2) -> AbsCo
         n_zero = int(rng.integers(1, support))
         dead = rng.choice(support, size=n_zero, replace=False)
         p[dead] = 0.0
-    q /= q.sum()
-    q[int(np.argmax(q))] += 1.0 - q.sum()
-    p /= p.sum()
-    p[int(np.argmax(p))] += 1.0 - p.sum()
-    return AbsContPair(FiniteDistribution(p), FiniteDistribution(q))
+    return AbsContPair(FiniteDistribution(normalized(p)), FiniteDistribution(normalized(q)))
 
 
 def random_joint(seed, index: int, n_s: int, n_w: int) -> JointFinite:
@@ -119,236 +104,55 @@ class PairBatch:
         return self._div_cache[key]
 
 
-def _amemiya_batch(u: np.ndarray, w: np.ndarray, spec: OrliczSpec) -> np.ndarray:
-    """Row-wise Amemiya norms (wrt the conjugate gauge) of (batch, n) data."""
-    live = (u > 0) & (w > 0)
-    any_live = live.any(axis=1)
-    u = np.where(live, u, 0.0)
-
-    def obj(t: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(spec.conjugate(t[:, None] * u), dtype=float)
-            vals = np.where(live, vals, 0.0)
-            return ((vals * w).sum(axis=1) + 1.0) / t
-
-    from ._optim import golden_min_vec
-
-    _, best = golden_min_vec(obj, 1e-12, 1e12, (u.shape[0],))
-    return np.where(any_live, best, 0.0)
-
-
 # ---------------------------------------------------------------------------
-# bound registry
+# bound registry, derived from the bound table
 # ---------------------------------------------------------------------------
 
 Evaluator = Callable[..., tuple[np.ndarray, np.ndarray | None]]
-_REGISTRY: dict[str, Evaluator] = {}
-NEGATIVE_CONTROLS = frozenset({"chi2_missing_sqrt"})
+NEGATIVE_CONTROL = "chi2_missing_sqrt"
 
 
-def _register(name: str):
-    def deco(fn: Evaluator) -> Evaluator:
-        _REGISTRY[name] = fn
-        return fn
+def _evaluator(spec: B.Bound) -> Evaluator:
+    def evaluate(b: PairBatch, **params):
+        d = spec.stat(b.r, b.p, b.q, **params) if spec.stat else b.div(spec.divergence(params))
+        return spec.evaluate(b.q_events, d, params)
 
-    return deco
+    return evaluate
+
+
+def _shared(bound_id: str, evaluate: Evaluator) -> Evaluator:
+    """Evaluate once per batch: a competitor that claims the same formula
+    reads these values instead of computing them again."""
+
+    def once(b: PairBatch, **params):
+        key = (bound_id, tuple(sorted(params.items())))
+        if key not in b._case_cache:
+            b._case_cache[key] = evaluate(b, **params)
+        return b._case_cache[key]
+
+    return once
+
+
+def _chi2_missing_sqrt(b: PairBatch):
+    # deliberately wrong (sqrt dropped): negative control for the harness
+    q = b.q_events
+    return q + q * (1.0 - q) * b.div(CHI2), None
+
+
+_REGISTRY: dict[str, Evaluator] = {spec.id: _evaluator(spec) for spec in B.BOUNDS.values()}
+_REGISTRY[NEGATIVE_CONTROL] = _chi2_missing_sqrt
+for _ours in B.DOMINANCE_ROWS.values():
+    if _ours.claim == "same":
+        _REGISTRY[_ours.id] = _REGISTRY[_ours.competitor.id] = _shared(_ours.id, _REGISTRY[_ours.id])
 
 
 def registered_bounds() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-@_register("egamma")
-def _ev_egamma(b: PairBatch, gamma: float):
-    return B.egamma_core(b.q_events, b.div(hockey_stick_kind(gamma)), gamma), None
-
-
-@_register("strong_converse")
-def _ev_strong_converse(b: PairBatch, gamma: float):
-    tail = ((b.r > gamma) * b.p).sum(axis=1, keepdims=True)
-    return B.strong_converse_core(b.q_events, tail, gamma), None
-
-
-@_register("chi2")
-def _ev_chi2(b: PairBatch):
-    return B.chi2_core(b.q_events, b.div(CHI2)), None
-
-
-def _kl_opt_cached(b: PairBatch) -> np.ndarray:
-    if "kl_opt" not in b._case_cache:
-        b._case_cache["kl_opt"] = B.kl_opt_core(b.q_events, b.div(KL))[0]
-    return b._case_cache["kl_opt"]
-
-
-@_register("kl")
-def _ev_kl(b: PairBatch):
-    return _kl_opt_cached(b), None
-
-
-@_register("kl_closed")
-def _ev_kl_closed(b: PairBatch):
-    return B.kl_closed_core(b.q_events, b.div(KL)), None
-
-
-@_register("hellinger")
-def _ev_hellinger(b: PairBatch):
-    return B.hellinger_core(b.q_events, b.div(SQUARED_HELLINGER)), None
-
-
-@_register("power_implicit")
-def _ev_power_implicit(b: PairBatch, beta: float):
-    return B.power_implicit_core(b.q_events, b.div(power_kind(beta)), beta), None
-
-
-@_register("power_qmax")
-def _ev_power_qmax(b: PairBatch, beta: float):
-    raw, _m, valid = B.power_qmax_core(
-        b.q_events, b.div(power_kind(beta)), beta, np.clip(b.q_events, 1e-300, 1 - 1e-12)
-    )
-    return raw, valid & (b.q_events < 1.0)
-
-
-@_register("power_small_q")
-def _ev_power_small_q(b: PairBatch, beta: float):
-    raw, _u0 = B.power_small_q_core(b.q_events, b.div(power_kind(beta)), beta)
-    return raw, None
-
-
-_F_KINDS = {
-    "chi2": CHI2,
-    "kl": KL,
-    "squared_hellinger": SQUARED_HELLINGER,
-    "reverse_kl": REVERSE_KL,
-    "vincze_lecam": VINCZE_LECAM,
-}
-
-
-@_register("f_from_egamma")
-def _ev_f_from_egamma(b: PairBatch, kind: str, gamma: float, lipschitz: float | None = None):
-    k = _F_KINDS[kind]
-    gamma_eff = gamma
-    if lipschitz is not None:
-        f_at = float(generator_values(k, np.asarray(gamma)))
-        tilde = f_at - generator_derivative(k, 1.0) * (gamma - 1.0)
-        gamma_eff = gamma + math.sqrt(max(2.0 * tilde / lipschitz, 0.0))
-    gap = generator_derivative(k, gamma_eff) - generator_derivative(k, 1.0)
-    if gap <= 0.0:
-        raw = np.full(b.shape, np.inf)
-        return raw, np.zeros(b.shape, dtype=bool)
-    return B.f_hs_core(b.q_events, b.div(k), gamma, gap), None
-
-
-@_register("orlicz")
-def _ev_orlicz(b: PairBatch, kappa: float, gamma: float):
-    spec = power_orlicz(kappa)
-    excess = np.maximum(b.r - gamma, 0.0)
-    am = _amemiya_batch(excess, b.q, spec)
-    return B.orlicz_core(b.q_events, am[:, None], gamma, spec), None
-
-
-@_register("reverse_chi2")
-def _ev_reverse_chi2(b: PairBatch):
-    return B.reverse_chi2_core(b.q_events, b.div(REVERSE_CHI2)), None
-
-
-@_register("reverse_kl_exact")
-def _ev_reverse_kl_exact(b: PairBatch):
-    return B.reverse_kl_exact_core(b.q_events, b.div(REVERSE_KL)), None
-
-
-@_register("reverse_kl_explicit")
-def _ev_reverse_kl_explicit(b: PairBatch):
-    return B.reverse_kl_explicit_core(b.q_events, b.div(REVERSE_KL)), None
-
-
-@_register("vincze_lecam")
-def _ev_vincze(b: PairBatch):
-    return B.vincze_core(b.q_events, b.div(VINCZE_LECAM)), None
-
-
-@_register("competitor_kl")
-def _ev_comp_kl(b: PairBatch):
-    # identical formula to ours; reuse the cached optimization
-    return _kl_opt_cached(b), None
-
-
-@_register("competitor_chi2")
-def _ev_comp_chi2(b: PairBatch):
-    return B.chi2_core(b.q_events, b.div(CHI2)), None
-
-
-@_register("competitor_power")
-def _ev_comp_power(b: PairBatch, beta: float):
-    raw, _ = B.comp_power_core(b.q_events, b.div(power_kind(beta)), beta)
-    return raw, None
-
-
-@_register("competitor_squared_hellinger")
-def _ev_comp_hellinger(b: PairBatch):
-    raw, valid = B.comp_sq_hellinger_core(b.q_events, b.div(SQUARED_HELLINGER))
-    return raw, valid
-
-
-@_register("competitor_reverse_chi2")
-def _ev_comp_reverse_chi2(b: PairBatch):
-    raw, _ = B.comp_reverse_chi2_core(b.q_events, b.div(REVERSE_CHI2))
-    return raw, None
-
-
-@_register("competitor_reverse_kl")
-def _ev_comp_reverse_kl(b: PairBatch):
-    raw, _ = B.comp_reverse_kl_core(b.q_events, b.div(REVERSE_KL))
-    return raw, None
-
-
-@_register("competitor_vincze_lecam")
-def _ev_comp_vincze(b: PairBatch):
-    raw, _ = B.comp_vincze_core(b.q_events, b.div(VINCZE_LECAM))
-    return raw, None
-
-
-@_register("chi2_missing_sqrt")
-def _ev_chi2_broken(b: PairBatch):
-    # deliberately wrong (sqrt dropped): negative control for the harness
-    q = b.q_events
-    return q + q * (1.0 - q) * b.div(CHI2), None
-
-
 def default_cases() -> list[tuple[str, dict]]:
-    """The master-suite grid: every registered bound at its default params."""
-    gammas_hs = (0.5, 1.0, 2.0, 5.0)
-    gammas_f = (1.5, 2.0, 5.0)
-    betas = (1.5, 2.0, 4.0)
-    kappas = (1.5, 2.0, 4.0)
-    cases: list[tuple[str, dict]] = []
-    cases += [("egamma", {"gamma": g}) for g in gammas_hs]
-    cases += [("strong_converse", {"gamma": g}) for g in gammas_hs]
-    cases += [("chi2", {}), ("kl", {}), ("kl_closed", {}), ("hellinger", {})]
-    for beta in betas:
-        cases += [
-            ("power_implicit", {"beta": beta}),
-            ("power_qmax", {"beta": beta}),
-            ("power_small_q", {"beta": beta}),
-        ]
-    for kind in ("chi2", "kl", "squared_hellinger"):
-        cases += [("f_from_egamma", {"kind": kind, "gamma": g}) for g in gammas_f]
-    cases += [("f_from_egamma", {"kind": "chi2", "gamma": g, "lipschitz": 2.0}) for g in gammas_f]
-    for kappa in kappas:
-        cases += [("orlicz", {"kappa": kappa, "gamma": g}) for g in (0.0, 1.0, 2.0)]
-    cases += [
-        ("reverse_chi2", {}),
-        ("reverse_kl_exact", {}),
-        ("reverse_kl_explicit", {}),
-        ("vincze_lecam", {}),
-        ("competitor_kl", {}),
-        ("competitor_chi2", {}),
-        ("competitor_squared_hellinger", {}),
-        ("competitor_reverse_chi2", {}),
-        ("competitor_reverse_kl", {}),
-        ("competitor_vincze_lecam", {}),
-    ]
-    cases += [("competitor_power", {"beta": beta}) for beta in betas]
-    return cases
+    """The master-suite grid: every bound of the table at its default params."""
+    return [(spec.id, dict(params)) for spec in B.BOUNDS.values() for params in spec.grid]
 
 
 def case_label(bound_id: str, params: dict) -> str:
@@ -389,6 +193,8 @@ class VerificationReport:
         if n_valid == 0:
             return
         slack_v = np.where(valid, slack, np.inf)
+        # a NaN at a checked position is a violation, ranked worst of all
+        slack_v = np.where(np.isnan(slack_v), -np.inf, slack_v)
         self.violations += int((slack_v < -SLACK_TOL).sum())
         flat = int(np.argmin(slack_v))
         i, j = np.unravel_index(flat, slack.shape)
@@ -398,19 +204,13 @@ class VerificationReport:
             self.witness = {
                 "pair_index": int(pair_indices[i]),
                 "event_code": int(j),
-                "slack": worst,
+                "slack": float(slack[i, j]),
             }
             if extras:
                 self.witness.update(extras)
 
     def merge(self, other: "VerificationReport") -> "VerificationReport":
         if other.trials == 0:
-            return self
-        if self.trials == 0:
-            self.trials = other.trials
-            self.violations = other.violations
-            self.worst_slack = other.worst_slack
-            self.witness = other.witness
             return self
         self.trials += other.trials
         self.violations += other.violations
@@ -424,7 +224,7 @@ class VerificationReport:
             "bound": self.bound,
             "trials": self.trials,
             "violations": self.violations,
-            "worst_slack": None if math.isinf(self.worst_slack) else self.worst_slack,
+            "worst_slack": None if self.worst_slack == math.inf else self.worst_slack,
             "seed": self.seed,
             "witness": self.witness,
         }
@@ -444,7 +244,6 @@ def _evaluate_cases(
         values = np.broadcast_to(np.asarray(values, dtype=float), batch.shape)
         with np.errstate(invalid="ignore"):
             slack = values - batch.p_events
-        slack = np.where(np.isnan(slack), np.inf, slack)  # inf bound is sound
         label = case_label(bound_id, params)
         rep = out.setdefault(label, VerificationReport(label, seed=seed))
         rep.absorb(slack, valid, pair_indices)
@@ -460,8 +259,6 @@ def verify_com_bound(
 ) -> VerificationReport:
     """Check one bound against every event of one pair (exhaustive up to
     support 16, seeded uniform event sampling beyond)."""
-    if bound_id not in _REGISTRY:
-        raise UnknownBoundError(bound_id)
     n = pair.size
     if n <= EXHAUSTIVE_LIMIT:
         masks = event_mask_matrix(n)
@@ -524,15 +321,24 @@ def _merge_into(acc: dict[str, VerificationReport], part: dict[str, Verification
 # ---------------------------------------------------------------------------
 
 
+def _all_events(pair: AbsContPair, check: str) -> np.ndarray:
+    """The (2^n, n) mask matrix of every event of the pair, for an
+    exhaustive `check`."""
+    if pair.size > EXHAUSTIVE_LIMIT:
+        raise ResourceError(f"{check} is exhaustive; support <= {EXHAUSTIVE_LIMIT}")
+    return event_mask_matrix(pair.size)
+
+
+def _event_masses(pair: AbsContPair, check: str) -> tuple[np.ndarray, np.ndarray]:
+    """(P(E), Q(E)) over every event of the pair."""
+    masks = _all_events(pair, check).astype(float)
+    return pair.p.probs @ masks.T, pair.q.probs @ masks.T
+
+
 def verify_egamma_variational(pair: AbsContPair, gamma: float) -> dict:
     """Exhaustively check sup_E (P(E) - gamma Q(E)) against the integral
     sum_i [r_i - gamma]_+ Q_i; also reports the absolute-value supremum."""
-    n = pair.size
-    if n > EXHAUSTIVE_LIMIT:
-        raise ResourceError("variational check is exhaustive; support <= 16")
-    masks = event_mask_matrix(n).astype(float)
-    p_e = pair.p.probs @ masks.T
-    q_e = pair.q.probs @ masks.T
+    p_e, q_e = _event_masses(pair, "variational check")
     signed = p_e - gamma * q_e
     integral = float(np.maximum(pair.ratios - gamma, 0.0) @ pair.q.probs)
     best = int(np.argmax(signed))
@@ -551,12 +357,7 @@ def approx_max_info(pair: AbsContPair, tau: float) -> float:
     exhaustive enumeration."""
     if not 0.0 <= tau < 1.0:
         raise RangeError("tau must lie in [0, 1)")
-    n = pair.size
-    if n > EXHAUSTIVE_LIMIT:
-        raise ResourceError("approximate max-information is exhaustive; support <= 16")
-    masks = event_mask_matrix(n).astype(float)
-    p_e = pair.p.probs @ masks.T
-    q_e = pair.q.probs @ masks.T
+    p_e, q_e = _event_masses(pair, "approximate max-information")
     hot = p_e > tau
     if not hot.any():
         return -math.inf
@@ -580,10 +381,8 @@ def binary_tightness_witness(
     r0 = -np.log(rng.random(atoms_per_block))
     r1 /= r1.sum()
     r0 /= r0.sum()
-    pv = np.concatenate([p * r1, (1.0 - p) * r0])
-    qv = np.concatenate([q * r1, (1.0 - q) * r0])
-    pv[int(np.argmax(pv))] += 1.0 - pv.sum()
-    qv[int(np.argmax(qv))] += 1.0 - qv.sum()
+    pv = absorb_rounding(np.concatenate([p * r1, (1.0 - p) * r0]))
+    qv = absorb_rounding(np.concatenate([q * r1, (1.0 - q) * r0]))
     return AbsContPair(FiniteDistribution(pv), FiniteDistribution(qv))
 
 
@@ -655,6 +454,28 @@ def sibson_grid_min(
     return best
 
 
+def _dominance_rows(q, divergence):
+    """Ours against the competitor, one row per competitor of the bound table.
+
+    `q` holds the event masses and `divergence(kind)` gives a divergence of
+    the pair.  Yields (row, claim, d, ours, competitor, valid); ours and
+    competitor are None where d is infinite, valid is the competitor's
+    precondition mask (None when it always holds).
+    """
+    for row, ours in B.DOMINANCE_ROWS.items():
+        params = ours.row_params
+        d = float(divergence(ours.divergence(params)))
+        if not math.isfinite(d):
+            yield row, ours.claim, d, None, None, None
+            continue
+        ours_v, _ = ours.evaluate(q, d, params)
+        if ours.claim == "same":
+            comp_v, valid = ours_v, None
+        else:
+            comp_v, valid = ours.competitor.evaluate(q, d, params)
+        yield row, ours.claim, d, ours_v, comp_v, valid
+
+
 def dominance_report(pair: AbsContPair, tol: float = 1e-10) -> list[dict]:
     """Ours-vs-competitor comparison per divergence row, over all events.
 
@@ -662,156 +483,52 @@ def dominance_report(pair: AbsContPair, tol: float = 1e-10) -> list[dict]:
     the competitor by more than `tol`, the power row is reported without a
     claim.  Rows with infinite divergence are marked not applicable.
     """
-    n = pair.size
-    if n > EXHAUSTIVE_LIMIT:
-        raise ResourceError("dominance report is exhaustive; support <= 16")
-    batch = PairBatch.from_pairs([pair], event_mask_matrix(n))
+    batch = PairBatch.from_pairs([pair], _all_events(pair, "dominance report"))
     rows = []
-
-    def finite(kind):
-        return bool(np.isfinite(batch.div(kind))[0, 0])
-
-    def row(name, ours, comp, valid, claim, div_value):
-        ours = np.asarray(ours, dtype=float).ravel()
-        comp = np.asarray(comp, dtype=float).ravel()
-        if valid is None:
-            valid = np.ones(ours.shape, dtype=bool)
-        else:
-            valid = np.asarray(valid, dtype=bool).ravel()
-        diff = ours - comp
-        n_valid = int(valid.sum())
-        entry = {
-            "row": name,
-            "claim": claim,
-            "applicable": True,
-            "events": n_valid,
-            "divergence": div_value,
-            "max_ours_minus_competitor": float(diff[valid].max()) if n_valid else None,
-            "ours_tighter_or_equal": int(((diff <= tol) & valid).sum()),
-        }
-        rows.append(entry)
-
-    # KL and chi2: identical formulas
-    d_kl = float(batch.div(KL)[0, 0])
-    ours_kl, _ = B.kl_opt_core(batch.q_events, d_kl)
-    row("kl", ours_kl, ours_kl.copy(), None, "same", d_kl)
-    d_c2 = float(batch.div(CHI2)[0, 0])
-    c2 = B.chi2_core(batch.q_events, d_c2)
-    row("chi2", c2, c2.copy(), None, "same", d_c2)
-
-    d_pow = float(batch.div(power_kind(2.0))[0, 0])
-    ours_pow = B.power_small_q_core(batch.q_events, d_pow, 2.0)[0]
-    comp_pow, _ = B.comp_power_core(batch.q_events, d_pow, 2.0)
-    row("power", ours_pow, comp_pow, None, "incomparable", d_pow)
-
-    d_h2 = float(batch.div(SQUARED_HELLINGER)[0, 0])
-    ours_h = B.hellinger_core(batch.q_events, d_h2)
-    comp_h, valid_h = B.comp_sq_hellinger_core(batch.q_events, d_h2)
-    row("squared_hellinger", ours_h, comp_h, valid_h, "ours", d_h2)
-
-    for name, kind, ours_core, comp_core in (
-        ("reverse_chi2", REVERSE_CHI2, B.reverse_chi2_core, B.comp_reverse_chi2_core),
-        ("reverse_kl", REVERSE_KL, B.reverse_kl_exact_core, B.comp_reverse_kl_core),
-        ("vincze_lecam", VINCZE_LECAM, B.vincze_core, B.comp_vincze_core),
+    for row, claim, d, ours, comp, valid in _dominance_rows(
+        batch.q_events, lambda kind: batch.div(kind)[0, 0]
     ):
-        d = float(batch.div(kind)[0, 0])
-        if not math.isfinite(d):
-            rows.append(
-                {
-                    "row": name,
-                    "claim": "ours",
-                    "applicable": False,
-                    "events": 0,
-                    "divergence": None,
-                    "max_ours_minus_competitor": None,
-                    "ours_tighter_or_equal": 0,
-                }
+        entry = {"row": row, "claim": claim, "applicable": ours is not None, "events": 0,
+                 "divergence": None, "max_ours_minus_competitor": None, "ours_tighter_or_equal": 0}
+        if ours is not None:
+            diff = (np.asarray(ours, dtype=float) - np.asarray(comp, dtype=float)).ravel()
+            valid = np.ones(diff.shape, dtype=bool) if valid is None else np.asarray(valid).ravel()
+            n_valid = int(valid.sum())
+            entry.update(
+                events=n_valid,
+                divergence=d,
+                max_ours_minus_competitor=float(diff[valid].max()) if n_valid else None,
+                ours_tighter_or_equal=int(((diff <= tol) & valid).sum()),
             )
-            continue
-        ours = ours_core(batch.q_events, d)
-        comp = comp_core(batch.q_events, d)[0]
-        row(name, ours, comp, None, "ours", d)
+        rows.append(entry)
     return rows
 
 
 def dominance_rows_at_event(pair: AbsContPair, mask) -> list[dict]:
     """Ours vs competitor vs the true P(E) for one event, one row per
     divergence family."""
-    from .dist import event_probability
-
     p = event_probability(pair.p, mask)
     q = event_probability(pair.q, mask)
     rows = []
-
-    def push(name, div_value, ours, comp, claim, applicable=None):
-        if applicable is None:
-            applicable = math.isfinite(div_value)
-        if not applicable:
-            rows.append(
-                {"row": name, "divergence": div_value if math.isfinite(div_value) else None,
-                 "p": p, "q": q, "ours": None, "competitor": None, "tighter": None,
-                 "claim": claim, "applicable": False}
-            )
-            return
-        ours_v = float(np.asarray(ours).reshape(()))
-        comp_v = float(np.asarray(comp).reshape(()))
-        rows.append(
-            {"row": name, "divergence": div_value, "p": p, "q": q, "ours": ours_v,
-             "competitor": comp_v, "tighter": bool(ours_v <= comp_v + 1e-10),
-             "claim": claim, "applicable": True}
-        )
-
-    r, w = pair.ratios, pair.q.probs
-    d_kl = float(f_divergence_from_ratios(r, w, KL))
-    ours_kl, _ = B.kl_opt_core(np.asarray(q), d_kl)
-    push("kl", d_kl, ours_kl, ours_kl, "same")
-    d_c2 = float(f_divergence_from_ratios(r, w, CHI2))
-    c2 = B.chi2_core(np.asarray(q), d_c2)
-    push("chi2", d_c2, c2, c2, "same")
-    d_pow = float(f_divergence_from_ratios(r, w, power_kind(2.0)))
-    push(
-        "power", d_pow,
-        B.power_small_q_core(np.asarray(q), d_pow, 2.0)[0],
-        B.comp_power_core(np.asarray(q), d_pow, 2.0)[0],
-        "incomparable",
-    )
-    d_h2 = float(f_divergence_from_ratios(r, w, SQUARED_HELLINGER))
-    comp_h, valid_h = B.comp_sq_hellinger_core(np.asarray(q), d_h2)
-    push(
-        "squared_hellinger", d_h2,
-        B.hellinger_core(np.asarray(q), d_h2), comp_h, "ours",
-        applicable=bool(np.asarray(valid_h).reshape(())),
-    )
-    d_rc = float(f_divergence_from_ratios(r, w, REVERSE_CHI2))
-    push(
-        "reverse_chi2", d_rc,
-        B.reverse_chi2_core(np.asarray(q), d_rc),
-        B.comp_reverse_chi2_core(np.asarray(q), d_rc)[0] if math.isfinite(d_rc) else None,
-        "ours",
-    )
-    d_rk = float(f_divergence_from_ratios(r, w, REVERSE_KL))
-    push(
-        "reverse_kl", d_rk,
-        B.reverse_kl_exact_core(np.asarray(q), d_rk),
-        B.comp_reverse_kl_core(np.asarray(q), d_rk)[0] if math.isfinite(d_rk) else None,
-        "ours",
-    )
-    d_vc = float(f_divergence_from_ratios(r, w, VINCZE_LECAM))
-    push(
-        "vincze_lecam", d_vc,
-        B.vincze_core(np.asarray(q), d_vc),
-        B.comp_vincze_core(np.asarray(q), d_vc)[0],
-        "ours",
-    )
+    for row, claim, d, ours, comp, valid in _dominance_rows(
+        np.asarray(q), lambda kind: f_divergence_from_ratios(pair.ratios, pair.q.probs, kind)
+    ):
+        applicable = ours is not None and (valid is None or bool(np.asarray(valid).reshape(())))
+        entry = {"row": row, "divergence": d if math.isfinite(d) else None, "p": p, "q": q,
+                 "ours": None, "competitor": None, "tighter": None, "claim": claim,
+                 "applicable": applicable}
+        if applicable:
+            ours_v = float(np.asarray(ours).reshape(()))
+            comp_v = float(np.asarray(comp).reshape(()))
+            entry.update(ours=ours_v, competitor=comp_v, tighter=bool(ours_v <= comp_v + 1e-10))
+        rows.append(entry)
     return rows
 
 
 def harness_self_test(n_pairs: int = 50, support: int = 6, seed: int = 7) -> VerificationReport:
     """Run the deliberately broken chi-square bound; a healthy harness must
     flag violations (> 0)."""
-    merged: dict[str, VerificationReport] = {}
     indices = np.arange(n_pairs)
     pairs = [random_pair(seed, int(i), support, zero_prob=0.0) for i in indices]
     batch = PairBatch.from_pairs(pairs, event_mask_matrix(support))
-    _merge_into(merged, _evaluate_cases(batch, [("chi2_missing_sqrt", {})], indices, seed))
-    return merged["chi2_missing_sqrt"]
+    return _evaluate_cases(batch, [(NEGATIVE_CONTROL, {})], indices, seed)[NEGATIVE_CONTROL]

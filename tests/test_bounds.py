@@ -550,6 +550,16 @@ def test_competitor_unknown_row():
         dg.competitor_bound("nonsense", 0.1, 0.1)
 
 
+@pytest.mark.parametrize(
+    "row", ["kl", "squared_hellinger", "reverse_chi2", "reverse_kl", "vincze_lecam"]
+)
+def test_competitor_fixed_c_must_be_positive(row):
+    assert dg.competitor_bound(row, 0.3, 0.5, c=0.7).free_params == {"c": 0.7}
+    for c in (0.0, -1.0):
+        with pytest.raises(RangeError):
+            dg.competitor_bound(row, 0.3, 0.5, c=c)
+
+
 # ---------------------------------------------------------------------------
 # BoundResult mechanics
 # ---------------------------------------------------------------------------

@@ -250,6 +250,28 @@ def test_experiment_command_supersample(tmp_path):
     assert len(payload["tails"]) == 3
 
 
+@pytest.mark.parametrize("kind", ["gibbs", "supersample"])
+@pytest.mark.parametrize("missing", ["loss_table", "temperature"])
+def test_experiment_config_missing_key_exits_2(kind, missing, tmp_path, capsys):
+    config = {"type": kind, "p_z": [0.5, 0.5], "loss_table": [[0.0, 1.0], [0.8, 0.1]],
+              "n": 2, "temperature": 1.0}
+    del config[missing]
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["experiment", "--config", str(cfg)]) == 2
+    assert f"missing key {missing!r}" in capsys.readouterr().err
+
+
+def test_experiment_config_bad_values_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"p_z": [0.5, 0.5], "loss_table": [[0.0, 1.0]], "n": "two",
+                               "temperature": 1.0}))
+    assert cli.main(["experiment", "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps({"type": "other"}))
+    assert cli.main(["experiment", "--config", str(cfg)]) == 2
+    assert "unknown experiment type 'other'" in capsys.readouterr().err
+
+
 def test_mi_gap_reproduces_the_constant(tmp_path):
     out = tmp_path / "gap.csv"
     assert cli.main(

@@ -93,6 +93,13 @@ def test_gibbs_experiment_validation():
         GibbsExperiment(make_distribution([1, 0]), LOSSES[:, :2] * 0 + LOSSES, 3, 1.0)
 
 
+@pytest.mark.parametrize("cls", [GibbsExperiment, SuperSampleExperiment])
+def test_experiments_reject_non_finite_losses_at_construction(cls):
+    table = np.array([[0.0, 1.0], [np.nan, 0.0]])
+    with pytest.raises(ValidationError, match="losses must be finite"):
+        cls(make_distribution([1, 1]), table, 2, 1.0)
+
+
 def test_gibbs_atom_cap():
     exp = GibbsExperiment(
         p_z=make_distribution([1, 1, 1]),

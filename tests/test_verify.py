@@ -60,6 +60,29 @@ def test_verify_com_bound_sampled_events_beyond_exhaustive_limit():
     assert rep.seed == 5
 
 
+def test_nan_bound_value_is_a_violation(monkeypatch):
+    from divgauge import verify
+
+    def nan_at_odd_events(b):
+        values = np.zeros(b.shape)
+        values[:, 1::2] = np.nan
+        return values + 2.0, None
+
+    def nan_where_masked(b):
+        values = np.where(np.arange(b.shape[1]) % 2 == 1, np.nan, 2.0)
+        return np.broadcast_to(values, b.shape), np.arange(b.shape[1]) % 2 == 0
+
+    monkeypatch.setitem(verify._REGISTRY, "nan_bound", nan_at_odd_events)
+    monkeypatch.setitem(verify._REGISTRY, "masked_nan_bound", nan_where_masked)
+    pair = random_pair(1, 0, 4)
+    rep = verify_com_bound(pair, "nan_bound")
+    assert rep.trials == 16 and rep.violations == 8
+    assert rep.witness["event_code"] % 2 == 1 and np.isnan(rep.witness["slack"])
+    assert rep.to_dict()["worst_slack"] == -np.inf
+    masked = verify_com_bound(pair, "masked_nan_bound")
+    assert masked.trials == 8 and masked.violations == 0
+
+
 def test_harness_negative_control_catches_the_broken_bound():
     rep = harness_self_test()
     assert rep.violations > 0
@@ -87,6 +110,22 @@ def test_registry_covers_negative_control_and_core_bounds():
         "competitor_reverse_kl", "competitor_vincze_lecam", "chi2_missing_sqrt",
     ):
         assert expected in names
+
+
+def test_bound_table_drives_registry_cases_and_dominance_rows():
+    from divgauge import bounds, verify
+
+    table = set(bounds.BOUNDS)
+    assert set(registered_bounds()) == table | {verify.NEGATIVE_CONTROL}
+    assert {b for b, _ in default_cases()} == table
+    assert len(default_cases()) == 55
+    rows = [r["row"] for r in dg.dominance_report(random_pair(3, 0, 5))]
+    assert rows == list(bounds.DOMINANCE_ROWS) == [
+        "kl", "chi2", "power", "squared_hellinger", "reverse_chi2", "reverse_kl", "vincze_lecam",
+    ]
+    for row, ours in bounds.DOMINANCE_ROWS.items():
+        assert ours.competitor.id == f"competitor_{row}" and ours.competitor.id in table
+        assert ours.claim in ("same", "ours", "incomparable")
 
 
 def test_egamma_variational_identity_and_witness():
