@@ -17,6 +17,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 LOG_BRACKET_LO = 1e-12
 LOG_BRACKET_HI = 1e12
 
+# settings of the scalar searches (golden_min, min_convex_line, bisect_increasing)
+REL_TOL = 1e-10  # golden-section stops at a bracket this wide, relative
+MAX_ITER = 200  # golden-section and bisection steps
+GRID = 33  # coarse grid points of golden_min
+MAX_EXPAND = 200  # bracket doublings of min_convex_line
+
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
     """log(sum(exp(a))) that tolerates -inf entries."""
@@ -30,16 +36,14 @@ def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
     return np.squeeze(out, axis=axis)
 
 
-def _golden_section(
-    safe: Callable[[float], float], a: float, b: float, rel_tol: float, max_iter: int
-) -> tuple[float, float]:
+def _golden_section(safe: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """Golden-section refinement of the bracket [a, b]; returns the better
     of the two final probes as (x, value)."""
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = safe(x1), safe(x2)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * max(abs(a), abs(b), 1.0):
+    for _ in range(MAX_ITER):
+        if (b - a) <= REL_TOL * max(abs(a), abs(b), 1.0):
             break
         if f1 <= f2:
             b = x2
@@ -55,40 +59,39 @@ def _golden_section(
 
 
 def golden_min(
-    fn: Callable[[float], float],
-    lo: float = LOG_BRACKET_LO,
-    hi: float = LOG_BRACKET_HI,
-    *,
-    log_space: bool = True,
-    rel_tol: float = 1e-10,
-    max_iter: int = 200,
-    grid: int = 33,
+    fn: Callable[[float], float], lo: float = LOG_BRACKET_LO, hi: float = LOG_BRACKET_HI
 ) -> tuple[float, float]:
-    """Minimize a quasiconvex scalar function on [lo, hi].
+    """Minimize a quasiconvex scalar function on [lo, hi] (lo > 0).
 
-    Returns (argmin, min value).  With log_space=True the search runs in
-    log-coordinates, matching the documented bracket [1e-12, 1e12].
+    Returns (argmin, min value).  The search runs in log-coordinates,
+    matching the documented bracket [1e-12, 1e12].
     """
-    if log_space:
-        a, b = math.log(lo), math.log(hi)
-        decode = math.exp
-    else:
-        a, b = float(lo), float(hi)
-        decode = lambda s: s  # noqa: E731
+    a, b = math.log(lo), math.log(hi)
 
     def safe(x: float) -> float:
-        v = fn(decode(x))
+        v = fn(math.exp(x))
         return v if v == v else math.inf  # NaN -> inf
 
-    xs = [a + (b - a) * i / (grid - 1) for i in range(grid)]
+    xs = [a + (b - a) * i / (GRID - 1) for i in range(GRID)]
     fs = [safe(x) for x in xs]
-    i = min(range(grid), key=fs.__getitem__)
+    i = min(range(GRID), key=fs.__getitem__)
     a2 = xs[max(i - 1, 0)]
-    b2 = xs[min(i + 1, grid - 1)]
-    xbest, fbest = _golden_section(safe, a2, b2, rel_tol, max_iter)
+    b2 = xs[min(i + 1, GRID - 1)]
+    xbest, fbest = _golden_section(safe, a2, b2)
     if fs[i] < fbest:
         xbest, fbest = xs[i], fs[i]
-    return decode(xbest), fbest
+    return math.exp(xbest), fbest
+
+
+def numeric_conjugate(f: Callable[[float], float], u: float) -> float:
+    """sup_{t>0} (u t - f(t)) by :func:`golden_min` over the log bracket.
+
+    A supremum pinned to the upper bracket edge looks infinite and is
+    reported as +inf: a finite value there would understate it, and a
+    smaller conjugate makes every bound built on it unsound.
+    """
+    t_star, neg = golden_min(lambda t: -(u * t - float(f(t))))
+    return math.inf if t_star > 0.999 * LOG_BRACKET_HI else -neg
 
 
 def golden_min_vec(
@@ -168,13 +171,7 @@ def golden_min_vec(
 
 
 def min_convex_line(
-    fn: Callable[[float], float],
-    x0: float = 0.0,
-    step: float = 1.0,
-    *,
-    rel_tol: float = 1e-10,
-    max_expand: int = 200,
-    max_iter: int = 200,
+    fn: Callable[[float], float], x0: float = 0.0, step: float = 1.0
 ) -> tuple[float, float]:
     """Minimize a convex function on the whole real line.
 
@@ -188,7 +185,7 @@ def min_convex_line(
 
     a, m, b = x0 - step, x0, x0 + step
     fa, fm, fb = safe(a), safe(m), safe(b)
-    for _ in range(max_expand):
+    for _ in range(MAX_EXPAND):
         if fa < fm:
             a, m, b = a - 2.0 * (m - a), a, m
             fa, fm, fb = safe(a), fa, fm
@@ -197,7 +194,7 @@ def min_convex_line(
             fa, fm, fb = fm, fb, safe(b)
         else:
             break
-    return _golden_section(safe, a, b, rel_tol, max_iter)
+    return _golden_section(safe, a, b)
 
 
 def bisect_increasing(
@@ -207,7 +204,6 @@ def bisect_increasing(
     target: float,
     *,
     residual: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Root of fn(x) = target for nondecreasing fn; returns the hi side.
 
@@ -215,7 +211,7 @@ def bisect_increasing(
     Assumes fn(lo) <= target <= fn(hi).
     """
     a, b = float(lo), float(hi)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break

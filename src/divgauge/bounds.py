@@ -11,9 +11,14 @@ Conventions
 * Degenerate events: q = 0 forces P(E) = 0 under domination, and q = 1
   forces the vacuous bound 1.  Cores apply these overrides instead of
   evaluating the interior formula.
-* All scalar parameter searches (c, u, v, t, s) use a log-domain bracket
-  [1e-12, 1e12] with a coarse grid plus golden-section refinement, relative
-  tolerance 1e-10, at most 200 iterations, no RNG.
+* Parameter searches are deterministic (no RNG): a coarse 33-point grid
+  plus golden-section refinement to relative tolerance 1e-10, at most 200
+  iterations.  Their ranges differ: c of the KL bound and of the
+  competitors is searched on the log bracket [1e-12, 1e12]; the
+  Young-Fenchel gap u - v on the log bracket [1e-5, 1e12], with v by a
+  line search over the whole real line; the power competitor's shift s on
+  the linear range [-1e8, 1 - 1e-9].  The implicit power bound and the KL
+  inversions are bisection roots.
 * Raw values may exceed 1 or be +inf; ``BoundResult.value`` clips to [0, 1]
   for reporting.  Dominance comparisons always use raw values.
 """
@@ -29,11 +34,13 @@ from typing import Callable
 import numpy as np
 
 from ._optim import (
+    LOG_BRACKET_HI,
     bisect_increasing,
     bisect_increasing_vec,
     golden_min,
     golden_min_vec,
     min_convex_line,
+    numeric_conjugate,
 )
 from .dist import AbsContPair, EventMask, JointFinite, event_probability
 from .divergences import (
@@ -392,17 +399,10 @@ def bound_power_beta(
 
 @dataclass(frozen=True)
 class ConjugateSpec:
-    """A generator's convex conjugate, for the Young-Fenchel bound.
-
-    ``nonneg`` marks generators that are pointwise >= 0 after the affine
-    normalization f(t) - f'(1)(t - 1) (the divergence value is unchanged by
-    that shift); it enables the simpler v = 0 search.
-    """
+    """A generator's convex conjugate, for the Young-Fenchel bound."""
 
     name: str
     fstar: Callable[[float], float]
-    nonneg: bool
-    f: Callable[[float], float] | None = None
 
 
 def _exp_safe(x: float) -> float:
@@ -424,26 +424,17 @@ def _power_conjugate(beta: float) -> Callable[[float], float]:
 
 def conjugate_spec_for(f) -> ConjugateSpec:
     """Closed conjugates for the chi2 / KL / power generators; numeric
-    conjugation (sup over a log bracket) for a user-supplied callable."""
+    conjugation (:func:`numeric_conjugate`) for a user-supplied callable."""
     if isinstance(f, DivergenceKind):
         if f.name == "chi2":
             # conjugate of the affine-normalized generator (t - 1)^2
-            return ConjugateSpec("chi2", lambda u: u + 0.25 * u * u, True)
+            return ConjugateSpec("chi2", lambda u: u + 0.25 * u * u)
         if f.name == "kl":
-            return ConjugateSpec("kl", lambda u: _exp_safe(u - 1.0), False)
+            return ConjugateSpec("kl", lambda u: _exp_safe(u - 1.0))
         if f.name == "power":
-            return ConjugateSpec(f"power({f.param:g})", _power_conjugate(f.param), False)
+            return ConjugateSpec(f"power({f.param:g})", _power_conjugate(f.param))
         raise ValidationError(f"no built-in conjugate for kind {f}")
-
-    def fstar(u: float) -> float:
-        t_star, neg = golden_min(lambda t: -(u * t - float(f(t))))
-        if t_star > 0.5e12:
-            return math.inf  # supremum ran off the bracket
-        return -neg
-
-    grid = np.geomspace(1e-6, 1e6, 41)
-    nonneg = all(float(f(t)) >= -1e-12 for t in grid)
-    return ConjugateSpec(getattr(f, "__name__", "custom"), fstar, nonneg, f)
+    return ConjugateSpec(getattr(f, "__name__", "custom"), partial(numeric_conjugate, f))
 
 
 def bound_young_fenchel(
@@ -455,13 +446,14 @@ def bound_young_fenchel(
 ) -> BoundResult:
     """P(E) <= (D_f - v + q f*(u) + (1-q) f*(v)) / (u - v) for any u > v.
 
-    With (u, v) omitted, optimizes them: the v = 0 shortcut when the
-    normalized generator is nonnegative, coordinate descent from (1, 0)
-    (50 rounds or relative change < 1e-10), and a nested search over the
-    gap w = u - v with an inner line search over v.  Every evaluated pair is
-    a valid bound, so the best candidate is returned.  The searched gap is
-    floored at 1e-5: below that the numerator cancels catastrophically and
-    roundoff could report values under the true infimum.
+    With (u, v) omitted, optimizes them by a nested search: golden-section
+    over the gap w = u - v on the log bracket [1e-5, 1e12] (below 1e-5 the
+    numerator cancels catastrophically and roundoff could report values
+    under the true infimum), and for each gap a line search over v on the
+    whole real line (the objective is convex in v).  For the chi2, KL and
+    power generators this reproduces the sharp bounds ``bound_chi2``,
+    ``bound_kl`` and ``bound_power_beta`` (implicit) to roundoff wherever
+    they are below 1.
     """
     q = _check_q(q)
     df = _check_div(df, "D_f")
@@ -491,40 +483,16 @@ def bound_young_fenchel(
     if (u is None) != (v is None):
         raise ValidationError("provide both u and v, or neither")
 
-    candidates: list[tuple[float, float, float]] = []
-    gap_lo = 1e-5
-
-    if fspec.nonneg:
-        u5, val5 = golden_min(lambda uu: value(uu, 0.0), gap_lo, 1e12)
-        candidates.append((val5, u5, 0.0))
-
-    cu, cv = 1.0, 0.0
-    prev = value(cu, cv)
-    for _ in range(50):
-        w, _fw = golden_min(lambda ww: value(cv + ww, cv), gap_lo, 1e12)
-        cu = cv + w
-        w2, _fw2 = golden_min(lambda ww: value(cu, cu - ww), gap_lo, 1e12)
-        cv = cu - w2
-        cur = value(cu, cv)
-        if prev - cur <= 1e-10 * max(abs(cur), 1.0):
-            prev = cur
-            break
-        prev = cur
-    candidates.append((prev, cu, cv))
-
-    best_inner: dict[float, float] = {}
+    best_v: dict[float, float] = {}
 
     def gap_objective(w: float) -> float:
-        vv, val = min_convex_line(lambda x: value(x + w, x), x0=0.0, step=max(w, 1.0))
-        best_inner[w] = vv
+        best_v[w], val = min_convex_line(lambda x: value(x + w, x), x0=0.0, step=max(w, 1.0))
         return val
 
-    w_star, nested = golden_min(gap_objective, gap_lo, 1e12)
-    candidates.append((nested, best_inner[w_star] + w_star, best_inner[w_star]))
-
-    val, ub, vb = min(candidates)
+    w, val = golden_min(gap_objective, 1e-5, LOG_BRACKET_HI)
+    vb = best_v[w]
     return BoundResult(
-        "young_fenchel", float(val), {"u": float(ub), "v": float(vb), "f": fspec.name}
+        "young_fenchel", float(val), {"u": float(vb + w), "v": float(vb), "f": fspec.name}
     )
 
 

@@ -344,7 +344,12 @@ def cmd_genbound(args) -> int:
     eta_grid = parse_grid(args.eta_grid)
     exact_tail = None
     if args.experiment:
-        run = run_gibbs_experiment(_experiment_from_file(args.experiment)[0])
+        exp, obj = _experiment_from_file(args.experiment)
+        if not isinstance(exp, GibbsExperiment):
+            raise ValidationError(
+                f"{args.experiment}: genbound runs a gibbs experiment, not type {obj['type']!r}"
+            )
+        run = run_gibbs_experiment(exp)
         panel = run.divergence_panel(
             alphas=(args.alpha,) if args.alpha else (2.0,),
             betas=(args.beta,),

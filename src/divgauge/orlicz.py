@@ -2,8 +2,11 @@
 
 The built-in power family psi(t) = t^kappa / kappa (kappa > 1) has exact
 conjugate psi*(u) = u^alpha / alpha with 1/kappa + 1/alpha = 1 and exact
-generalized inverse.  User-supplied gauges fall back to numeric conjugates
-and inverses; both paths are spot-checked at construction.
+generalized inverse, and both norms of a power gauge are closed forms:
+Luxemburg (E[|U|^kappa] / kappa)^(1/kappa) and Amemiya
+kappa^(1/kappa) E[|U|^alpha]^(1/alpha).  User-supplied gauges fall back to
+numeric conjugates, inverses and norm searches; both paths are spot-checked
+at construction.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import bisect_increasing, golden_min, golden_min_vec
+from ._optim import bisect_increasing, golden_min, numeric_conjugate
 from .dist import AbsContPair
 from .errors import OrliczSpecError, RangeError
 
@@ -68,23 +71,16 @@ def custom_orlicz(
 ) -> OrliczSpec:
     """Wrap a user-supplied convex gauge; derive missing pieces numerically.
 
-    The numeric conjugate sup_{l>0} (l u - psi(l)) raises OrliczSpecError if
-    the supremum runs off the search bracket (i.e. looks infinite).
+    The numeric conjugate sup_{l>0} (l u - psi(l)) is +inf where the
+    supremum runs off the search bracket (see :func:`numeric_conjugate`).
     """
-
-    def _conj_scalar(u: float) -> float:
-        lam, neg = golden_min(lambda l: -(l * u - float(psi(l))))
-        if lam > 0.999e12:
-            # supremum pinned to the bracket edge: report +inf (conservative)
-            return math.inf
-        return -neg
 
     def num_conj(u):
         arr = np.asarray(u, dtype=float)
         if arr.ndim == 0:
-            return _conj_scalar(float(arr))
+            return numeric_conjugate(psi, float(arr))
         return np.fromiter(
-            (_conj_scalar(float(x)) for x in arr.ravel()), dtype=float, count=arr.size
+            (numeric_conjugate(psi, float(x)) for x in arr.ravel()), dtype=float, count=arr.size
         ).reshape(arr.shape)
 
     def num_inv(s: float) -> float:
@@ -178,10 +174,12 @@ def luxemburg_norm_values(values, weights, spec: OrliczSpec) -> float:
 
 def amemiya_norm_values(values, weights, spec: OrliczSpec) -> float:
     """Amemiya norm wrt the conjugate gauge:
-    inf_{t>0} (E[psi*(t |U|)] + 1) / t."""
+    inf_{t>0} (E[psi*(t |U|)] + 1) / t (closed form for power gauges)."""
     u, w = _live(values, weights)
     if u.size == 0:
         return 0.0  # empty positive part: inf_t 1/t = 0
+    if spec.kappa is not None:
+        return float(amemiya_norm_rows(u, w, spec))
 
     def objective(t: float) -> float:
         with np.errstate(over="ignore"):
@@ -196,20 +194,17 @@ def amemiya_norm_values(values, weights, spec: OrliczSpec) -> float:
 
 
 def amemiya_norm_rows(u: np.ndarray, w: np.ndarray, spec: OrliczSpec) -> np.ndarray:
-    """Row-wise :func:`amemiya_norm_values` of (batch, n) data, by one
-    vectorized search."""
-    live = (u > 0) & (w > 0)
-    any_live = live.any(axis=1)
-    u = np.where(live, u, 0.0)
-
-    def obj(t: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(spec.conjugate(t[:, None] * u), dtype=float)
-            vals = np.where(live, vals, 0.0)
-            return ((vals * w).sum(axis=1) + 1.0) / t
-
-    _, best = golden_min_vec(obj, 1e-12, 1e12, (u.shape[0],))
-    return np.where(any_live, best, 0.0)
+    """Amemiya norms over the last axis of u >= 0 with weights w >= 0, for a
+    power gauge: kappa^(1/kappa) (sum w u^alpha)^(1/alpha), the minimum of
+    (sum w psi*(t u) + 1) / t, attained at t = (kappa / sum w u^alpha)^(1/alpha).
+    u is divided by its finite maximum first, so u^alpha neither overflows
+    nor underflows.
+    """
+    alpha = spec.conjugate_exponent  # OrliczSpecError for a custom gauge
+    top = u.max(axis=-1, keepdims=True)
+    scaled = u / np.where((top > 0.0) & (top < np.inf), top, 1.0)
+    norm = np.sum(w * scaled**alpha, axis=-1) ** (1.0 / alpha)
+    return spec.kappa ** (1.0 / spec.kappa) * top[..., 0] * norm
 
 
 def amemiya_norm(pair: AbsContPair, gamma: float, spec: OrliczSpec) -> float:

@@ -179,11 +179,7 @@ class VerificationReport:
     witness: dict | None = None
 
     def absorb(
-        self,
-        slack: np.ndarray,
-        valid: np.ndarray | None,
-        pair_indices: np.ndarray,
-        extras: dict | None = None,
+        self, slack: np.ndarray, valid: np.ndarray | None, pair_indices: np.ndarray
     ) -> None:
         if valid is None:
             valid = np.ones(slack.shape, dtype=bool)
@@ -206,8 +202,6 @@ class VerificationReport:
                 "event_code": int(j),
                 "slack": float(slack[i, j]),
             }
-            if extras:
-                self.witness.update(extras)
 
     def merge(self, other: "VerificationReport") -> "VerificationReport":
         if other.trials == 0:

@@ -228,6 +228,20 @@ def test_genbound_div_file_input(tmp_path):
     ) == 2
 
 
+def test_genbound_rejects_supersample_experiment(tmp_path, capsys):
+    cfg = tmp_path / "ss.json"
+    cfg.write_text(json.dumps({"type": "supersample", "p_z": [0.5, 0.5],
+                               "loss_table": [[0.0, 1.0], [0.8, 0.1]], "n": 2,
+                               "temperature": "inf", "gammas": [1.0, 2.0]}))
+    out = tmp_path / "tails.csv"
+    assert cli.main(
+        ["genbound", "--sigma", "0.5", "--n", "2", "--eta-grid", "0.1:0.3:0.1",
+         "--experiment", str(cfg), "--out", str(out)]
+    ) == 2
+    assert "'supersample'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_command_supersample(tmp_path):
     cfg = tmp_path / "ss.json"
     cfg.write_text(

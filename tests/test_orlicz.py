@@ -35,15 +35,20 @@ def test_indicator_norm_power_closed_form():
         luxemburg_indicator_norm(0.0, power_orlicz(2.0))
 
 
-def test_amemiya_gamma_zero_recovers_alpha_norm():
+def test_amemiya_power_closed_form():
     pair = make_pair(make_distribution([3, 1, 2, 2]), make_distribution([1, 1, 1, 1]))
-    for kappa in (1.5, 2.0, 3.0):
-        spec = power_orlicz(kappa)
-        alpha = spec.conjugate_exponent
-        closed = kappa ** (1.0 / kappa) * float(
-            np.sum(pair.ratios**alpha * pair.q.probs) ** (1.0 / alpha)
-        )
-        assert amemiya_norm(pair, 0.0, spec) == pytest.approx(closed, rel=1e-9)
+    # gamma = 0 gives the alpha-norm of the ratio; just below the top ratio
+    # the excess is ~1e-14 and the optimal t ~ 1e14 lies past a 1e12 bracket
+    top = float(pair.ratios.max())
+    for gamma in (0.0, top - 1e-14):
+        excess = np.maximum(pair.ratios - gamma, 0.0)
+        for kappa in (1.5, 2.0, 3.0):
+            spec = power_orlicz(kappa)
+            alpha = spec.conjugate_exponent
+            closed = kappa ** (1.0 / kappa) * float(
+                np.sum(excess**alpha * pair.q.probs) ** (1.0 / alpha)
+            )
+            assert amemiya_norm(pair, gamma, spec) == pytest.approx(closed, rel=1e-9)
 
 
 def test_amemiya_vanishes_above_max_ratio():
