@@ -1,8 +1,13 @@
-"""Deterministic scalar optimizers shared across modules.
+"""Deterministic numeric primitives shared across modules.
 
-All minimizers follow the same recipe: a coarse grid locates a bracket, then
-golden-section refines it.  No RNG anywhere; identical inputs give identical
-optima, which regression tests rely on.
+The scalar minimizers (the Young-Fenchel search, numeric conjugates and
+custom-gauge Amemiya norms) refine a bracket by golden-section: a coarse
+grid locates it on a fixed log range, or doubling steps on the whole line.
+The scalar and vector bisections find the root of a nondecreasing function
+inside a bracket the caller derives.  The vector kernels of ``bounds`` need
+nothing else: each of their optima is a closed form or the root of its
+stationarity condition.  No RNG anywhere; identical inputs give identical
+results, which regression tests rely on.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 LOG_BRACKET_LO = 1e-12
 LOG_BRACKET_HI = 1e12
 
-# settings of the scalar searches (golden_min, min_convex_line, bisect_increasing)
+# settings of the searches (golden_min, min_convex_line, both bisections)
 REL_TOL = 1e-10  # golden-section stops at a bracket this wide, relative
 MAX_ITER = 200  # golden-section and bisection steps
 GRID = 33  # coarse grid points of golden_min
 MAX_EXPAND = 200  # bracket doublings of min_convex_line
+VEC_BISECT_STEPS = 80  # halvings of bisect_increasing_vec
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
@@ -94,82 +100,6 @@ def numeric_conjugate(f: Callable[[float], float], u: float) -> float:
     return math.inf if t_star > 0.999 * LOG_BRACKET_HI else -neg
 
 
-def golden_min_vec(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    shape: tuple[int, ...],
-    *,
-    log_space: bool = True,
-    rel_tol: float = 1e-10,
-    max_iter: int = 200,
-    grid: int = 33,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise golden-section: minimizes fn(x)[k] over x[k] in [lo, hi].
-
-    fn must map an array of shape `shape` to an array of the same shape
-    (inf/NaN values are treated as "worse than anything").
-    Returns (argmin array, value array).
-    """
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), shape)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), shape)
-    if log_space:
-        a, b = np.log(lo), np.log(hi)
-        decode = np.exp
-    else:
-        a, b = lo.astype(float), hi.astype(float)
-        decode = lambda s: s  # noqa: E731
-
-    def safe(x: np.ndarray) -> np.ndarray:
-        v = np.asarray(fn(decode(x)), dtype=float)
-        return np.where(np.isnan(v), np.inf, v)
-
-    best_f = np.full(shape, np.inf)
-    best_x = np.array(a, dtype=float, copy=True)
-    idx = np.zeros(shape, dtype=np.int64)
-    step = (b - a) / (grid - 1)
-    for i in range(grid):
-        x = a + i * step
-        f = safe(x)
-        better = f < best_f
-        best_f = np.where(better, f, best_f)
-        best_x = np.where(better, x, best_x)
-        idx = np.where(better, i, idx)
-    a2 = a + np.maximum(idx - 1, 0) * step
-    b2 = a + np.minimum(idx + 1, grid - 1) * step
-
-    x1 = b2 - _INVPHI * (b2 - a2)
-    x2 = a2 + _INVPHI * (b2 - a2)
-    f1 = safe(x1)
-    f2 = safe(x2)
-    for _ in range(max_iter):
-        width = b2 - a2
-        tol = rel_tol * np.maximum(np.maximum(np.abs(a2), np.abs(b2)), 1.0)
-        if np.all(width <= tol):
-            break
-        left = f1 <= f2
-        b2 = np.where(left, x2, b2)
-        a2 = np.where(left, a2, x1)
-        x_keep = np.where(left, x1, x2)
-        f_keep = np.where(left, f1, f2)
-        x1n = b2 - _INVPHI * (b2 - a2)
-        x2n = a2 + _INVPHI * (b2 - a2)
-        x_new = np.where(left, x1n, x2n)
-        f_new = safe(x_new)
-        x1 = np.where(left, x1n, x_keep)
-        f1 = np.where(left, f_new, f_keep)
-        x2 = np.where(left, x_keep, x2n)
-        f2 = np.where(left, f_keep, f_new)
-
-    take1 = f1 <= f2
-    xb = np.where(take1, x1, x2)
-    fb = np.where(take1, f1, f2)
-    better = best_f < fb
-    xb = np.where(better, best_x, xb)
-    fb = np.where(better, best_f, fb)
-    return decode(xb), fb
-
-
 def min_convex_line(
     fn: Callable[[float], float], x0: float = 0.0, step: float = 1.0
 ) -> tuple[float, float]:
@@ -231,14 +161,13 @@ def bisect_increasing_vec(
     hi,
     target,
     shape: tuple[int, ...],
-    *,
-    max_iter: int = 80,
 ) -> np.ndarray:
-    """Vector bisection for elementwise nondecreasing fn; returns the hi side."""
+    """Vector bisection for elementwise nondecreasing fn; returns the hi side,
+    where fn >= target, after a fixed number of halvings."""
     a = np.broadcast_to(np.asarray(lo, dtype=float), shape).copy()
     b = np.broadcast_to(np.asarray(hi, dtype=float), shape).copy()
     t = np.broadcast_to(np.asarray(target, dtype=float), shape)
-    for _ in range(max_iter):
+    for _ in range(VEC_BISECT_STEPS):
         mid = 0.5 * (a + b)
         below = np.asarray(fn(mid)) < t
         a = np.where(below, mid, a)

@@ -11,14 +11,17 @@ Conventions
 * Degenerate events: q = 0 forces P(E) = 0 under domination, and q = 1
   forces the vacuous bound 1.  Cores apply these overrides instead of
   evaluating the interior formula.
-* Parameter searches are deterministic (no RNG): a coarse 33-point grid
-  plus golden-section refinement to relative tolerance 1e-10, at most 200
-  iterations.  Their ranges differ: c of the KL bound and of the
-  competitors is searched on the log bracket [1e-12, 1e12]; the
-  Young-Fenchel gap u - v on the log bracket [1e-5, 1e12], with v by a
-  line search over the whole real line; the power competitor's shift s on
-  the linear range [-1e8, 1 - 1e-9].  The implicit power bound and the KL
-  inversions are bisection roots.
+* The vectorized kernels search no bracket.  Each optimum over a free
+  parameter is a closed form or the root of its own stationarity
+  condition, found by bisection inside a bracket derived from q and the
+  divergence, and the family is evaluated there in a parametrization that
+  does not cancel.  The optimized KL bound is the Chernoff inversion
+  sup{p >= q : kl(p || q) <= d}; the implicit power bound and the exact
+  reverse-KL bound are bisection roots too.  A free-parameter competitor
+  returns q at divergence 0 and 1 at divergence +inf.
+* The scalar Young-Fenchel search is deterministic (no RNG): golden-section
+  over the gap u - v on the log bracket [1e-5, 1e12], with v by a line
+  search over the whole real line.
 * Raw values may exceed 1 or be +inf; ``BoundResult.value`` clips to [0, 1]
   for reporting.  Dominance comparisons always use raw values.
 """
@@ -38,7 +41,6 @@ from ._optim import (
     bisect_increasing,
     bisect_increasing_vec,
     golden_min,
-    golden_min_vec,
     min_convex_line,
     numeric_conjugate,
 )
@@ -189,35 +191,37 @@ def kl_fixed_core(q, d, c):
         return (d + np.log1p(np.asarray(q, dtype=float) * np.expm1(c))) / c
 
 
-def _best_c(family, q, d):
-    """Minimize family(q, d, c) over c on the log bracket [1e-12, 1e12].
-    Returns (raw, c_star) arrays."""
+def kl_opt_core(q, d):
+    """The KL bound minimized over c > 0: the Chernoff inversion
+    p* = sup{p >= q : kl(p || q) <= d}, attained at c* = logit p* - logit q.
+    Where d >= log(1/q) = kl(1 || q) the infimum is the limit 1 as c -> inf,
+    reported as raw 1 and c* = inf.  Returns (raw, c_star) arrays."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    c_star, val = golden_min_vec(lambda c: family(qs, d, c), 1e-12, 1e12, q.shape)
-    return _override(q, val), c_star
-
-
-def kl_opt_core(q, d):
-    """Minimize the KL bound over c > 0.  Returns (raw, c_star) arrays."""
-    return _best_c(kl_fixed_core, q, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = bisect_increasing_vec(lambda p: bernoulli_kl_core(p, qs), qs, 1.0, d, qs.shape)
+        p = np.where(d >= -np.log(qs), 1.0, np.where(d == 0.0, qs, root))
+        c_star = np.log(p / qs) + np.log1p(-qs) - np.log1p(-p)
+    return _override(q, p), c_star
 
 
 def kl_closed_core(q, d):
-    """The closed specialization c = log(1/q): (KL + log(2 - q)) / log(1/q)."""
+    """The closed specialization c = log(1/q): (KL + log(2 - q)) / log(1/q),
+    with log(2 - q) taken as log1p(1 - q), which does not round to 0 near
+    q = 1."""
     q = np.asarray(q, dtype=float)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    with np.errstate(divide="ignore"):
-        raw = (d + np.log(2.0 - qs)) / np.log(1.0 / qs)
+    raw = (d + np.log1p(1.0 - qs)) / -np.log(qs)
     return _override(q, raw)
 
 
 def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
     """P(E) <= (KL(P||Q) + log(1 + q(e^c - 1))) / c for any c > 0.
 
-    With c omitted, minimizes over c numerically; the result also reports the
-    closed specialization at c = log(1/q) under ``free_params['closed_c']``.
+    With c omitted, takes the optimal c (see :func:`kl_opt_core`); the result
+    also reports the closed specialization at c = log(1/q) under
+    ``free_params['closed_c']``.
     """
     q = _check_q(q)
     kl = _check_div(kl, "KL")
@@ -588,16 +592,16 @@ def bound_reverse_chi2(q: float, rchi2: float) -> BoundResult:
 
 
 def bernoulli_kl_core(a, b):
-    """Vectorized kl(a, b) with the 0 log 0 convention; b in (0, 1)."""
+    """Vectorized kl(a, b) with the 0 log 0 convention; b in (0, 1).
+
+    Each log-ratio is log1p of a ratio built from the difference a - b, so
+    kl(a, a) is exactly 0 and the value keeps its accuracy near a = b.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(a > 0, a * (np.log(np.maximum(a, 1e-300)) - np.log(b)), 0.0)
-        t2 = np.where(
-            a < 1,
-            (1.0 - a) * (np.log(np.maximum(1.0 - a, 1e-300)) - np.log(1.0 - b)),
-            0.0,
-        )
+        t1 = np.where(a > 0, a * np.log1p((a - b) / b), 0.0)
+        t2 = np.where(a < 1, (1.0 - a) * np.log1p((b - a) / (1.0 - b)), 0.0)
     return t1 + t2
 
 
@@ -775,81 +779,122 @@ def comp_sq_hellinger_core(q, h2, c=None):
 
 
 def comp_reverse_chi2_ac(q, r, c):
-    """The reverse chi-square competitor family at a fixed c > 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = (q * np.sqrt(c) + (1.0 - q) * np.sqrt(1.0 + c)) ** 2
-        return 1.0 + c - np.where(np.isinf(r), 0.0, num / (1.0 + r))
+    """The reverse chi-square competitor family
+    1 + c - (q sqrt(c) + (1-q) sqrt(1+c))^2 / (1 + r) at a fixed c > 0,
+    evaluated at u = 1 - tanh t for c = sinh^2 t, where 1 + c = 1 / (u (2 - u))
+    and nothing cancels as c -> inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = 1.0 / ((1.0 + c) * (1.0 + np.sqrt(1.0 / (1.0 + 1.0 / c))))
+        raw = (r + q * u * (2.0 - q * u)) / ((1.0 + r) * u * (2.0 - u))
+        return np.where(np.isinf(r), 1.0 + c, raw)
 
 
 def comp_reverse_chi2_core(q, r):
-    return _best_c(comp_reverse_chi2_ac, q, r)
-
-
-def comp_reverse_kl_ac(q, d, c):
-    """The reverse-KL competitor family at a fixed c > 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 1.0 + c - np.exp(q * np.log(c) + (1.0 - q) * np.log1p(c) - d)
-
-
-def comp_reverse_kl_core(q, d):
-    return _best_c(comp_reverse_kl_ac, q, d)
-
-
-def comp_vincze_ac(q, vc, c):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (
-            2.0 * (1.0 + c)
-            - q
-            - 4.0 * (q * np.sqrt(c) + (1.0 - q) * np.sqrt(1.0 + c)) ** 2 / (vc + 2.0)
-        )
-
-
-def comp_vincze_core(q, vc):
-    """Closed optimizer of the competitor family; degenerates to q at vc = 0."""
+    """The family at its stationary point, in closed form:
+    tanh t* = 2q(1-q) / (r + 2q(1-q) + sqrt(r (r + 4q(1-q))))."""
     q = np.asarray(q, dtype=float)
-    v = np.broadcast_to(np.asarray(vc, dtype=float), q.shape).astype(float)
+    r = np.broadcast_to(np.asarray(r, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        disc = np.sqrt(v * (v + 8.0 * qs * (1.0 - qs)))
-        r_star = (v + 4.0 * qs * (1.0 - qs) - disc) / (4.0 * qs * (1.0 - qs))
-        r_star = np.clip(r_star, 1e-16, 1.0 - 1e-16)
-        c_star = r_star**2 / (1.0 - r_star**2)
-        raw = comp_vincze_ac(qs, v, c_star)
-    raw = np.where(v <= 1e-14, qs, raw)
-    raw = np.where(np.isinf(v), 2.0 - qs, raw)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        root = np.sqrt(r) * np.sqrt(r + 4.0 * qs * (1.0 - qs))
+        u = np.where(np.isinf(r), 1.0, (r + root) / (r + 2.0 * qs * (1.0 - qs) + root))
+        c_star = (1.0 - u) ** 2 / (u * (2.0 - u))
+        raw = np.where(r == 0.0, qs, comp_reverse_chi2_ac(qs, r, c_star))
     return _override(q, raw), c_star
 
 
-def _comp_power_at(log_q, log_1q, amp, qb, s):
-    """The power competitor at shift s, from log q, log(1 - q), the
-    amplitude (1 + (beta-1) H_beta)^(1/beta) and qb = beta / (beta - 1)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t1 = np.where(s < 1.0, log_q + qb * np.log1p(-np.minimum(s, 1.0 - 1e-300)), -np.inf)
-        t2 = np.where(s < 0.0, log_1q + qb * np.log(np.maximum(-s, 1e-300)), -np.inf)
-        norm = np.exp(np.logaddexp(t1, t2) / qb)
-        return s + amp * norm
+def comp_reverse_kl_ac(q, d, c):
+    """The reverse-KL competitor family 1 + c - c^q (1+c)^(1-q) e^(-d) at a
+    fixed c > 0, evaluated at z = log(1 + 1/c) as (1 - e^(-qz-d)) / (1 - e^(-z))."""
+    z = np.log1p(1.0 / c)
+    with np.errstate(invalid="ignore"):
+        return np.expm1(-q * z - d) / np.expm1(-z)
+
+
+def comp_reverse_kl_core(q, d):
+    """The family at its stationary point, the root z* of
+    log(1 + q (e^z - 1)) - q z = d, found by bisection on [0, (d - log q) / (1 - q)]."""
+    q = np.asarray(q, dtype=float)
+    d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
+    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
+    finite = np.where(np.isinf(d), 0.0, d)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = bisect_increasing_vec(
+            lambda z: np.log1p(qs * np.expm1(z)) - qs * z,
+            0.0, (finite - np.log(qs)) / (1.0 - qs), finite, qs.shape,
+        )
+        c_star = np.where(d == 0.0, np.inf, np.where(np.isinf(d), 0.0, 1.0 / np.expm1(z)))
+        raw = np.where(d == 0.0, qs, comp_reverse_kl_ac(qs, d, c_star))
+    return _override(q, raw), c_star
+
+
+def comp_vincze_ac(q, vc, c):
+    """The Vincze-Le Cam competitor family
+    2(1 + c) - q - 4 (q sqrt(c) + (1-q) sqrt(1+c))^2 / (vc + 2) at a fixed
+    c > 0: twice the reverse chi-square family at r = vc / 2, minus q."""
+    return 2.0 * comp_reverse_chi2_ac(q, 0.5 * np.asarray(vc, dtype=float), c) - q
+
+
+def comp_vincze_core(q, vc):
+    """The family at its stationary point, that of the reverse chi-square
+    family at r = vc / 2."""
+    raw, c_star = comp_reverse_chi2_core(q, 0.5 * np.asarray(vc, dtype=float))
+    return 2.0 * raw - np.asarray(q, dtype=float), c_star
+
+
+def _log_mix(log_q, w):
+    """log(q + (1 - q) e^w) for w <= 0, summed as e^w + q (1 - e^w), two
+    nonnegative terms, so it stays accurate as w -> 0."""
+    with np.errstate(divide="ignore"):
+        return np.logaddexp(w, log_q + np.log(-np.expm1(w)))
 
 
 def comp_power_core(q, h_beta, beta):
-    """Competitor with a free shift s, minimized over the real line."""
+    """Competitor with a free shift s, at its stationary point.
+
+    With s = -rho / (1 - rho), the optimum solves
+    log amp + ((1-qb)/qb) log(q + (1-q) rho^qb) + log(q + (1-q) rho^(qb-1)) = 0,
+    increasing in rho; it is found by bisection in z = -log rho.  Where the
+    value at s = 0, amp q^(1/qb), is at least 1 the infimum is 1, at s = 1.
+    """
     q = np.asarray(q, dtype=float)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    rhs = 1.0 + (beta - 1.0) * np.asarray(h_beta, dtype=float)
-    amp = np.broadcast_to(rhs ** (1.0 / beta), qs.shape)
+    h = np.broadcast_to(np.asarray(h_beta, dtype=float), qs.shape)
     qb = beta / (beta - 1.0)
     log_q = np.log(qs)
-    log_1q = np.log1p(-qs)
-    s_star, val = golden_min_vec(
-        lambda s: _comp_power_at(log_q, log_1q, amp, qb, s), -1e8, 1.0 - 1e-9, qs.shape, log_space=False
-    )
-    return _override(q, val), s_star
+    log_amp = np.log1p((beta - 1.0) * h) / beta
+    log_at_zero = log_amp + log_q / qb
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # at z_hi, q + (1-q) rho^(qb-1) <= q^(1/beta) / amp: the condition's left side is <= 0
+        z_hi = (beta - 1.0) * (
+            log_amp + np.log1p(-qs) - np.log(-np.expm1(log_at_zero)) - log_q / beta
+        )
+        z = bisect_increasing_vec(
+            lambda z: _log_mix(log_q, -qb * z) / beta - _log_mix(log_q, (1.0 - qb) * z) - log_amp,
+            0.0, z_hi, 0.0, qs.shape,
+        )
+        vacuous = log_at_zero >= 0.0
+        s_star = np.where(h == 0.0, -np.inf, np.where(vacuous, 1.0, -1.0 / np.expm1(z)))
+    raw = np.where(h == 0.0, qs, np.where(vacuous, 1.0, comp_power_fixed(qs, h, beta, s_star)))
+    return _override(q, raw), s_star
 
 
-def comp_power_fixed(q: float, h_beta: float, beta: float, s: float) -> float:
-    """The power competitor at a fixed shift s."""
-    qs = min(max(q, 1e-300), 1.0 - 1e-16)
-    amp = (1.0 + (beta - 1.0) * h_beta) ** (1.0 / beta)
-    return float(_comp_power_at(np.log(qs), np.log1p(-qs), amp, beta / (beta - 1.0), s))
+def comp_power_fixed(q, h_beta, beta, s):
+    """The power competitor s + amp ||((1-s)_+, (-s)_+)||_qb at a fixed shift
+    s, the norm under the weights (q, 1-q), amp = (1 + (beta-1) H_beta)^(1/beta)
+    and qb = beta / (beta - 1).  For s < 0, with rho = s / (s - 1) = e^-z, it
+    reads (e^A - rho) / (1 - rho), A = log amp + log(q + (1-q) rho^qb) / qb,
+    evaluated as e^A (1 - e^(log rho - A)) / (1 - rho) since A >= log rho."""
+    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
+    qb = beta / (beta - 1.0)
+    log_q = np.log(qs)
+    log_amp = np.log1p((beta - 1.0) * np.asarray(h_beta, dtype=float)) / beta
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = np.log1p(-1.0 / s)
+        a = log_amp + _log_mix(log_q, -qb * z) / qb
+        below = np.exp(a) * np.expm1(-z - a) / np.expm1(-z)
+        linear = s + np.exp(log_amp + log_q / qb) * np.maximum(1.0 - s, 0.0)
+        return np.where(s < 0.0, below, linear)
 
 
 def competitor_bound(
@@ -890,7 +935,8 @@ def competitor_bound(
             raise RangeError("power row needs beta")
         beta = _check_beta(beta)
         if s is not None:
-            return BoundResult(name, comp_power_fixed(q, div, beta, s), {"beta": beta, "s": float(s)})
+            raw = comp_power_fixed(q, div, beta, s)
+            return BoundResult(name, float(raw), {"beta": beta, "s": float(s)})
         raw, s_star = comp_power_core(q, div, beta)
         return BoundResult(name, float(raw), {"beta": beta, "s": float(s_star)})
     # the rows with a free c > 0
@@ -970,9 +1016,11 @@ def _orlicz_case(q, amemiya, kappa, gamma):
 
 
 def _power_qmax_case(q, h_beta, beta):
-    """The q_max relaxation at the tightest admissible cap, q_max = Q(E)."""
-    raw, _m, valid = power_qmax_core(q, h_beta, beta, np.clip(q, 1e-300, 1 - 1e-12))
-    return raw, valid & (q < 1.0)
+    """The q_max relaxation at the tightest admissible cap, q_max = Q(E); a
+    trial whose Q(E) exceeds the largest cap, 1 - 1e-12, is not valid."""
+    cap = np.clip(q, 1e-300, 1 - 1e-12)
+    raw, _m, valid = power_qmax_core(q, h_beta, beta, cap)
+    return raw, valid & (q <= cap)
 
 
 def _f_kind(kind, **_):

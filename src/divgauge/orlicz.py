@@ -143,15 +143,26 @@ def _live(values, weights) -> tuple[np.ndarray, np.ndarray]:
     return u[live], w[live]
 
 
+def _scaled(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u >= 0 divided by its maximum over the last axis, and that maximum
+    (1 where it is 0 or inf).  Both norms are positively homogeneous, so
+    the norm of u is the maximum times the norm of the scaled values, and
+    powers of the scaled values neither overflow nor underflow."""
+    top = u.max(axis=-1, keepdims=True)
+    top = np.where((top > 0.0) & (top < np.inf), top, 1.0)
+    return u / top, top[..., 0]
+
+
 def luxemburg_norm_values(values, weights, spec: OrliczSpec) -> float:
     """Generic Luxemburg norm inf{s > 0 : E[psi(|U|/s)] <= 1} on a finite space."""
     u, w = _live(values, weights)
     if u.size == 0:
         return 0.0
+    u, top = _scaled(u)
     if spec.kappa is not None:
         # closed form for the power family
         k = spec.kappa
-        return float((np.sum(w * u**k) / k) ** (1.0 / k))
+        return float(top * (np.sum(w * u**k) / k) ** (1.0 / k))
 
     def excess(s: float) -> float:
         with np.errstate(over="ignore"):
@@ -169,7 +180,7 @@ def luxemburg_norm_values(values, weights, spec: OrliczSpec) -> float:
         if lo < 1e-300:
             return 0.0
     # excess is nonincreasing in s; return the smallest s with excess <= 1
-    return bisect_increasing(lambda s: -excess(s), lo, hi, -1.0, residual=0.0)
+    return float(top * bisect_increasing(lambda s: -excess(s), lo, hi, -1.0, residual=0.0))
 
 
 def amemiya_norm_values(values, weights, spec: OrliczSpec) -> float:
@@ -180,6 +191,7 @@ def amemiya_norm_values(values, weights, spec: OrliczSpec) -> float:
         return 0.0  # empty positive part: inf_t 1/t = 0
     if spec.kappa is not None:
         return float(amemiya_norm_rows(u, w, spec))
+    u, top = _scaled(u)
 
     def objective(t: float) -> float:
         with np.errstate(over="ignore"):
@@ -190,21 +202,19 @@ def amemiya_norm_values(values, weights, spec: OrliczSpec) -> float:
     t_star, best = golden_min(objective)
     if not math.isfinite(best):
         raise OrliczSpecError("conjugate gauge is non-finite on the whole bracket")
-    return best
+    return float(top * best)
 
 
 def amemiya_norm_rows(u: np.ndarray, w: np.ndarray, spec: OrliczSpec) -> np.ndarray:
     """Amemiya norms over the last axis of u >= 0 with weights w >= 0, for a
     power gauge: kappa^(1/kappa) (sum w u^alpha)^(1/alpha), the minimum of
-    (sum w psi*(t u) + 1) / t, attained at t = (kappa / sum w u^alpha)^(1/alpha).
-    u is divided by its finite maximum first, so u^alpha neither overflows
-    nor underflows.
+    (sum w psi*(t u) + 1) / t, attained at t = (kappa / sum w u^alpha)^(1/alpha),
+    evaluated on u scaled by its row maximum.
     """
     alpha = spec.conjugate_exponent  # OrliczSpecError for a custom gauge
-    top = u.max(axis=-1, keepdims=True)
-    scaled = u / np.where((top > 0.0) & (top < np.inf), top, 1.0)
+    scaled, top = _scaled(u)
     norm = np.sum(w * scaled**alpha, axis=-1) ** (1.0 / alpha)
-    return spec.kappa ** (1.0 / spec.kappa) * top[..., 0] * norm
+    return spec.kappa ** (1.0 / spec.kappa) * top * norm
 
 
 def amemiya_norm(pair: AbsContPair, gamma: float, spec: OrliczSpec) -> float:

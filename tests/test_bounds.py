@@ -565,6 +565,35 @@ def test_competitor_power_fixed_and_optimized():
         dg.competitor_bound("power", q, h)
 
 
+def test_competitor_optima_at_extreme_inputs():
+    """Each free-parameter competitor at its optimum: never NaN, never above
+    its own family on a log grid of the parameter, q at divergence 0."""
+    rng = np.random.default_rng(2026)
+    q = np.concatenate([10.0 ** rng.uniform(-300, 0, 60), rng.uniform(0, 1, 40)])
+    grid = np.geomspace(1e-6, 1e6, 2001)
+    families = [
+        (B.kl_opt_core, B.kl_fixed_core),
+        (B.comp_reverse_chi2_core, B.comp_reverse_chi2_ac),
+        (B.comp_reverse_kl_core, B.comp_reverse_kl_ac),
+        (B.comp_vincze_core, B.comp_vincze_ac),
+    ] + [
+        (partial(B.comp_power_core, beta=beta),
+         lambda q, d, t, beta=beta: B.comp_power_fixed(q, d, beta, -t))
+        for beta in (1.5, 2.0, 4.0)
+    ]
+    for d in (0.0, 1e-300, 1e-12, 0.3, 50.0, math.inf):
+        for core, family in families:
+            raw, _ = core(q, d)
+            assert not np.isnan(raw).any(), (core, d)
+            best = family(q[:, None], d, grid[None, :]).min(axis=1)
+            assert np.all(raw <= best + 1e-12), (core, d, np.max(raw - best))
+            if d == 0.0:
+                assert np.array_equal(raw, q), (core, d)
+        vacuous = d >= np.log(1.0 / q)
+        for qv in q[vacuous]:
+            assert dg.bound_kl(float(qv), d).raw == 1.0
+
+
 def test_competitor_unknown_row():
     with pytest.raises(ValidationError):
         dg.competitor_bound("nonsense", 0.1, 0.1)

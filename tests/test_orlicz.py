@@ -14,7 +14,7 @@ from divgauge import (
     random_pair,
 )
 from divgauge.errors import OrliczSpecError, RangeError
-from divgauge.orlicz import amemiya_norm_values
+from divgauge.orlicz import amemiya_norm_rows, amemiya_norm_values
 
 
 def test_power_conjugate_is_exact():
@@ -49,6 +49,20 @@ def test_amemiya_power_closed_form():
                 np.sum(excess**alpha * pair.q.probs) ** (1.0 / alpha)
             )
             assert amemiya_norm(pair, gamma, spec) == pytest.approx(closed, rel=1e-9)
+
+
+def test_norms_of_extreme_values():
+    # both norms are positively homogeneous and evaluated on |U| divided by
+    # its maximum, so huge or tiny values neither overflow nor underflow
+    for u in (1e80, 1e-100):
+        want = u / 4.0**0.25
+        assert luxemburg_norm_values([u], [1.0], power_orlicz(4.0)) == pytest.approx(want, rel=1e-12)
+    half_square = custom_orlicz(lambda t: np.asarray(t, dtype=float) ** 2 / 2.0)
+    got = amemiya_norm_values([1e-14], [1.0], half_square)
+    assert got == pytest.approx(math.sqrt(2.0) * 1e-14, rel=1e-8)
+    rows = np.array([[1e200, 1e199], [1e-200, 0.0]])
+    got = amemiya_norm_rows(rows, np.array([0.5, 0.5]), power_orlicz(2.0))
+    assert got == pytest.approx([1e200 * math.sqrt(1.01), 1e-200], rel=1e-12)
 
 
 def test_amemiya_vanishes_above_max_ratio():

@@ -46,6 +46,28 @@ def test_verify_com_bound_identity_pair():
     assert rep.worst_slack == pytest.approx(0.0, abs=1e-9)
 
 
+def _sharp_pairs():
+    """Pairs where the bounds are tight: P = Q (every divergence 0, events
+    with Q(E) next to 1 at support 16) and two-point witnesses with P(E)
+    just above Q(E)."""
+    for n in (4, 8, 16):
+        q = random_pair(7, n, n, zero_prob=0.0).q
+        yield f"P=Q, support {n}", dg.AbsContPair(q, q)
+    for eps in (1e-2, 1e-4):
+        for q in (1e-6, 0.3, 0.9):
+            yield f"witness q={q}, eps={eps}", binary_tightness_witness(q * (1 + eps), q, 2)
+
+
+def test_sharp_instances_sound():
+    bad = []
+    for name, pair in _sharp_pairs():
+        for bound_id, params in default_cases():
+            rep = verify_com_bound(pair, bound_id, params)
+            if rep.violations:
+                bad.append((name, case_label(bound_id, params), rep.violations, rep.worst_slack))
+    assert not bad, bad
+
+
 def test_verify_com_bound_unknown_id():
     pair = random_pair(1, 0, 4)
     with pytest.raises(UnknownBoundError):
