@@ -3,11 +3,13 @@
 The scalar minimizers (the Young-Fenchel search, numeric conjugates and
 custom-gauge Amemiya norms) refine a bracket by golden-section: a coarse
 grid locates it on a fixed log range, or doubling steps on the whole line.
-The scalar and vector bisections find the root of a nondecreasing function
-inside a bracket the caller derives.  The vector kernels of ``bounds`` need
-nothing else: each of their optima is a closed form or the root of its
-stationarity condition.  No RNG anywhere; identical inputs give identical
-results, which regression tests rely on.
+Every root in the package comes from one bisection,
+:func:`bisect_increasing_vec`, of a nondecreasing function inside a bracket
+the caller derives; scalar roots are its calls at shape ``()``.  It returns
+the hi side of its final bracket, where the function is not below the
+target as evaluated: the sound side of every bound inverted this way.  No
+RNG anywhere; identical inputs give identical results, which regression
+tests rely on.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 LOG_BRACKET_LO = 1e-12
 LOG_BRACKET_HI = 1e12
 
-# settings of the searches (golden_min, min_convex_line, both bisections)
+# settings of the searches (golden_min, min_convex_line, bisect_increasing_vec)
 REL_TOL = 1e-10  # golden-section stops at a bracket this wide, relative
-MAX_ITER = 200  # golden-section and bisection steps
+MAX_ITER = 200  # golden-section steps
 GRID = 33  # coarse grid points of golden_min
 MAX_EXPAND = 200  # bracket doublings of min_convex_line
 VEC_BISECT_STEPS = 80  # halvings of bisect_increasing_vec
@@ -127,34 +129,6 @@ def min_convex_line(
     return _golden_section(safe, a, b)
 
 
-def bisect_increasing(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    target: float,
-    *,
-    residual: float = 1e-12,
-) -> float:
-    """Root of fn(x) = target for nondecreasing fn; returns the hi side.
-
-    Stops once |fn(mid) - target| <= residual or the bracket is exhausted.
-    Assumes fn(lo) <= target <= fn(hi).
-    """
-    a, b = float(lo), float(hi)
-    for _ in range(MAX_ITER):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        v = fn(mid)
-        if abs(v - target) <= residual:
-            return mid
-        if v < target:
-            a = mid
-        else:
-            b = mid
-    return b
-
-
 def bisect_increasing_vec(
     fn: Callable[[np.ndarray], np.ndarray],
     lo,
@@ -162,8 +136,10 @@ def bisect_increasing_vec(
     target,
     shape: tuple[int, ...],
 ) -> np.ndarray:
-    """Vector bisection for elementwise nondecreasing fn; returns the hi side,
-    where fn >= target, after a fixed number of halvings."""
+    """Bisection for elementwise nondecreasing fn on arrays of the given shape
+    (``()`` for a scalar root); returns the hi side, where fn is not below
+    target as evaluated (or hi itself where fn never reaches target), after
+    a fixed number of halvings."""
     a = np.broadcast_to(np.asarray(lo, dtype=float), shape).copy()
     b = np.broadcast_to(np.asarray(hi, dtype=float), shape).copy()
     t = np.broadcast_to(np.asarray(target, dtype=float), shape)

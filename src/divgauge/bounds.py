@@ -11,14 +11,17 @@ Conventions
 * Degenerate events: q = 0 forces P(E) = 0 under domination, and q = 1
   forces the vacuous bound 1.  Cores apply these overrides instead of
   evaluating the interior formula.
-* The vectorized kernels search no bracket.  Each optimum over a free
-  parameter is a closed form or the root of its own stationarity
-  condition, found by bisection inside a bracket derived from q and the
-  divergence, and the family is evaluated there in a parametrization that
-  does not cancel.  The optimized KL bound is the Chernoff inversion
+* The kernels search no bracket.  Each optimum over a free parameter is a
+  closed form or the root of its own stationarity condition, found by
+  bisection inside a bracket derived from q and the divergence, and the
+  family is evaluated there in a parametrization that does not cancel.
+  The optimized KL bound is the Chernoff inversion
   sup{p >= q : kl(p || q) <= d}; the implicit power bound and the exact
-  reverse-KL bound are bisection roots too.  A free-parameter competitor
-  returns q at divergence 0 and 1 at divergence +inf.
+  reverse-KL bound are bisection roots too.  Every root comes from
+  ``_optim.bisect_increasing_vec``, which returns the upper side of its
+  final bracket, so each inverted bound errs on the sound side; the scalar
+  entry points are the same kernels at one point.  A free-parameter
+  competitor returns q at divergence 0 and 1 at divergence +inf.
 * The scalar Young-Fenchel search is deterministic (no RNG): golden-section
   over the gap u - v on the log bracket [1e-5, 1e12], with v by a line
   search over the whole real line.
@@ -38,7 +41,6 @@ import numpy as np
 
 from ._optim import (
     LOG_BRACKET_HI,
-    bisect_increasing,
     bisect_increasing_vec,
     golden_min,
     min_convex_line,
@@ -53,7 +55,7 @@ from .divergences import (
     SQUARED_HELLINGER,
     VINCZE_LECAM,
     DivergenceKind,
-    bernoulli_kl,
+    bernoulli_kl_core,
     generator_derivative,
     generator_values,
     hockey_stick_kind,
@@ -365,17 +367,16 @@ def bound_power_beta(
     """Power-beta divergence bounds.
 
     mode = "implicit": sharp inversion of the two-point constraint by
-    bisection (residual below 1e-12).
-    mode = "qmax" (alias "relaxedM"): linear relaxation requiring an a-priori
-    cap q_max < 1 on Q(E); flags ``preconditions_met`` False when the implied
-    slope is nonpositive.
-    mode = "small_q" (alias "relaxedU0"): relaxation with the plug-in cap u0,
-    tightest when Q(E) is small.
+    bisection, on the upper side of the root.
+    mode = "qmax": linear relaxation requiring an a-priori cap q_max < 1 on
+    Q(E); flags ``preconditions_met`` False when the implied slope is
+    nonpositive.
+    mode = "small_q": relaxation with the plug-in cap u0, tightest when Q(E)
+    is small.
     """
     q = _check_q(q)
     beta = _check_beta(beta)
     h_beta = _check_div(h_beta, "power divergence")
-    mode = {"relaxedM": "qmax", "relaxedU0": "small_q"}.get(mode, mode)
     params: dict = {"beta": beta}
     name = f"power_{mode}"
     deg = _degenerate(name, q, params)
@@ -591,28 +592,17 @@ def bound_reverse_chi2(q: float, rchi2: float) -> BoundResult:
     return _two_point("reverse_chi2", reverse_chi2_core, q, rchi2, "chi^2(Q||P)")
 
 
-def bernoulli_kl_core(a, b):
-    """Vectorized kl(a, b) with the 0 log 0 convention; b in (0, 1).
-
-    Each log-ratio is log1p of a ratio built from the difference a - b, so
-    kl(a, a) is exactly 0 and the value keeps its accuracy near a = b.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(a > 0, a * np.log1p((a - b) / b), 0.0)
-        t2 = np.where(a < 1, (1.0 - a) * np.log1p((b - a) / (1.0 - b)), 0.0)
-    return t1 + t2
-
-
 def reverse_kl_exact_core(q, d):
-    """Sharp inversion: the unique p in [q, 1) with kl(q, p) = D(Q || P)."""
+    """Sharp inversion: the unique p in [q, 1) with kl(q, p) = D(Q || P), on
+    the upper side of the root (kl(q, p) >= D as evaluated), exactly q at
+    D = 0, and the predecessor of 1.0 where D exceeds kl(q, that predecessor)."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     hi = np.nextafter(1.0, 0.0)
-    root = bisect_increasing_vec(lambda p: bernoulli_kl_core(qs, p), qs, hi, d, qs.shape)
-    return _override(q, root)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = bisect_increasing_vec(lambda p: bernoulli_kl_core(qs, p), qs, hi, d, qs.shape)
+    return _override(q, np.where(d == 0.0, q, root))
 
 
 def reverse_kl_explicit_core(q, d):
@@ -631,11 +621,20 @@ def reverse_kl_explicit_core(q, d):
     return _override(q, raw)
 
 
+def invert_binary_kl(q: float, d: float) -> float:
+    """The unique p in [q, 1) solving kl(q, p) = d: :func:`reverse_kl_exact_core`
+    at one point, so kl(q, p) >= d unless p is the predecessor of 1.0."""
+    q = float(q)
+    if not 0.0 < q < 1.0:
+        raise RangeError("need q in (0, 1)")
+    return float(reverse_kl_exact_core(q, _check_div(d)))
+
+
 def bound_reverse_kl(q: float, dqp: float, mode: str = "exact") -> BoundResult:
     """Reverse-KL bounds: the sharp kl-inversion or its explicit relaxation."""
     if mode not in ("exact", "explicit"):
         raise ValidationError(f"unknown reverse-KL mode {mode!r}")
-    core = invert_binary_kl if mode == "exact" else reverse_kl_explicit_core
+    core = reverse_kl_exact_core if mode == "exact" else reverse_kl_explicit_core
     return _two_point(f"reverse_kl_{mode}", core, q, dqp, "D(Q||P)")
 
 
@@ -651,23 +650,6 @@ def vincze_core(q, vc):
 
 def bound_vincze_lecam(q: float, vc: float) -> BoundResult:
     return _two_point("vincze_lecam", vincze_core, q, vc, "Vincze-Le Cam divergence")
-
-
-def invert_binary_kl(q: float, d: float) -> float:
-    """The unique p in [q, 1) solving kl(q, p) = d, residual <= 1e-12.
-
-    Returns the predecessor of 1.0 when d exceeds kl(q, 1 - 1e-15).
-    """
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise RangeError("need q in (0, 1)")
-    d = _check_div(d)
-    if d == 0.0:
-        return q
-    top = 1.0 - 1e-15
-    if not d < bernoulli_kl(q, top):
-        return np.nextafter(1.0, 0.0)
-    return bisect_increasing(lambda p: bernoulli_kl(q, p), q, top, d, residual=1e-12)
 
 
 # ---------------------------------------------------------------------------

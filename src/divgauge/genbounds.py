@@ -21,8 +21,8 @@ from .bounds import (
 )
 from .dist import AbsContPair
 from .errors import RangeError
-from .orlicz import OrliczSpec, amemiya_norm, luxemburg_indicator_norm
-from ._optim import bisect_increasing
+from .orlicz import OrliczSpec, amemiya_norm
+from ._optim import bisect_increasing_vec
 
 
 @dataclass(frozen=True)
@@ -247,11 +247,7 @@ def cmi_tail_orlicz(
     """
     theta = setting.theta(eta)
     am = amemiya_norm(pair, gamma, spec)
-    lux = (
-        luxemburg_indicator_norm(min(theta, 1.0), spec)
-        if theta <= 1.0
-        else float(1.0 / spec.inverse(1.0 / theta))
-    )
+    lux = float(1.0 / spec.inverse(1.0 / theta))
     return gamma * theta + lux * am
 
 
@@ -302,10 +298,9 @@ def _tstar(mi: float) -> float:
     target = mi + 2.0 / math.e
     hi = max(20.0, math.sqrt(target) + 2.0)
     # t^2 (1 - 2 e^{-t^2}) is increasing for t >= 1.1, which contains the root
-    return bisect_increasing(
-        lambda t: t * t * (1.0 - 2.0 * math.exp(-t * t)), 1.1, hi, target,
-        residual=1e-14,
-    )
+    return float(bisect_increasing_vec(
+        lambda t: t * t * (1.0 - 2.0 * math.exp(-t * t)), 1.1, hi, target, ()
+    ))
 
 
 def avg_gen_bound_mi(

@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import divgauge as dg
 from divgauge import bounds as B
@@ -384,6 +384,8 @@ def test_invert_binary_kl_examples():
     scan = grid[int(np.argmin(np.abs(vals - 0.5)))]
     assert p == pytest.approx(float(scan), abs=1e-5)
     assert dg.invert_binary_kl(0.4, 1e9) == np.nextafter(1.0, 0.0)
+    # the root by mpmath is 0.771382328607575...; the bound may not fall below it
+    assert dg.bound_reverse_kl(0.3, 0.5).raw >= 0.771382328607575
     with pytest.raises(RangeError):
         dg.invert_binary_kl(0.0, 0.5)
     with pytest.raises(RangeError):
@@ -400,6 +402,20 @@ def test_invert_binary_kl_residual_property(q, frac):
     p = dg.invert_binary_kl(q, d)
     assert abs(dg.bernoulli_kl(q, p) - d) <= 1e-12
     assert q <= p < 1.0
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(-300.0, -1e-12).map(lambda x: 10.0**x),
+    st.one_of(st.just(0.0), st.floats(-300.0, 3.0).map(lambda x: 10.0**x)),
+)
+@example(0.3, 0.5)
+def test_invert_binary_kl_is_on_the_sound_side(q, d):
+    # the inverted bound may sit above the root, never below it: kl(q, p)
+    # reaches d unless p is already the largest double below 1
+    p = dg.invert_binary_kl(q, d)
+    assert q <= p
+    assert p == np.nextafter(1.0, 0.0) or dg.bernoulli_kl(q, p) >= d
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def _sharp_pairs():
     for n in (4, 8, 16):
         q = random_pair(7, n, n, zero_prob=0.0).q
         yield f"P=Q, support {n}", dg.AbsContPair(q, q)
-    for eps in (1e-2, 1e-4):
+    for eps in (1e-2, 1e-4, 1e-6):
         for q in (1e-6, 0.3, 0.9):
             yield f"witness q={q}, eps={eps}", binary_tightness_witness(q * (1 + eps), q, 2)
 
