@@ -3,12 +3,17 @@
 The scalar minimizers (the Young-Fenchel search, numeric conjugates and
 custom-gauge Amemiya norms) refine a bracket by golden-section: a coarse
 grid locates it on a fixed log range, or doubling steps on the whole line.
-Every root in the package comes from one bisection,
-:func:`bisect_increasing_vec`, of a nondecreasing function inside a bracket
-the caller derives; scalar roots are its calls at shape ``()``.  It returns
-the hi side of its final bracket, where the function is not below the
-target as evaluated: the sound side of every bound inverted this way.  No
-RNG anywhere; identical inputs give identical results, which regression
+Every root in the package comes from one root-finder,
+:func:`increasing_root`, for a nondecreasing function inside a bracket the
+caller derives; scalar roots are its calls at shape ``()``.  It settles on
+entry every element whose bracket already decides it, then takes Newton
+steps from the hi side on the open elements, falling back to a secant or
+halving step where a Newton step is not safe (rtsafe), and drops each
+element once it has converged.  It returns the hi side, where the function
+is not below the target as evaluated: the sound side of every bound
+inverted this way.  For an increasing convex function every Newton step
+from the hi side stays there, so the sharp inversions converge from above.
+No RNG anywhere; identical inputs give identical results, which regression
 tests rely on.
 """
 
@@ -24,12 +29,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 LOG_BRACKET_LO = 1e-12
 LOG_BRACKET_HI = 1e12
 
-# settings of the searches (golden_min, min_convex_line, bisect_increasing_vec)
+# settings of the searches (golden_min, min_convex_line, increasing_root)
 REL_TOL = 1e-10  # golden-section stops at a bracket this wide, relative
 MAX_ITER = 200  # golden-section steps
 GRID = 33  # coarse grid points of golden_min
 MAX_EXPAND = 200  # bracket doublings of min_convex_line
-VEC_BISECT_STEPS = 80  # halvings of bisect_increasing_vec
+ROOT_STEPS = 100  # cap on the Newton or halving steps of increasing_root
+ROOT_BLOCK = 1 << 14  # elements increasing_root searches at a time, bounding its memory
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
@@ -129,23 +135,77 @@ def min_convex_line(
     return _golden_section(safe, a, b)
 
 
-def bisect_increasing_vec(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    target,
-    shape: tuple[int, ...],
-) -> np.ndarray:
-    """Bisection for elementwise nondecreasing fn on arrays of the given shape
-    (``()`` for a scalar root); returns the hi side, where fn is not below
-    target as evaluated (or hi itself where fn never reaches target), after
-    a fixed number of halvings."""
-    a = np.broadcast_to(np.asarray(lo, dtype=float), shape).copy()
-    b = np.broadcast_to(np.asarray(hi, dtype=float), shape).copy()
-    t = np.broadcast_to(np.asarray(target, dtype=float), shape)
-    for _ in range(VEC_BISECT_STEPS):
-        mid = 0.5 * (a + b)
-        below = np.asarray(fn(mid)) < t
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    return b
+def increasing_root(fn: Callable[..., tuple], lo, hi, target, *args) -> np.ndarray:
+    """Root of an elementwise nondecreasing function on [lo, hi].
+
+    ``fn(x, *args)`` returns (value, slope) at x; the arrays ``args`` are
+    per-element parameters, broadcast with lo, hi and target and passed for
+    the elements still open (at shape ``()``, as 0-d arrays).
+
+    Returns the hi side, where fn is not below target as evaluated: lo
+    where fn(lo) already reaches target, hi where fn(hi) does not (or
+    either is NaN), and otherwise the upper end of a bracket narrowed
+    until it is 2 ulp wide or a Newton step from its upper end is at most
+    2 ulp.  Each step tries that Newton point, or, where it falls at or
+    below the lower end (the function is concave there), the secant point
+    of the bracket, kept above the lower end.  It halves the bracket
+    instead where the slope is not finite and positive, so a caller
+    without a derivative returns NaN and gets pure halving, where the
+    guess does not move, or where it moves more than half the step before
+    last (rtsafe).  Open elements stop after ROOT_STEPS steps.  The
+    elements are searched ROOT_BLOCK at a time.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, target, *args)))
+    shape = arrays[0].shape
+    at_call = (lambda v: v.reshape(())) if shape == () else (lambda v: v)
+
+    def evaluate(x, params):  # (value, slope) as flat arrays
+        out = fn(at_call(x), *(at_call(p) for p in params))
+        return [np.broadcast_to(np.asarray(v, dtype=float), x.shape).ravel() for v in out]
+
+    out = np.empty(arrays[0].size)
+    for i in range(0, out.size, ROOT_BLOCK):
+        out[i:i + ROOT_BLOCK] = _root_block(evaluate, *(v.flat[i:i + ROOT_BLOCK] for v in arrays))
+    return out.reshape(shape)
+
+
+def _root_block(evaluate, a, b, t, *args) -> np.ndarray:
+    """increasing_root on flat arrays, with fn behind ``evaluate``."""
+    g_lo = evaluate(a, args)[0]
+    g_hi, s_hi = evaluate(b, args)
+    out = np.where(g_lo >= t, a, b)
+    live = np.flatnonzero((g_lo < t) & (g_hi >= t))
+    a, b, ga, g, s, t = a[live], b[live], g_lo[live], g_hi[live], s_hi[live], t[live]
+    del g_lo, g_hi, s_hi
+    args = [p[live] for p in args]
+    x, last, before = b, b - a, b - a
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(ROOT_STEPS):
+            if live.size == 0:
+                break
+            newton = (g - t) / s
+            tangent = b - newton > a
+            guess = np.where(tangent, b - newton, b - (g - t) * (b - a) / (g - ga))
+            # a guess rounded onto lo means the root is within rounding above it
+            guess = np.maximum(guess, np.nextafter(a, b))
+            move = np.abs(guess - x)
+            use = (np.isfinite(s) & (s > 0.0) & (guess <= b) & (move <= 0.5 * before)
+                   & (tangent | (move > 0.0)))
+            x, prev = np.where(use, guess, 0.5 * (a + b)), x
+            before, last = last, np.abs(x - prev)
+            gx, sx = evaluate(x, args)
+            above = gx >= t
+            # a Newton step that is too short to count, or that leaves the
+            # value unchanged because it has hit its rounding, ends the search
+            done = use & tangent & above & ((newton <= 2.0 * np.spacing(x)) | (gx >= g))
+            a, ga = np.where(above, a, x), np.where(above, ga, gx)
+            b, g, s = np.where(above, x, b), np.where(above, gx, g), np.where(above, sx, s)
+            done |= b - a <= 2.0 * np.spacing(b)
+            out[live[done]] = b[done]
+            keep = ~done
+            live, a, b, ga, g, s, t, x, last, before = (
+                v[keep] for v in (live, a, b, ga, g, s, t, x, last, before)
+            )
+            args = [p[keep] for p in args]
+    out[live] = b
+    return out

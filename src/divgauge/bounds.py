@@ -12,16 +12,17 @@ Conventions
   forces the vacuous bound 1.  Cores apply these overrides instead of
   evaluating the interior formula.
 * The kernels search no bracket.  Each optimum over a free parameter is a
-  closed form or the root of its own stationarity condition, found by
-  bisection inside a bracket derived from q and the divergence, and the
+  closed form or the root of its own stationarity condition, and the
   family is evaluated there in a parametrization that does not cancel.
   The optimized KL bound is the Chernoff inversion
   sup{p >= q : kl(p || q) <= d}; the implicit power bound and the exact
-  reverse-KL bound are bisection roots too.  Every root comes from
-  ``_optim.bisect_increasing_vec``, which returns the upper side of its
-  final bracket, so each inverted bound errs on the sound side; the scalar
-  entry points are the same kernels at one point.  A free-parameter
-  competitor returns q at divergence 0 and 1 at divergence +inf.
+  reverse-KL bound are roots too.  Every root comes from
+  ``_optim.increasing_root`` (Newton steps from the upper end of a bracket
+  derived from q and the divergence, empty where Q(E) is 0 or 1), which
+  returns the upper side of its final bracket, so each inverted bound errs
+  on the sound side; the scalar entry points are the same kernels at one
+  point.  A free-parameter competitor returns q at divergence 0 and 1 at
+  divergence +inf.
 * The scalar Young-Fenchel search is deterministic (no RNG): golden-section
   over the gap u - v on the log bracket [1e-5, 1e12], with v by a line
   search over the whole real line.
@@ -41,8 +42,8 @@ import numpy as np
 
 from ._optim import (
     LOG_BRACKET_HI,
-    bisect_increasing_vec,
     golden_min,
+    increasing_root,
     min_convex_line,
     numeric_conjugate,
 )
@@ -122,6 +123,12 @@ def _override(q, raw):
     return np.where(q <= 0.0, 0.0, np.where(q >= 1.0, 1.0, raw))
 
 
+def _searched(q, lo, hi):
+    """The root bracket's upper end where 0 < q < 1, and lo elsewhere: the
+    empty bracket settles, without a search, the roots _override discards."""
+    return np.where((q > 0.0) & (q < 1.0), hi, lo)
+
+
 def _two_point(name: str, core, q: float, d: float, what: str, **params) -> BoundResult:
     """A bound at fixed params: check q and d, then evaluate core(q, d, **params)."""
     q = _check_q(q)
@@ -193,17 +200,25 @@ def kl_fixed_core(q, d, c):
         return (d + np.log1p(np.asarray(q, dtype=float) * np.expm1(c))) / c
 
 
+def _kl_above(p, q):
+    """kl(p || q) and its slope logit p - logit q, for p >= q."""
+    return bernoulli_kl_core(p, q), np.log1p((p - q) / q) - np.log1p((q - p) / (1.0 - q))
+
+
 def kl_opt_core(q, d):
     """The KL bound minimized over c > 0: the Chernoff inversion
-    p* = sup{p >= q : kl(p || q) <= d}, attained at c* = logit p* - logit q.
-    Where d >= log(1/q) = kl(1 || q) the infimum is the limit 1 as c -> inf,
+    p* = sup{p >= q : kl(p || q) <= d}, attained at c* = logit p* - logit q,
+    by Newton steps from Pinsker's q + sqrt(d / 2), where kl >= d.  Where
+    d >= log(1/q) = kl(1 || q) the infimum is the limit 1 as c -> inf,
     reported as raw 1 and c* = inf.  Returns (raw, c_star) arrays."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     with np.errstate(divide="ignore", invalid="ignore"):
-        root = bisect_increasing_vec(lambda p: bernoulli_kl_core(p, qs), qs, 1.0, d, qs.shape)
-        p = np.where(d >= -np.log(qs), 1.0, np.where(d == 0.0, qs, root))
+        start = np.minimum(qs + np.sqrt(0.5 * d), 1.0)
+        hi = np.where(_kl_above(start, qs)[0] >= d, start, 1.0)
+        root = increasing_root(_kl_above, qs, _searched(q, qs, hi), d, qs)
+        p = np.where(d >= -np.log(qs), 1.0, root)
         c_star = np.log(p / qs) + np.log1p(-qs) - np.log1p(-p)
     return _override(q, p), c_star
 
@@ -290,30 +305,31 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _power_excess(p, q, beta):
+    """p^b q^(1-b) + (1-p)^b (1-q)^(1-b) - 1, summed as
+    q ((p/q)^b - 1) + (1-q) (((1-p)/(1-q))^b - 1) from log1p and expm1 so that
+    it does not cancel near p = q, and its slope in p."""
+    up = np.log1p((p - q) / q)
+    down = np.log1p((q - p) / (1.0 - q))
+    value = q * np.expm1(beta * up) + (1.0 - q) * np.expm1(beta * down)
+    return value, beta * (np.exp((beta - 1.0) * up) - np.exp((beta - 1.0) * down))
+
+
 def power_implicit_core(q, h_beta, beta):
     """Largest p in [q, 1] with p^b q^(1-b) + (1-p)^b (1-q)^(1-b) <= 1 + (b-1) H_b.
 
-    The left side is increasing in p on [q, 1], so bisection applies; the
-    returned value sits on the safe (upper) side of the final bracket.
+    The left side is increasing and convex in p on [q, 1], so Newton steps
+    stay on the safe (upper) side of the root.  They start where the first
+    term alone reaches the target, p = ((1 + (b-1) H_b) q^(b-1))^(1/b), or at 1.
     """
     q = np.asarray(q, dtype=float)
-    target = 1.0 + (beta - 1.0) * np.asarray(h_beta, dtype=float)
+    excess = (beta - 1.0) * np.asarray(h_beta, dtype=float)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    target = np.broadcast_to(target, qs.shape)
-
+    lhs = partial(_power_excess, beta=beta)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lq = np.log(qs)
-        l1q = np.log1p(-qs)
-
-        def lhs(p):
-            a = beta * np.log(np.maximum(p, 1e-300)) + (1.0 - beta) * lq
-            b = beta * np.log(np.maximum(1.0 - p, 1e-300)) + (1.0 - beta) * l1q
-            b = np.where(p >= 1.0, -np.inf, b)
-            return np.exp(np.logaddexp(a, b))
-
-        at_one = np.exp((1.0 - beta) * lq)
-        root = bisect_increasing_vec(lhs, qs, 1.0, target, qs.shape)
-        raw = np.where(at_one <= target, 1.0, root)
+        start = np.minimum(np.exp((np.log1p(excess) + (beta - 1.0) * np.log(qs)) / beta), 1.0)
+        hi = np.where(lhs(start, qs)[0] >= excess, start, 1.0)
+        raw = increasing_root(lhs, qs, _searched(q, qs, hi), excess, qs)
     return _override(q, raw)
 
 
@@ -367,13 +383,15 @@ def bound_power_beta(
     """Power-beta divergence bounds.
 
     mode = "implicit": sharp inversion of the two-point constraint by
-    bisection, on the upper side of the root.
+    Newton steps, on the upper side of the root.
     mode = "qmax": linear relaxation requiring an a-priori cap q_max < 1 on
     Q(E); flags ``preconditions_met`` False when the implied slope is
     nonpositive.
     mode = "small_q": relaxation with the plug-in cap u0, tightest when Q(E)
     is small.
     """
+    if mode not in ("implicit", "qmax", "small_q"):
+        raise ValidationError(f"unknown power mode {mode!r}")
     q = _check_q(q)
     beta = _check_beta(beta)
     h_beta = _check_div(h_beta, "power divergence")
@@ -390,11 +408,9 @@ def bound_power_beta(
         raw, m, valid = power_qmax_core(q, h_beta, beta, q_max)
         params.update({"q_max": float(q_max), "m": float(m)})
         return BoundResult(name, float(raw), params, preconditions_met=bool(valid))
-    if mode == "small_q":
-        raw, u0 = power_small_q_core(q, h_beta, beta)
-        params["u0"] = float(u0)
-        return BoundResult(name, float(raw), params)
-    raise ValidationError(f"unknown power mode {mode!r}")
+    raw, u0 = power_small_q_core(q, h_beta, beta)
+    params["u0"] = float(u0)
+    return BoundResult(name, float(raw), params)
 
 
 # ---------------------------------------------------------------------------
@@ -592,16 +608,26 @@ def bound_reverse_chi2(q: float, rchi2: float) -> BoundResult:
     return _two_point("reverse_chi2", reverse_chi2_core, q, rchi2, "chi^2(Q||P)")
 
 
+def _kl_below(p, q):
+    """kl(q || p) and its slope (p - q) / (p (1 - p)), for p >= q."""
+    return bernoulli_kl_core(q, p), (p - q) / (p * (1.0 - p))
+
+
 def reverse_kl_exact_core(q, d):
     """Sharp inversion: the unique p in [q, 1) with kl(q, p) = D(Q || P), on
     the upper side of the root (kl(q, p) >= D as evaluated), exactly q at
-    D = 0, and the predecessor of 1.0 where D exceeds kl(q, that predecessor)."""
+    D = 0, and the predecessor of 1.0 where D exceeds kl(q, that predecessor).
+    Newton steps start at p = 1 - e^(-z), z = (D + H(q)) / (1 - q), where
+    kl(q || p) >= (1 - q) z - H(q) = D."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    hi = np.nextafter(1.0, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = bisect_increasing_vec(lambda p: bernoulli_kl_core(qs, p), qs, hi, d, qs.shape)
+    top = np.nextafter(1.0, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        entropy = -qs * np.log(qs) - (1.0 - qs) * np.log1p(-qs)
+        start = np.clip(-np.expm1(-(d + entropy) / (1.0 - qs)), qs, top)
+        hi = np.where(_kl_below(start, qs)[0] >= d, start, top)
+        root = increasing_root(_kl_below, qs, _searched(q, qs, hi), d, qs)
     return _override(q, np.where(d == 0.0, q, root))
 
 
@@ -795,16 +821,21 @@ def comp_reverse_kl_ac(q, d, c):
 
 def comp_reverse_kl_core(q, d):
     """The family at its stationary point, the root z* of
-    log(1 + q (e^z - 1)) - q z = d, found by bisection on [0, (d - log q) / (1 - q)]."""
+    log(1 + q (e^z - 1)) - q z = d, increasing and convex in z, found by
+    Newton steps from z = (d - log q) / (1 - q).  The left side is evaluated
+    as (1 - q) z + log(1 - (1 - q)(1 - e^-z)), which does not overflow."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     finite = np.where(np.isinf(d), 0.0, d)
+
+    def condition(z, q):
+        decay = (1.0 - q) * np.expm1(-z)
+        return (1.0 - q) * z + np.log1p(decay), -q * decay / (1.0 + decay)
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z = bisect_increasing_vec(
-            lambda z: np.log1p(qs * np.expm1(z)) - qs * z,
-            0.0, (finite - np.log(qs)) / (1.0 - qs), finite, qs.shape,
-        )
+        z_hi = _searched(q, 0.0, (finite - np.log(qs)) / (1.0 - qs))
+        z = increasing_root(condition, 0.0, z_hi, finite, qs)
         c_star = np.where(d == 0.0, np.inf, np.where(np.isinf(d), 0.0, 1.0 / np.expm1(z)))
         raw = np.where(d == 0.0, qs, comp_reverse_kl_ac(qs, d, c_star))
     return _override(q, raw), c_star
@@ -836,26 +867,31 @@ def comp_power_core(q, h_beta, beta):
 
     With s = -rho / (1 - rho), the optimum solves
     log amp + ((1-qb)/qb) log(q + (1-q) rho^qb) + log(q + (1-q) rho^(qb-1)) = 0,
-    increasing in rho; it is found by bisection in z = -log rho.  Where the
-    value at s = 0, amp q^(1/qb), is at least 1 the infimum is 1, at s = 1.
+    increasing in rho; it is solved in z = -log rho.  Where the value at
+    s = 0, amp q^(1/qb), is at least 1 the infimum is 1, at s = 1.
     """
     q = np.asarray(q, dtype=float)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     h = np.broadcast_to(np.asarray(h_beta, dtype=float), qs.shape)
     qb = beta / (beta - 1.0)
     log_q = np.log(qs)
+    log_1q = np.log1p(-qs)
     log_amp = np.log1p((beta - 1.0) * h) / beta
     log_at_zero = log_amp + log_q / qb
+
+    def condition(z, log_q, log_1q, log_amp):  # the slope uses qb / beta = qb - 1 = 1 / (beta - 1)
+        m1, m2 = _log_mix(log_q, -qb * z), _log_mix(log_q, (1.0 - qb) * z)
+        r1, r2 = np.exp(log_1q - qb * z - m1), np.exp(log_1q + (1.0 - qb) * z - m2)
+        return m1 / beta - m2 - log_amp, (r2 - r1) / (beta - 1.0)
+
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         # at z_hi, q + (1-q) rho^(qb-1) <= q^(1/beta) / amp: the condition's left side is <= 0
         z_hi = (beta - 1.0) * (
-            log_amp + np.log1p(-qs) - np.log(-np.expm1(log_at_zero)) - log_q / beta
-        )
-        z = bisect_increasing_vec(
-            lambda z: _log_mix(log_q, -qb * z) / beta - _log_mix(log_q, (1.0 - qb) * z) - log_amp,
-            0.0, z_hi, 0.0, qs.shape,
+            log_amp + log_1q - np.log(-np.expm1(log_at_zero)) - log_q / beta
         )
         vacuous = log_at_zero >= 0.0
+        z_hi = _searched(q, 0.0, np.where(vacuous, 0.0, z_hi))  # the value is 1 where vacuous
+        z = increasing_root(condition, 0.0, z_hi, 0.0, log_q, log_1q, log_amp)
         s_star = np.where(h == 0.0, -np.inf, np.where(vacuous, 1.0, -1.0 / np.expm1(z)))
     raw = np.where(h == 0.0, qs, np.where(vacuous, 1.0, comp_power_fixed(qs, h, beta, s_star)))
     return _override(q, raw), s_star

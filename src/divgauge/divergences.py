@@ -185,12 +185,14 @@ def bernoulli_kl_core(a, b):
     """kl(a, b) elementwise, with the 0 log 0 convention; b in (0, 1).
 
     Each log-ratio is log1p of a ratio built from the difference a - b, so
-    kl(a, a) is exactly 0 and the value keeps its accuracy near a = b.  At
-    a = 0 or 1 the discarded branch divides by zero: callers silence that
+    kl(a, a) is exactly 0 and the value keeps its accuracy near a = b; where
+    (a - b) / b rounds to -1 (a below an ulp of b) the first is log(a / b).
+    At a = 0 or 1 the discarded branch divides by zero: callers silence that
     with ``np.errstate(divide="ignore", invalid="ignore")``, once around a
     whole search rather than on every evaluation.
     """
-    t1 = np.where(a > 0, a * np.log1p((a - b) / b), 0.0)
+    down = (a - b) / b
+    t1 = np.where(a > 0, a * np.where(down > -1.0, np.log1p(down), np.log(a / b)), 0.0)
     t2 = np.where(a < 1, (1.0 - a) * np.log1p((b - a) / (1.0 - b)), 0.0)
     return t1 + t2
 

@@ -22,7 +22,7 @@ from .bounds import (
 from .dist import AbsContPair
 from .errors import RangeError
 from .orlicz import OrliczSpec, amemiya_norm
-from ._optim import bisect_increasing_vec
+from ._optim import increasing_root
 
 
 @dataclass(frozen=True)
@@ -243,11 +243,11 @@ def cmi_tail_orlicz(
 
     ``pair`` is the flattened (P_{WZS}, P_{W|Z} P_{ZS}) pair produced by the
     paired-sample experiment; the indicator norm is taken at the Hoeffding
-    surrogate mass.
+    surrogate mass, and is 0 where that mass underflows to 0, as for events.
     """
     theta = setting.theta(eta)
     am = amemiya_norm(pair, gamma, spec)
-    lux = float(1.0 / spec.inverse(1.0 / theta))
+    lux = float(1.0 / spec.inverse(1.0 / theta)) if theta > 0.0 else 0.0
     return gamma * theta + lux * am
 
 
@@ -298,8 +298,8 @@ def _tstar(mi: float) -> float:
     target = mi + 2.0 / math.e
     hi = max(20.0, math.sqrt(target) + 2.0)
     # t^2 (1 - 2 e^{-t^2}) is increasing for t >= 1.1, which contains the root
-    return float(bisect_increasing_vec(
-        lambda t: t * t * (1.0 - 2.0 * math.exp(-t * t)), 1.1, hi, target, ()
+    return float(increasing_root(
+        lambda t: (t * t * (1.0 - 2.0 * math.exp(-t * t)), math.nan), 1.1, hi, target
     ))
 
 

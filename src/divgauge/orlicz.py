@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import bisect_increasing_vec, golden_min, numeric_conjugate
+from ._optim import golden_min, increasing_root, numeric_conjugate
 from .dist import AbsContPair
 from .errors import OrliczSpecError, RangeError
 
@@ -94,7 +94,7 @@ def custom_orlicz(
             hi *= 2.0
         else:
             raise OrliczSpecError("psi never reaches the requested level")
-        return float(bisect_increasing_vec(lambda t: float(psi(t)), 0.0, hi, s, ()))
+        return float(increasing_root(lambda t: (psi(t), math.nan), 0.0, hi, s))
 
     spec = OrliczSpec(
         name, psi, conjugate if conjugate else num_conj, inverse if inverse else num_inv
@@ -180,7 +180,7 @@ def luxemburg_norm_values(values, weights, spec: OrliczSpec) -> float:
         if lo < 1e-300:
             return 0.0
     # excess is nonincreasing in s; return the smallest s with excess <= 1
-    return float(top * bisect_increasing_vec(lambda s: -excess(s), lo, hi, -1.0, ()))
+    return float(top * increasing_root(lambda s: (-excess(s), math.nan), lo, hi, -1.0))
 
 
 def amemiya_norm_values(values, weights, spec: OrliczSpec) -> float:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import divgauge as dg
 from divgauge import bounds as B
 from divgauge.dist import EventMask, event_mask_matrix
+from divgauge.divergences import bernoulli_kl_core
 from divgauge.errors import RangeError, ValidationError
 from divgauge._optim import golden_min
 
@@ -176,6 +177,12 @@ def test_power_qmax_flags_nonpositive_slope():
         dg.bound_power_beta(0.5, 0.1, 2.0, mode="qmax", q_max=0.3)
     with pytest.raises(ValidationError):
         dg.bound_power_beta(0.5, 0.1, 2.0, mode="bogus")
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 0.3])
+def test_power_beta_rejects_an_unknown_mode_at_every_q(q):
+    with pytest.raises(ValidationError):
+        dg.bound_power_beta(q, 0.1, 2.0, mode="bogus")
 
 
 def test_power_beta_envelope():
@@ -380,7 +387,7 @@ def test_invert_binary_kl_examples():
     assert dg.bernoulli_kl(0.1, p) == pytest.approx(0.5, abs=1e-12)
     # fine grid scan oracle
     grid = np.linspace(0.1, 1 - 1e-9, 200001)
-    vals = B.bernoulli_kl_core(0.1, grid)
+    vals = bernoulli_kl_core(0.1, grid)
     scan = grid[int(np.argmin(np.abs(vals - 0.5)))]
     assert p == pytest.approx(float(scan), abs=1e-5)
     assert dg.invert_binary_kl(0.4, 1e9) == np.nextafter(1.0, 0.0)
@@ -416,6 +423,95 @@ def test_invert_binary_kl_is_on_the_sound_side(q, d):
     p = dg.invert_binary_kl(q, d)
     assert q <= p
     assert p == np.nextafter(1.0, 0.0) or dg.bernoulli_kl(q, p) >= d
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-300.0, -1e-12).map(lambda x: 10.0**x),
+    st.one_of(st.just(0.0), st.floats(-300.0, 3.0).map(lambda x: 10.0**x)),
+)
+@example(0.3, 0.5)
+@example(0.23, 0.0)
+@example(1e-17, 1.0)  # (q - p) / p rounds to -1 in kl(q || p)
+def test_root_kernels_are_on_the_sound_side(q, d):
+    # the sharp inversions: the constraint, evaluated as the kernel evaluates
+    # it, reaches the target at the returned value (or the value is the end
+    # of its range)
+    p = float(B.kl_opt_core(q, d)[0])
+    assert q <= p <= 1.0 and (p == 1.0 or dg.bernoulli_kl(p, q) >= d)
+    p_rev = float(B.reverse_kl_exact_core(q, d))
+    assert q <= p_rev and (p_rev == np.nextafter(1.0, 0.0) or dg.bernoulli_kl(q, p_rev) >= d)
+    # the competitors: a number, and never below the sharp bound
+    slack = dg.verify.SLACK_TOL
+    comp_rev = float(B.comp_reverse_kl_core(q, d)[0])
+    assert comp_rev >= p_rev - slack
+    for beta in (1.5, 2.0, 4.0):
+        p_pow = float(B.power_implicit_core(q, d, beta))
+        with np.errstate(all="ignore"):
+            excess = float(B._power_excess(p_pow, q, beta)[0])
+        assert q <= p_pow <= 1.0 and (p_pow == 1.0 or excess >= (beta - 1.0) * d)
+        assert float(B.comp_power_core(q, d, beta)[0]) >= p_pow - slack
+
+
+def _reference_root(fn, lo, hi, target, *args):
+    """The smallest double in [lo, hi] (lo >= 0) where fn reaches target, or
+    hi: bisection over the ordered bit patterns of nonnegative doubles."""
+    lo, hi, target, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, target, *args)))
+    finite = np.isfinite(hi)
+    a, b = lo.view(np.int64).copy(), np.where(finite, hi, lo).view(np.int64).copy()
+    for _ in range(64):
+        m = a + (b - a) // 2
+        below = fn(m.view(float), *args)[0] < target
+        a, b = np.where(below, m, a), np.where(below, b, m)
+    return np.where(finite & (fn(lo, *args)[0] < target), b.view(float), np.where(finite, lo, hi))
+
+
+ROOT_KERNEL_IDS = ("kl", "power_implicit", "reverse_kl_exact", "competitor_power", "competitor_reverse_kl")
+
+
+def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
+    # on a criterion-1 chunk every root settles before the step cap, and each
+    # kernel's values are within 4 ulp of 1 (bound values are probabilities)
+    # of the same kernel with an exact bisection in place of the root-finder.
+    # Closer agreement is not defined: the constraints are evaluated with a
+    # few ulp of noise, and two bisections can stop at different crossings.
+    from divgauge import _optim, verify as V
+    from divgauge._optim import ROOT_STEPS, increasing_root
+
+    pairs = [dg.random_pair(11, i, 8) for i in range(500)]
+    masks = event_mask_matrix(8)
+
+    def values():
+        batch = V.PairBatch.from_pairs(pairs, masks)
+        return [
+            np.broadcast_to(V._REGISTRY[bound_id](batch, **params)[0], batch.shape)
+            for bound_id, params in V.default_cases()
+            if bound_id in ROOT_KERNEL_IDS
+        ]
+
+    steps = []
+
+    def counted_root(fn, lo, hi, target, *args):
+        calls = []
+
+        def counted(x, *params):
+            calls.append(1)
+            return fn(x, *params)
+
+        root = increasing_root(counted, lo, hi, target, *args)
+        steps.append(len(calls) - 2)  # the first two evaluate lo and hi
+        return root
+
+    monkeypatch.setattr(B, "increasing_root", counted_root)
+    monkeypatch.setattr(_optim, "ROOT_BLOCK", 1 << 30)  # one block per call, so one count
+    ours = values()
+    monkeypatch.setattr(B, "increasing_root", _reference_root)
+    with np.errstate(all="ignore"):
+        reference = values()
+    assert len(steps) == len(ours) == 9 and max(steps) < ROOT_STEPS
+    for got, want in zip(ours, reference):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want)) <= 4 * np.spacing(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,14 @@ def test_cmi_tail_orlicz_reduces_when_amemiya_vanishes():
     assert got == pytest.approx(gamma * setting.theta(0.3), abs=1e-12)
 
 
+def test_cmi_tail_orlicz_is_zero_when_theta_underflows():
+    setting = BoundedLossSetting(a=0.0, b=1.0, n=2000)
+    assert setting.theta(1.0) == 0.0
+    pair = dg.random_pair(51, 0, 6, zero_prob=0.0)
+    for spec in (dg.power_orlicz(2.0), dg.custom_orlicz(lambda t: np.asarray(t, dtype=float) ** 2 / 2)):
+        assert cmi_tail_orlicz(setting, 1.0, 1.0, pair, spec) == 0.0
+
+
 def test_cmi_convert_composes_the_slack_term():
     setting = BoundedLossSetting(a=0.0, b=1.0, n=16)
     eps = lambda d: 2.0 * d  # noqa: E731
