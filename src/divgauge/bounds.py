@@ -56,6 +56,7 @@ from .divergences import (
     SQUARED_HELLINGER,
     VINCZE_LECAM,
     DivergenceKind,
+    _log_ratio,
     bernoulli_kl_core,
     generator_derivative,
     generator_values,
@@ -68,6 +69,7 @@ from .orlicz import (
     amemiya_norm,
     amemiya_norm_rows,
     amemiya_norm_values,
+    indicator_norm,
     luxemburg_norm_values,
     power_orlicz,
 )
@@ -175,7 +177,7 @@ def bound_strong_converse(pair: AbsContPair, mask: EventMask, gamma: float) -> B
     deg = _degenerate("strong_converse", q, params)
     if deg:
         return deg
-    return BoundResult("strong_converse", float(gamma * q + tail), params)
+    return BoundResult("strong_converse", float(strong_converse_core(q, tail, gamma)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +204,25 @@ def kl_fixed_core(q, d, c):
 
 def _kl_above(p, q):
     """kl(p || q) and its slope logit p - logit q, for p >= q."""
-    return bernoulli_kl_core(p, q), np.log1p((p - q) / q) - np.log1p((q - p) / (1.0 - q))
+    return bernoulli_kl_core(p, q), _log_ratio(p, q, p - q) - _log_ratio(1.0 - p, 1.0 - q, q - p)
 
 
 def kl_opt_core(q, d):
     """The KL bound minimized over c > 0: the Chernoff inversion
     p* = sup{p >= q : kl(p || q) <= d}, attained at c* = logit p* - logit q,
-    by Newton steps from Pinsker's q + sqrt(d / 2), where kl >= d.  Where
+    by Newton steps from Pinsker's q + sqrt(d / 2), where kl >= d, capped at
+    the predecessor of 1.0, where the slope is still finite (a start that
+    evaluates below d, as a capped one can, is the bracket's lower end).  Where
     d >= log(1/q) = kl(1 || q) the infimum is the limit 1 as c -> inf,
     reported as raw 1 and c* = inf.  Returns (raw, c_star) arrays."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     with np.errstate(divide="ignore", invalid="ignore"):
-        start = np.minimum(qs + np.sqrt(0.5 * d), 1.0)
-        hi = np.where(_kl_above(start, qs)[0] >= d, start, 1.0)
-        root = increasing_root(_kl_above, qs, _searched(q, qs, hi), d, qs)
+        start = np.minimum(qs + np.sqrt(0.5 * d), np.nextafter(1.0, 0.0))
+        above = _kl_above(start, qs)[0] >= d
+        lo, hi = np.where(above, qs, start), np.where(above, start, 1.0)
+        root = increasing_root(_kl_above, lo, _searched(q, lo, hi), d, qs)
         p = np.where(d >= -np.log(qs), 1.0, root)
         c_star = np.log(p / qs) + np.log1p(-qs) - np.log1p(-p)
     return _override(q, p), c_star
@@ -586,7 +591,7 @@ def bound_f_via_egamma(
         return deg
     if gap <= 0.0:
         return BoundResult("f_from_egamma", math.inf, params, preconditions_met=False)
-    return BoundResult("f_from_egamma", float(gamma * q + df / gap), params)
+    return BoundResult("f_from_egamma", float(f_hs_core(q, df, gamma, gap)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -683,18 +688,9 @@ def bound_vincze_lecam(q: float, vc: float) -> BoundResult:
 # ---------------------------------------------------------------------------
 
 
-def orlicz_indicator_core(q, spec: OrliczSpec):
-    """Vectorized 1 / psi^{-1}(1/q) with the 0-at-0 convention."""
-    q = np.asarray(q, dtype=float)
-    qs = np.clip(q, 1e-300, 1.0)
-    with np.errstate(divide="ignore"):
-        lux = 1.0 / np.asarray(spec.inverse(1.0 / qs), dtype=float)
-    return np.where(q > 0.0, lux, 0.0)
-
-
 def orlicz_core(q, amemiya: float, gamma: float, spec: OrliczSpec):
     q = np.asarray(q, dtype=float)
-    raw = gamma * q + orlicz_indicator_core(q, spec) * amemiya
+    raw = gamma * q + indicator_norm(q, spec) * amemiya
     return np.where(q <= 0.0, 0.0, raw)
 
 
@@ -732,30 +728,21 @@ def bound_orlicz_joint(
     ms = joint.matrix.sum(axis=1)
     mw = joint.matrix.sum(axis=0)
     live_w = mw > 0.0
-    live_s = ms > 0.0
     notes: tuple[str, ...] = ()
     if not live_w.all():
         notes = (f"skipped zero-mass outputs {np.flatnonzero(~live_w).tolist()}",)
 
+    prod = np.outer(ms, mw)
+    live = (ms > 0.0)[:, None] & live_w[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(
-            live_s[:, None] & live_w[None, :],
-            joint.matrix / np.where(live_s[:, None] & live_w[None, :],
-                                    np.outer(ms, mw), 1.0),
-            0.0,
-        )
+        ratio = np.where(live, joint.matrix / np.where(live, prod, 1.0), 0.0)
     excess = np.maximum(ratio - gamma, 0.0)
-
-    inner_ind = np.zeros(n_w)
-    inner_am = np.zeros(n_w)
-    for w in np.flatnonzero(live_w):
-        qw = float(ms[bits[:, w]].sum())
-        inner_ind[w] = orlicz_indicator_core(qw, phi) if qw > 0 else 0.0
-        inner_am[w] = amemiya_norm_values(excess[:, w], ms, phi)
+    inner_ind = indicator_norm(ms @ bits, phi)
+    inner_am = amemiya_norm_rows(excess.T, ms, phi)
 
     outer_ind = luxemburg_norm_values(inner_ind[live_w], mw[live_w], psi)
     outer_am = amemiya_norm_values(inner_am[live_w], mw[live_w], psi)
-    q_prod = float(np.outer(ms, mw)[bits].sum())
+    q_prod = float(prod[bits].sum())
     raw = gamma * q_prod + outer_ind * outer_am
     params = {
         "gamma": float(gamma),

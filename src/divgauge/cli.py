@@ -178,7 +178,7 @@ def cmd_div(args) -> int:
         # f-divergences of a joint mean: joint law against its product law
         pair = product_pair(load_joint(args.joint)) if args.joint else load_pair(args.pair)
         kind = _kind_from_args(args)
-        value = dv.renyi(pair, kind.param) if kind.name == "renyi" else dv.f_divergence(pair, kind).value
+        value = dv.renyi(pair, kind.param) if kind.name == "renyi" else dv.f_divergence(pair, kind)
         params = {} if kind.param is None else {"order": kind.param}
         kind_name = kind.name
     payload = {
@@ -294,13 +294,13 @@ def _identity_suite(seed: int, trials: int = 200) -> tuple[bool, list[dict]]:
         for g in (0.5, 1.0, 2.0, 5.0):
             rep = vf.verify_egamma_variational(pair, g)
             worst_var = max(worst_var, abs(rep["gap"]))
-        chi2 = dv.f_divergence(pair, dv.CHI2).value
+        chi2 = dv.f_divergence(pair, dv.CHI2)
         if math.isfinite(chi2):
             worst_d2 = max(
                 worst_d2, abs(dv.renyi(pair, 2.0) - math.log1p(chi2))
             )
-        tv = dv.f_divergence(pair, dv.TV).value
-        e1 = dv.f_divergence(pair, dv.hockey_stick_kind(1.0)).value
+        tv = dv.f_divergence(pair, dv.TV)
+        e1 = dv.f_divergence(pair, dv.hockey_stick_kind(1.0))
         worst_tv = max(worst_tv, abs(tv - e1))
     entries = [
         {"bound": f"identity:{name}", "trials": n, "violations": int(worst > 1e-12),

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .errors import (
 
 MASS_TOL = 1e-12
 JOINT_SUM_TOL = 1e-9
-ENUM_CAP = 24  # 2^24 event masks, yielded lazily by enumerate_events
 EXHAUSTIVE_LIMIT = 16  # largest support whose 2^n masks are held as one matrix
 
 
@@ -140,11 +138,6 @@ class AbsContPair:
         return self.p.size
 
 
-def make_pair(p: FiniteDistribution, q: FiniteDistribution) -> AbsContPair:
-    """Build the dominated pair (P, Q); raises DominationError if P ≪ Q fails."""
-    return AbsContPair(p, q)
-
-
 @dataclass(frozen=True)
 class EventMask:
     """Subset indicator over the support indices."""
@@ -198,24 +191,6 @@ def event_probability(dist: FiniteDistribution, mask: EventMask) -> float:
             f"mask length {len(mask)} != support size {dist.size}"
         )
     return float(dist.probs[mask.bits].sum())
-
-
-def enumerate_events(support_size: int) -> Iterator[EventMask]:
-    """Yield all 2^n subsets of an n-atom support exactly once.
-
-    Hard cap n <= 24; beyond that raise ResourceError and advise sampling.
-    """
-    n = int(support_size)
-    if n < 0:
-        raise ValidationError("support size must be nonnegative")
-    if n > ENUM_CAP:
-        raise ResourceError(
-            f"2^{n} events exceed the enumeration cap 2^{ENUM_CAP}; "
-            "sample random masks instead"
-        )
-    idx = np.arange(n)
-    for code in range(1 << n):
-        yield EventMask((code >> idx) & 1)
 
 
 @lru_cache(maxsize=32)
@@ -273,21 +248,13 @@ class JointFinite:
         col = col / col.sum()
         return FiniteDistribution(col)
 
-    def _conditional(self, axis: int, what: str) -> np.ndarray:
-        """The matrix over its marginal along `axis`; errors on zero mass."""
-        marginal = self.matrix.sum(axis=axis, keepdims=True)
-        if np.any(marginal == 0.0):
-            dead = np.flatnonzero(marginal == 0.0).tolist()
-            raise DegenerateMarginalError(f"conditional {what} {dead}")
-        return self.matrix / marginal
-
     def conditional_w_given_s(self) -> np.ndarray:
         """Row-stochastic |S| x |W| matrix P(w | s); errors on zero rows."""
-        return self._conditional(1, "W|S undefined at zero-mass rows")
-
-    def conditional_s_given_w(self) -> np.ndarray:
-        """Column-stochastic |S| x |W| matrix P(s | w); errors on zero columns."""
-        return self._conditional(0, "S|W undefined at zero-mass columns")
+        marginal = self.matrix.sum(axis=1, keepdims=True)
+        if np.any(marginal == 0.0):
+            dead = np.flatnonzero(marginal == 0.0).tolist()
+            raise DegenerateMarginalError(f"conditional W|S undefined at zero-mass rows {dead}")
+        return self.matrix / marginal
 
     def to_json(self) -> str:
         return json.dumps(
@@ -299,11 +266,6 @@ class JointFinite:
     def from_json(cls, text: str) -> "JointFinite":
         obj = json.loads(text)
         return cls(np.asarray(obj["matrix"], dtype=float))
-
-
-def joint_from_matrix(matrix) -> JointFinite:
-    """Validate and renormalize a nonnegative matrix into a JointFinite."""
-    return JointFinite(np.asarray(matrix, dtype=float))
 
 
 def product_pair(joint: JointFinite) -> AbsContPair:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import logsumexp
-from .dist import AbsContPair, JointFinite
+from .dist import AbsContPair, JointFinite, product_pair
 from .errors import (
     BoundaryError,
     DegenerateMarginalError,
@@ -119,12 +119,6 @@ def renyi_kind(alpha: float) -> DivergenceKind:
     return DivergenceKind("renyi", float(alpha))
 
 
-@dataclass(frozen=True)
-class DivergenceValue:
-    kind: DivergenceKind
-    value: float
-
-
 def generator_values(kind: DivergenceKind, t) -> np.ndarray:
     """Evaluate the convex generator f on t >= 0, with f(0) = lim f.
 
@@ -164,10 +158,9 @@ def f_divergence_from_ratios(
     return np.maximum(out, 0.0)
 
 
-def f_divergence(pair: AbsContPair, kind: DivergenceKind) -> DivergenceValue:
+def f_divergence(pair: AbsContPair, kind: DivergenceKind) -> float:
     """D_f(P || Q) = sum_i f(dP/dQ)_i Q_i over the atoms with Q_i > 0."""
-    value = float(f_divergence_from_ratios(pair.ratios, pair.q.probs, kind))
-    return DivergenceValue(kind, value)
+    return float(f_divergence_from_ratios(pair.ratios, pair.q.probs, kind))
 
 
 def binary_f_divergence(p: float, q: float, kind: DivergenceKind) -> float:
@@ -181,19 +174,26 @@ def binary_f_divergence(p: float, q: float, kind: DivergenceKind) -> float:
     return float(f_divergence_from_ratios(ratios, masses, kind))
 
 
+def _log_ratio(x, y, diff):
+    """log(x / y) as log1p(diff / y), where diff = x - y is formed by the
+    caller without cancellation; where diff / y rounds to -1 (x below an ulp
+    of y) log1p would return -inf, and log(x / y) is taken instead."""
+    down = diff / y
+    return np.where(down > -1.0, np.log1p(down), np.log(x / y))
+
+
 def bernoulli_kl_core(a, b):
     """kl(a, b) elementwise, with the 0 log 0 convention; b in (0, 1).
 
-    Each log-ratio is log1p of a ratio built from the difference a - b, so
-    kl(a, a) is exactly 0 and the value keeps its accuracy near a = b; where
-    (a - b) / b rounds to -1 (a below an ulp of b) the first is log(a / b).
-    At a = 0 or 1 the discarded branch divides by zero: callers silence that
-    with ``np.errstate(divide="ignore", invalid="ignore")``, once around a
-    whole search rather than on every evaluation.
+    Each log-ratio is log1p of a ratio built from the difference a - b (see
+    :func:`_log_ratio`), so kl(a, a) is exactly 0 and the value keeps its
+    accuracy near a = b.  At a = 0 or 1 the discarded branch divides by
+    zero: callers silence that with
+    ``np.errstate(divide="ignore", invalid="ignore")``, once around a whole
+    search rather than on every evaluation.
     """
-    down = (a - b) / b
-    t1 = np.where(a > 0, a * np.where(down > -1.0, np.log1p(down), np.log(a / b)), 0.0)
-    t2 = np.where(a < 1, (1.0 - a) * np.log1p((b - a) / (1.0 - b)), 0.0)
+    t1 = np.where(a > 0, a * _log_ratio(a, b, a - b), 0.0)
+    t2 = np.where(a < 1, (1.0 - a) * _log_ratio(1.0 - a, 1.0 - b, b - a), 0.0)
     return t1 + t2
 
 
@@ -251,9 +251,7 @@ def renyi_to_hellinger(d_alpha: float, alpha: float) -> float:
 
 def mutual_information(joint: JointFinite) -> float:
     """I(S; W) = KL(P_SW || P_S P_W)."""
-    from .dist import product_pair
-
-    return f_divergence(product_pair(joint), KL).value
+    return f_divergence(product_pair(joint), KL)
 
 
 def sibson_mi(joint: JointFinite, alpha: float) -> float:

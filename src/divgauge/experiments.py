@@ -36,9 +36,14 @@ ATOM_CAP = 20_000_000
 
 
 def _digit_matrix(m: int, n: int) -> np.ndarray:
-    """(m^n, n) matrix of all n-symbol strings over an m-letter alphabet."""
-    idx = np.arange(m**n)
-    return np.stack(np.unravel_index(idx, (m,) * n), axis=1).astype(np.int64)
+    """(m^n, n) matrix of all n-symbol strings over an m-letter alphabet,
+    first symbol most significant, in the smallest unsigned dtype holding
+    m - 1 (the matrix is the largest array of an enumeration)."""
+    out = np.empty((m**n, n), dtype=np.min_scalar_type(m - 1))
+    rest = np.arange(m**n)
+    for j in range(n - 1, -1, -1):
+        rest, out[:, j] = np.divmod(rest, m)
+    return out
 
 
 def _counts(digits: np.ndarray, m: int) -> np.ndarray:
@@ -162,14 +167,14 @@ class GibbsRun:
         """Exact values of every information measure the tail bounds use."""
         pair = self.pair
         panel = {
-            "mutual_information": f_divergence(pair, KL).value,
+            "mutual_information": f_divergence(pair, KL),
             "maximal_leakage": maximal_leakage(self.joint),
-            "chi2": f_divergence(pair, CHI2).value,
-            "squared_hellinger": f_divergence(pair, SQUARED_HELLINGER).value,
+            "chi2": f_divergence(pair, CHI2),
+            "squared_hellinger": f_divergence(pair, SQUARED_HELLINGER),
             "sibson_mi": {a: sibson_mi(self.joint, a) for a in alphas},
-            "power": {b: f_divergence(pair, power_kind(b)).value for b in betas},
+            "power": {b: f_divergence(pair, power_kind(b)) for b in betas},
             "hockey_stick": {
-                g: f_divergence(pair, hockey_stick_kind(g)).value for g in gammas
+                g: f_divergence(pair, hockey_stick_kind(g)) for g in gammas
             },
         }
         return panel
@@ -218,7 +223,7 @@ class SuperSampleRun:
 
     def conditional_hockey_stick(self, gamma: float) -> float:
         """Exact E_gamma(P_{WZS} || P_{W|Z} P_{ZS})."""
-        return f_divergence(self.pair, hockey_stick_kind(gamma)).value
+        return f_divergence(self.pair, hockey_stick_kind(gamma))
 
 
 def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
@@ -236,7 +241,7 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
     digits = _digit_matrix(m, 2 * n)  # all super-samples
     pzt = _string_probs(_counts(digits, m), exp.p_z)
 
-    selectors = _digit_matrix(2, n)  # all selector vectors
+    selectors = _digit_matrix(2, n).astype(np.intp)  # all selector vectors, signed for cols + s * n
     cols = np.arange(n)
 
     # P(w | ztilde, s), the paired empirical losses, and the selector average

@@ -21,7 +21,7 @@ from .bounds import (
 )
 from .dist import AbsContPair
 from .errors import RangeError
-from .orlicz import OrliczSpec, amemiya_norm
+from .orlicz import OrliczSpec, amemiya_norm, indicator_norm
 from ._optim import increasing_root
 
 
@@ -64,9 +64,8 @@ class BoundedLossSetting:
         return self.b - self.a
 
     def theta(self, eta: float) -> float:
-        if eta <= 0:
-            raise RangeError("eta must be positive")
-        return 2.0 * math.exp(-self.n * eta * eta / (2.0 * self.span**2))
+        """The sub-Gaussian mass at sigma = b - a."""
+        return SubGaussianSetting(self.span, self.n).theta(eta)
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,6 @@ class GenTailResult:
     @property
     def min_value(self) -> float:
         return min(b.raw for b in self.branches.values())
-
-    @property
-    def min_branch(self) -> str:
-        return min(self.branches, key=lambda k: self.branches[k].raw)
 
     @property
     def vacuous(self) -> bool:
@@ -247,8 +242,7 @@ def cmi_tail_orlicz(
     """
     theta = setting.theta(eta)
     am = amemiya_norm(pair, gamma, spec)
-    lux = float(1.0 / spec.inverse(1.0 / theta)) if theta > 0.0 else 0.0
-    return gamma * theta + lux * am
+    return gamma * theta + float(indicator_norm(theta, spec)) * am
 
 
 def cmi_convert(eps_fn, delta: float, setting: BoundedLossSetting) -> float:

@@ -128,11 +128,22 @@ def _validate(spec: OrliczSpec) -> None:
                 raise OrliczSpecError("inverse(psi(t)) must not exceed t")
 
 
+def indicator_norm(q, spec: OrliczSpec):
+    """Luxemburg norm 1 / psi^{-1}(1/q) of an indicator with mass q >= 0,
+    elementwise: 0 at q = 0, and q clipped below at 1e-300 so 1/q stays
+    finite.  Masses above 1 are kept (a Hoeffding surrogate may exceed 1)."""
+    q = np.asarray(q, dtype=float)
+    qs = np.maximum(q, 1e-300)
+    with np.errstate(divide="ignore"):
+        norm = 1.0 / np.asarray(spec.inverse(1.0 / qs), dtype=float)
+    return np.where(q > 0.0, norm, 0.0)
+
+
 def luxemburg_indicator_norm(q: float, spec: OrliczSpec) -> float:
-    """Luxemburg norm of an indicator with mass q: 1 / psi^{-1}(1/q)."""
+    """Luxemburg norm of an indicator with mass q in (0, 1]: 1 / psi^{-1}(1/q)."""
     if not 0.0 < q <= 1.0:
         raise RangeError("indicator mass must lie in (0, 1]")
-    return float(1.0 / spec.inverse(1.0 / q))
+    return float(indicator_norm(q, spec))
 
 
 def _live(values, weights) -> tuple[np.ndarray, np.ndarray]:

@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from divgauge import (
+    AbsContPair,
     EventMask,
     FiniteDistribution,
     JointFinite,
-    enumerate_events,
     event_probability,
-    joint_from_matrix,
     make_distribution,
-    make_pair,
     product_pair,
     random_pair,
 )
-from divgauge.dist import event_mask_matrix
+from divgauge.dist import EXHAUSTIVE_LIMIT, event_mask_matrix
 from divgauge.errors import (
     DegenerateMarginalError,
     DominationError,
@@ -75,25 +73,25 @@ def test_distribution_json_round_trip_is_bit_exact():
 
 
 def test_make_pair_ratios():
-    pair = make_pair(make_distribution([1, 1]), make_distribution([1, 3]))
+    pair = AbsContPair(make_distribution([1, 1]), make_distribution([1, 3]))
     assert pair.ratios[0] == pytest.approx(2.0, abs=1e-15)
     assert pair.ratios[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_make_pair_identity_ratios():
     d = make_distribution([3, 1, 4])
-    pair = make_pair(d, d)
+    pair = AbsContPair(d, d)
     assert np.allclose(pair.ratios, 1.0, atol=1e-15)
 
 
 def test_make_pair_rejects_domination_failure():
     with pytest.raises(DominationError):
-        make_pair(make_distribution([1, 1]), make_distribution([1, 0]))
+        AbsContPair(make_distribution([1, 1]), make_distribution([1, 0]))
 
 
 def test_make_pair_rejects_support_mismatch():
     with pytest.raises(ShapeError):
-        make_pair(make_distribution([1, 1]), make_distribution([1, 1, 1]))
+        AbsContPair(make_distribution([1, 1]), make_distribution([1, 1, 1]))
 
 
 def test_event_probability_basics():
@@ -116,16 +114,16 @@ def test_event_probability_additive_over_disjoint_masks():
     )
 
 
-def test_enumerate_events_counts():
-    assert [m.count for m in enumerate_events(0)] == [0]
-    masks = list(enumerate_events(3))
-    assert len(masks) == 8
-    assert len({m.to_int() for m in masks}) == 8
+def test_event_mask_matrix_counts():
+    assert event_mask_matrix(0).shape == (1, 0)
+    masks = event_mask_matrix(3)
+    assert masks.shape == (8, 3)
+    assert [EventMask(m).to_int() for m in masks] == list(range(8))
 
 
-def test_enumerate_events_cap():
+def test_event_mask_matrix_cap():
     with pytest.raises(ResourceError):
-        next(enumerate_events(25))
+        event_mask_matrix(EXHAUSTIVE_LIMIT + 1)
 
 
 def test_event_mask_from_int_round_trip():
@@ -135,7 +133,7 @@ def test_event_mask_from_int_round_trip():
 
 
 def test_joint_marginals_match_direct_sums():
-    joint = joint_from_matrix(np.array([[0.1, 0.2, 0.05], [0.15, 0.3, 0.2]]))
+    joint = JointFinite(np.array([[0.1, 0.2, 0.05], [0.15, 0.3, 0.2]]))
     m = joint.matrix
     assert np.allclose(joint.marginal_s.probs, m.sum(axis=1), atol=1e-12)
     assert np.allclose(joint.marginal_w.probs, m.sum(axis=0), atol=1e-12)
@@ -143,14 +141,14 @@ def test_joint_marginals_match_direct_sums():
 
 def test_joint_renormalizes_within_tolerance():
     m = np.full((2, 2), 0.25) * (1 + 5e-10)
-    joint = joint_from_matrix(m)
+    joint = JointFinite(m)
     assert joint.matrix.sum() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValidationError):
-        joint_from_matrix(np.full((2, 2), 0.3))
+        JointFinite(np.full((2, 2), 0.3))
 
 
 def test_joint_conditional_errors_on_zero_row():
-    joint = joint_from_matrix(np.array([[0.5, 0.5], [0.0, 0.0]]))
+    joint = JointFinite(np.array([[0.5, 0.5], [0.0, 0.0]]))
     with pytest.raises(DegenerateMarginalError):
         joint.conditional_w_given_s()
 
@@ -158,13 +156,13 @@ def test_joint_conditional_errors_on_zero_row():
 def test_product_pair_independent_joint_has_unit_ratios():
     ps = np.array([0.3, 0.7])
     pw = np.array([0.2, 0.5, 0.3])
-    joint = joint_from_matrix(np.outer(ps, pw))
+    joint = JointFinite(np.outer(ps, pw))
     pair = product_pair(joint)
     assert np.allclose(pair.ratios, 1.0, atol=1e-12)
 
 
 def test_product_pair_diagonal_joint_keeps_domination():
-    joint = joint_from_matrix(np.array([[0.5, 0.0], [0.0, 0.5]]))
+    joint = JointFinite(np.array([[0.5, 0.0], [0.0, 0.5]]))
     pair = product_pair(joint)
     # off-diagonal P_SW atoms are zero but the product is positive
     assert pair.ratios[0] == pytest.approx(2.0, abs=1e-12)
@@ -184,7 +182,7 @@ def test_positive_part_integral_equals_event_supremum(gamma):
 
 
 def test_joint_json_round_trip():
-    joint = joint_from_matrix([[0.125, 0.375], [0.25, 0.25]])
+    joint = JointFinite([[0.125, 0.375], [0.25, 0.25]])
     back = JointFinite.from_json(joint.to_json())
     assert np.array_equal(back.matrix, joint.matrix)
 

@@ -12,6 +12,7 @@ from divgauge import (
     run_supersample_experiment,
 )
 from divgauge.errors import RangeError, ResourceError, ValidationError
+from divgauge.experiments import _digit_matrix
 
 LOSSES = np.array([[0.0, 1.0], [1.0, 0.0], [0.4, 0.6]])
 
@@ -20,6 +21,13 @@ def small_gibbs(n=5, temperature=2.0, p=(0.5, 0.5)):
     return GibbsExperiment(
         p_z=make_distribution(list(p)), loss_table=LOSSES, n=n, temperature=temperature
     )
+
+
+@pytest.mark.parametrize("m, n", [(2, 5), (3, 4), (5, 3)])
+def test_digit_matrix_matches_unravel_index(m, n):
+    want = np.stack(np.unravel_index(np.arange(m**n), (m,) * n), axis=1)
+    got = _digit_matrix(m, n)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 def test_joint_has_all_dataset_atoms_and_unit_mass():

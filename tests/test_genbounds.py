@@ -239,7 +239,7 @@ def test_hockey_stick_cap_iff_approx_max_info(gamma):
     # E_gamma <= tau if and only if the approximate max-information <= log gamma
     for i in range(30):
         pair = dg.random_pair(61, i, 6)
-        e_val = dg.f_divergence(pair, dg.hockey_stick_kind(gamma)).value
+        e_val = dg.f_divergence(pair, dg.hockey_stick_kind(gamma))
         for tau in (0.01, 0.1, 0.3):
             lhs = e_val <= tau
             rhs = approx_max_info(pair, tau) <= math.log(gamma)

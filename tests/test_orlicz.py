@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from divgauge import (
+    AbsContPair,
     amemiya_norm,
     custom_orlicz,
     luxemburg_indicator_norm,
     luxemburg_norm_values,
     make_distribution,
-    make_pair,
     power_orlicz,
     random_pair,
 )
@@ -36,7 +36,7 @@ def test_indicator_norm_power_closed_form():
 
 
 def test_amemiya_power_closed_form():
-    pair = make_pair(make_distribution([3, 1, 2, 2]), make_distribution([1, 1, 1, 1]))
+    pair = AbsContPair(make_distribution([3, 1, 2, 2]), make_distribution([1, 1, 1, 1]))
     # gamma = 0 gives the alpha-norm of the ratio; just below the top ratio
     # the excess is ~1e-14 and the optimal t ~ 1e14 lies past a 1e12 bracket
     top = float(pair.ratios.max())
