@@ -83,10 +83,16 @@ def parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid {text!r} must be start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError as exc:
+        raise ValidationError(f"grid {text!r}: {exc}") from exc
     if step <= 0 or stop < start:
         raise ValidationError(f"grid {text!r} must have step > 0 and stop >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not all(math.isfinite(x) for x in (start, stop, step, span)):
+        raise ValidationError(f"grid {text!r} must have a finite start, stop, step and length")
+    n = int(math.floor(span + 1e-9)) + 1
     return start + step * np.arange(n)
 
 

@@ -277,13 +277,15 @@ def sibson_mi(joint: JointFinite, alpha: float) -> float:
         log_cond = np.log(cond)
         log_ms = np.log(ms)
     inner = logsumexp(log_ms[:, None] + alpha * log_cond, axis=0) / alpha
-    return float(alpha / (alpha - 1.0) * logsumexp(inner))
+    # where W is independent of S the sum is 1 up to roundoff; I_alpha >= 0
+    return max(float(alpha / (alpha - 1.0) * logsumexp(inner)), 0.0)
 
 
 def maximal_leakage(joint: JointFinite) -> float:
     """log sum_w max_s P(w | s): the order-infinity Sibson information."""
     cond = joint.conditional_w_given_s()
-    return float(np.log(cond.max(axis=0).sum()))
+    # the sum is at least that of one row, 1 up to roundoff
+    return max(float(np.log(cond.max(axis=0).sum())), 0.0)
 
 
 def fiber_constants(joint: JointFinite, alpha: float = math.inf) -> np.ndarray:

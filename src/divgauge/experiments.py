@@ -6,6 +6,14 @@ closed form, and with it every divergence and the exact generalization-error
 tail, with no sampling anywhere.  These exact tails are the oracles the
 generalization bounds are verified against.
 
+The Gibbs posterior and the generalization gap depend on a dataset only
+through its type, its letter counts T.  So the enumeration runs over the
+C(n+m-1, m-1) types, each weighted by its multinomial mass: I(S;W) =
+I(T;W), and the same holds for every f-divergence of (P_SW, P_S x P_W), for
+Sibson's I_alpha and maximal leakage, and for the tail of gen(S, W).  The
+dataset-level joint and gap table are gathered from the per-type rows
+through each string's type index.
+
 The paired-sample (selector) variant enumerates the full law of
 (W, Z-tilde, S) for the conditional-information bounds.
 """
@@ -50,10 +58,29 @@ def _counts(digits: np.ndarray, m: int) -> np.ndarray:
     return np.stack([(digits == c).sum(axis=1) for c in range(m)], axis=1)
 
 
-def _string_probs(counts: np.ndarray, p_z: FiniteDistribution) -> np.ndarray:
-    """I.i.d. probability of each sample string, from its letter counts."""
-    ps = np.exp(counts @ np.log(p_z.probs))
-    return ps / ps.sum()
+def _type_index(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The letter-count vectors (types) of n-symbol strings over an m-letter
+    alphabet, and the type row of every string in the order of
+    _digit_matrix, in the smallest unsigned dtype holding the row count.
+
+    The index grows one letter at a time through a transition table (type of
+    the first j letters, next letter) -> type of the first j + 1: appending
+    a letter to the strings in order puts each string's m continuations
+    side by side, so each letter costs one gather of the table.
+    """
+    types = np.zeros((1, m), dtype=np.int64)
+    index = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        grown = (types[:, None, :] + np.eye(m, dtype=np.int64)).reshape(-1, m)
+        types, step = np.unique(grown, axis=0, return_inverse=True)
+        step = step.reshape(-1, m).astype(np.min_scalar_type(len(types) - 1))
+        index = step[index].ravel()
+    return types, index
+
+
+def _iid_weights(counts: np.ndarray, p_z: FiniteDistribution) -> np.ndarray:
+    """I.i.d. probability of one sample string, from its letter counts."""
+    return np.exp(counts @ np.log(p_z.probs))
 
 
 def _check_atoms(atoms: int) -> None:
@@ -141,22 +168,29 @@ class ExactTail:
         self._suffix = np.append(suffix, 0.0)
 
     def __call__(self, eta: float) -> float:
+        if math.isnan(eta):
+            raise ValidationError(f"tail threshold eta must not be NaN, got {eta!r}")
         i = int(np.searchsorted(self._v, eta, side="left"))
         return float(self._suffix[i])
 
 
 @dataclass(frozen=True)
 class GibbsRun:
-    """Everything the exact enumeration of a Gibbs experiment produces."""
+    """Everything the exact enumeration of a Gibbs experiment produces.
+
+    The panel, the pair and the exact tail come from type_joint; joint and
+    gen_table hold the same law per sample string.
+    """
 
     experiment: GibbsExperiment
-    joint: JointFinite
+    joint: JointFinite  # m^n x k law of (S, W)
     gen_table: np.ndarray  # m^n x k matrix of gen(s, w)
     exact_tail: ExactTail
+    type_joint: JointFinite  # C(n+m-1, m-1) x k law of (T, W)
 
     @cached_property
     def pair(self) -> AbsContPair:
-        return product_pair(self.joint)
+        return product_pair(self.type_joint)
 
     def divergence_panel(
         self,
@@ -168,10 +202,10 @@ class GibbsRun:
         pair = self.pair
         panel = {
             "mutual_information": f_divergence(pair, KL),
-            "maximal_leakage": maximal_leakage(self.joint),
+            "maximal_leakage": maximal_leakage(self.type_joint),
             "chi2": f_divergence(pair, CHI2),
             "squared_hellinger": f_divergence(pair, SQUARED_HELLINGER),
-            "sibson_mi": {a: sibson_mi(self.joint, a) for a in alphas},
+            "sibson_mi": {a: sibson_mi(self.type_joint, a) for a in alphas},
             "power": {b: f_divergence(pair, power_kind(b)) for b in betas},
             "hockey_stick": {
                 g: f_divergence(pair, hockey_stick_kind(g)) for g in gammas
@@ -181,24 +215,29 @@ class GibbsRun:
 
 
 def run_gibbs_experiment(exp: GibbsExperiment) -> GibbsRun:
-    """Enumerate all m^n datasets and assemble the exact joint law of (S, W).
+    """Enumerate the types of all m^n datasets and assemble the exact joint
+    law of (T, W), then gather the law of (S, W) from it.
 
-    The joint has m^n * k atoms (capped at 2e7).  gen(s, w) is the population
-    risk of w minus its empirical risk on s.
+    The dataset joint has m^n * k atoms (capped at 2e7).  gen(s, w) is the
+    population risk of w minus its empirical risk on s.
     """
     m, k, n = exp.m, exp.k, exp.n
     _check_atoms(m**n * k)
-    counts = _counts(_digit_matrix(m, n), m)
-    ps = _string_probs(counts, exp.p_z)
+    types, index = _type_index(m, n)
+    weights = _iid_weights(types, exp.p_z)  # of one string of each type
 
-    emp_loss = counts @ exp.loss_table.T / n  # (m^n, k)
+    emp_loss = types @ exp.loss_table.T / n  # (types, k)
     post = _posterior(emp_loss, exp.temperature)
-    joint = JointFinite(ps[:, None] * post)
-
     pop_risk = exp.loss_table @ exp.p_z.probs  # (k,)
-    gen_table = pop_risk[None, :] - emp_loss
-    tail = ExactTail(gen_table, joint.matrix)
-    return GibbsRun(exp, joint, gen_table, tail)
+    gen = pop_risk[None, :] - emp_loss
+
+    mass = np.bincount(index, minlength=len(types)) * weights  # multinomial
+    type_joint = JointFinite(mass[:, None] / mass.sum() * post)
+    tail = ExactTail(gen, type_joint.matrix)
+
+    ps = weights[index]
+    joint = JointFinite((ps / ps.sum())[:, None] * post[index])
+    return GibbsRun(exp, joint, gen[index], tail, type_joint)
 
 
 @dataclass(frozen=True)
@@ -239,7 +278,8 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
     _check_atoms(n_z * n_s * k)
 
     digits = _digit_matrix(m, 2 * n)  # all super-samples
-    pzt = _string_probs(_counts(digits, m), exp.p_z)
+    pzt = _iid_weights(_counts(digits, m), exp.p_z)
+    pzt = pzt / pzt.sum()
 
     selectors = _digit_matrix(2, n).astype(np.intp)  # all selector vectors, signed for cols + s * n
     cols = np.arange(n)

@@ -320,3 +320,25 @@ def test_grid_parsing():
     assert grid[-1] == pytest.approx(1.0)
     with pytest.raises(Exception):
         cli.parse_grid("1:0:0.1")
+
+
+NON_FINITE_GRIDS = ["nan:1:0.1", "0:1:nan", "0:inf:0.5", "0:1:inf", "0:1e308:1e-300", "0:one:0.1"]
+
+
+@pytest.mark.parametrize("grid", NON_FINITE_GRIDS)
+def test_genbound_non_finite_eta_grid_exits_2(grid, gibbs_file, capsys):
+    argv = ["genbound", "--sigma", "0.5", "--n", "5", "--eta-grid", grid, "--experiment", gibbs_file]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"divgauge: error: grid {grid!r}")
+
+
+@pytest.mark.parametrize("grid", NON_FINITE_GRIDS)
+def test_experiment_non_finite_eta_grid_exits_2(grid, gibbs_file, capsys):
+    assert cli.main(["experiment", "--config", gibbs_file, "--eta-grid", grid]) == 2
+    assert capsys.readouterr().err.startswith(f"divgauge: error: grid {grid!r}")
+
+
+@pytest.mark.parametrize("grid", NON_FINITE_GRIDS)
+def test_mi_gap_non_finite_mi_grid_exits_2(grid, capsys):
+    assert cli.main(["mi-gap", "--sigma", "1", "--n", "4", "--mi-grid", grid]) == 2
+    assert capsys.readouterr().err.startswith(f"divgauge: error: grid {grid!r}")

@@ -12,7 +12,7 @@ from divgauge import (
     run_supersample_experiment,
 )
 from divgauge.errors import RangeError, ResourceError, ValidationError
-from divgauge.experiments import _digit_matrix
+from divgauge.experiments import _counts, _digit_matrix, _posterior
 
 LOSSES = np.array([[0.0, 1.0], [1.0, 0.0], [0.4, 0.6]])
 
@@ -191,3 +191,76 @@ def test_supersample_reference_law_is_a_valid_pair():
     assert run.pair.p.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert run.pair.q.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert run.conditional_hockey_stick(1.0) >= -1e-12
+
+
+def test_exact_tail_rejects_nan_eta():
+    # searchsorted puts NaN last, which read as an empty tail
+    run = run_gibbs_experiment(small_gibbs(n=4))
+    with pytest.raises(ValidationError, match="nan"):
+        run.exact_tail(math.nan)
+
+
+def _string_enumeration(exp):
+    """The dataset joint and gap table summed string by string from the
+    digit matrix: the oracle for the type-class enumeration."""
+    counts = _counts(_digit_matrix(exp.m, exp.n), exp.m)
+    ps = np.exp(counts @ np.log(exp.p_z.probs))
+    ps = ps / ps.sum()
+    emp_loss = counts @ exp.loss_table.T / exp.n
+    joint = dg.JointFinite(ps[:, None] * _posterior(emp_loss, exp.temperature))
+    gen_table = (exp.loss_table @ exp.p_z.probs)[None, :] - emp_loss
+    return joint, gen_table
+
+
+_ORACLE_LAWS = {
+    2: ([0.3, 0.7], [[0.0, 1.0], [1.0, 0.0], [0.4, 0.6]], 12),  # rows 0 and 1 tie at (6, 6)
+    3: ([0.2, 0.3, 0.5], [[0.0, 0.5, 1.0], [1.0, 0.4, 0.1]], 9),
+    5: ([0.1, 0.3, 0.2, 0.25, 0.15], [[0.1, 0.9, 0.3, 0.6, 0.0], [0.8, 0.2, 0.5, 0.1, 0.7],
+                                      [0.1, 0.9, 0.3, 0.6, 0.0]], 6),  # rows 0 and 2 tie
+}
+
+
+@pytest.mark.parametrize("temperature", [0.0, 2.0, math.inf])
+@pytest.mark.parametrize("m", sorted(_ORACLE_LAWS))
+def test_type_enumeration_matches_string_enumeration(m, temperature):
+    p, table, n = _ORACLE_LAWS[m]
+    exp = GibbsExperiment(make_distribution(p), np.array(table), n, temperature)
+    run = run_gibbs_experiment(exp)
+    joint, gen_table = _string_enumeration(exp)
+    assert np.array_equal(run.joint.matrix, joint.matrix)
+    assert np.array_equal(run.gen_table, gen_table)
+
+    pair = dg.product_pair(joint)
+    want = {
+        "mutual_information": dg.f_divergence(pair, dg.KL),
+        "maximal_leakage": dg.maximal_leakage(joint),
+        "chi2": dg.f_divergence(pair, dg.CHI2),
+        "squared_hellinger": dg.f_divergence(pair, dg.SQUARED_HELLINGER),
+        "sibson_mi": {a: dg.sibson_mi(joint, a) for a in (2.0, 4.0)},
+        "power": {b: dg.f_divergence(pair, dg.power_kind(b)) for b in (1.5, 2.0)},
+        "hockey_stick": {g: dg.f_divergence(pair, dg.hockey_stick_kind(g)) for g in (1.0, 2.0)},
+    }
+    got = run.divergence_panel((2.0, 4.0), (1.5, 2.0), (1.0, 2.0))
+    sibson = want.pop("sibson_mi")
+    for key, value in want.items():
+        # abs covers the temperature-0 panel, which is 0 up to roundoff
+        assert got[key] == pytest.approx(value, rel=1e-13, abs=1e-15), key
+    # Sibson's sum over the strings is itself off by up to 3.5e-14 from a
+    # 50-digit reference here (at m = 3, temperature 2), the type sum by 2.5e-16
+    assert got["sibson_mi"] == pytest.approx(sibson, abs=1e-13)
+
+    masses, gaps = joint.matrix.ravel(), np.abs(gen_table).ravel()
+    for eta in [0.0, *np.unique(gaps)[::3], 0.37, 2.0]:
+        want_tail = math.fsum(masses[gaps >= eta])
+        assert run.exact_tail(float(eta)) == pytest.approx(want_tail, abs=1e-13)
+
+
+def test_exact_tail_is_the_exact_sum_over_two_million_strings():
+    # a cumulative sum over the 2 M sorted string masses was off by 1.5e-11 here
+    exp = GibbsExperiment(make_distribution([0.4, 0.6]), np.array([[0.3, 0.7], [0.9, 0.2]]),
+                          20, 0.5)
+    run = run_gibbs_experiment(exp)
+    eta = 0.02 * (exp.loss_range[1] - exp.loss_range[0])
+    masses = run.joint.matrix.ravel()
+    want = math.fsum(masses[np.abs(run.gen_table).ravel() >= eta])
+    assert run.exact_tail(eta) == pytest.approx(want, abs=1e-13)
