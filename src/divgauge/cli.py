@@ -93,7 +93,14 @@ def parse_grid(text: str) -> np.ndarray:
     if not all(math.isfinite(x) for x in (start, stop, step, span)):
         raise ValidationError(f"grid {text!r} must have a finite start, stop, step and length")
     n = int(math.floor(span + 1e-9)) + 1
-    return start + step * np.arange(n)
+    too_many = f"grid {text!r} has {n} points, more than numpy can hold"
+    try:
+        points = np.arange(n)
+    except ValueError as exc:  # e.g. 0:1e20:1
+        raise ValidationError(too_many) from exc
+    if points.size != n:  # np.arange returns some counts near 2^63 empty
+        raise ValidationError(too_many)
+    return start + step * points
 
 
 def parse_event(text: str, size: int) -> EventMask:
@@ -421,8 +428,13 @@ def cmd_experiment(args) -> int:
         payload["type"] = "gibbs"
         payload["divergences"] = _jsonable(run.divergence_panel())
     else:
-        run = run_supersample_experiment(exp)
         gammas = obj.get("gammas", [1.0, 2.0, 4.0])
+        if not isinstance(gammas, list) or not all(
+            isinstance(g, (int, float)) and not isinstance(g, bool) and math.isfinite(g)
+            for g in gammas
+        ):
+            raise ValidationError(f"{args.config}: gammas must be a list of finite numbers")
+        run = run_supersample_experiment(exp)
         payload["type"] = "supersample"
         payload["conditional_hockey_stick"] = {
             str(g): run.conditional_hockey_stick(float(g)) for g in gammas

@@ -14,8 +14,12 @@ Sibson's I_alpha and maximal leakage, and for the tail of gen(S, W).  The
 dataset-level joint and gap table are gathered from the per-type rows
 through each string's type index.
 
-The paired-sample (selector) variant enumerates the full law of
-(W, Z-tilde, S) for the conditional-information bounds.
+The paired-sample (selector) variant gives the law of (W, Z-tilde, S) for
+the conditional-information bounds.  Its classes are a pair type (the
+letter counts of the pair-letters (Z-tilde_i, Z-tilde_{i+n})) with the type
+of the selected half: dP/dQ and the paired gap are constant on each, so
+E_gamma and the exact tail come from the class pair, and the per-atom pair
+and gap are gathered from the half-type and pair-type rows.
 """
 
 from __future__ import annotations
@@ -52,10 +56,6 @@ def _digit_matrix(m: int, n: int) -> np.ndarray:
     for j in range(n - 1, -1, -1):
         rest, out[:, j] = np.divmod(rest, m)
     return out
-
-
-def _counts(digits: np.ndarray, m: int) -> np.ndarray:
-    return np.stack([(digits == c).sum(axis=1) for c in range(m)], axis=1)
 
 
 def _type_index(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,54 +255,91 @@ class SuperSampleExperiment(_Learner):
 
 @dataclass(frozen=True)
 class SuperSampleRun:
+    """Everything the exact enumeration of a paired-sample experiment produces.
+
+    E_gamma and the exact tail come from class_pair; pair and gen_hat hold
+    the same law per atom (selector, super-sample, hypothesis).
+    """
+
     experiment: SuperSampleExperiment
     pair: AbsContPair  # flattened (P_{WZS}, P_{W|Z} P_{ZS})
     gen_hat: np.ndarray  # per-atom paired generalization gap
     exact_tail: ExactTail
+    class_pair: AbsContPair  # the same pair over (pair type, selected type, w)
 
     def conditional_hockey_stick(self, gamma: float) -> float:
         """Exact E_gamma(P_{WZS} || P_{W|Z} P_{ZS})."""
-        return f_divergence(self.pair, hockey_stick_kind(gamma))
+        return f_divergence(self.class_pair, hockey_stick_kind(gamma))
 
 
 def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
-    """Enumerate the full law of (W, Ztilde, S) and the paired-gap tails.
+    """Enumerate the law of (W, Ztilde, S) by class and the paired-gap tails.
 
-    Atom count m^(2n) * 2^n * k is capped at 2e7 (practically n <= 6 at
-    m = 2).  The reference law factors W from S given Ztilde by averaging the
-    learner over all selectors.
+    A class is a pair type tau, the letter counts of the pair-letters
+    (Ztilde_i, Ztilde_{i+n}), with a selected-half type t.  P(Ztilde)
+    depends on Ztilde only through tau, P(w | Ztilde, S) = post(w | t), the
+    selector average P(w | Ztilde) only through tau, and the gap is
+    emp(total(tau) - t) - emp(t); so every f-divergence and the tail are
+    those of the class pair, whose masses are exact atom counts per class.
+    The per-atom pair and gap, over m^(2n) * 2^n * k atoms (capped at 2e7:
+    n <= 7 at m = k = 2), are gathered from the same half-type and pair-type
+    rows.
     """
     m, k, n = exp.m, exp.k, exp.n
-    n_z = m ** (2 * n)
     n_s = 2**n
-    _check_atoms(n_z * n_s * k)
+    _check_atoms(m ** (2 * n) * n_s * k)
 
-    digits = _digit_matrix(m, 2 * n)  # all super-samples
-    pzt = _iid_weights(_counts(digits, m), exp.p_z)
-    pzt = pzt / pzt.sum()
+    digits = _digit_matrix(m, 2 * n).astype(np.intp)  # all super-samples
+    first, second = digits[:, :n], digits[:, n:]
+    place = m ** np.arange(n - 1, -1, -1)
+    i_first, i_second = first @ place, second @ place
+    # the selected half's string index is the first half's, with the second
+    # half's letter wherever the selector bit is set; the complement half
+    # holds the other letter of each pair
+    selected = i_first + (_digit_matrix(2, n) * place) @ (second - first).T
+    half_types, half_index = _type_index(m, n)
+    n_h = len(half_types)
+    sel_type = half_index[selected].astype(np.intp)  # (2^n, m^(2n))
+    comp_type = half_index[i_first + i_second - selected]
+    # the pair type of a super-sample is its sorted pair-letters (x_i, y_i)
+    pair_key = np.sort(first * m + second, axis=1) @ place**2
+    _, rep, tau = np.unique(pair_key, return_index=True, return_inverse=True)
 
-    selectors = _digit_matrix(2, n).astype(np.intp)  # all selector vectors, signed for cols + s * n
-    cols = np.arange(n)
+    emp_h = half_types @ exp.loss_table.T / n  # (half types, k)
+    post_h = _posterior(emp_h, exp.temperature)
+    # row t * n_h + c: the gap emp(c) - emp(t) of selected type t, complement c
+    gap = (emp_h[None, :, :] - emp_h[:, None, :]).reshape(-1, k)
+    # the super-samples of one pair type share their letter counts and, over
+    # the 2^n selectors, their selected and complement types; one of each
+    # pair type gives the class rows
+    sel_rep, comp_rep = sel_type[:, rep], comp_type[:, rep]
+    totals = half_types[half_index[i_first[rep]]] + half_types[half_index[i_second[rep]]]
+    weights = _iid_weights(totals, exp.p_z)  # of one super-sample of each pair type
+    w_given_tau = np.take(post_h, sel_rep, axis=0).mean(axis=0)  # P(w | Ztilde)
+    pz = weights[tau]
+    total = pz.sum()
 
-    # P(w | ztilde, s), the paired empirical losses, and the selector average
-    post_by_s = np.empty((n_s, n_z, k))
-    emp_sel = np.empty((n_s, n_z, k))
-    emp_comp = np.empty((n_s, n_z, k))
-    for j, s in enumerate(selectors):
-        sel_digits = digits[:, cols + s * n]
-        comp_digits = digits[:, cols + (1 - s) * n]
-        emp_sel[j] = _counts(sel_digits, m) @ exp.loss_table.T / n
-        emp_comp[j] = _counts(comp_digits, m) @ exp.loss_table.T / n
-        post_by_s[j] = _posterior(emp_sel[j], exp.temperature)
-    w_given_z = post_by_s.mean(axis=0)  # (n_z, k)
+    # a class is a pair type with one selected type: its selectors merged
+    _, at, mult = np.unique(
+        (np.arange(len(rep)) * n_h + sel_rep).ravel(), return_index=True, return_counts=True
+    )
+    c_tau, c_t, c_comp = at % len(rep), sel_rep.ravel()[at], comp_rep.ravel()[at]
+    count = np.bincount(tau)[c_tau] * mult  # atoms (s, ztilde) per class
+    mass = (count * (weights[c_tau] / total / n_s))[:, None]
+    class_pair = AbsContPair(
+        FiniteDistribution(normalized((mass * post_h[c_t]).ravel())),
+        FiniteDistribution(normalized((mass * w_given_tau[c_tau]).ravel())),
+    )
+    tail = ExactTail(gap[c_t * n_h + c_comp], class_pair.p.probs)
 
-    # flatten over (s, ztilde, w)
-    p_atoms = (pzt[None, :, None] / n_s) * post_by_s
-    q_atoms = (pzt[None, :, None] / n_s) * np.broadcast_to(w_given_z, post_by_s.shape)
-    gen_hat = emp_comp - emp_sel
-
-    p = FiniteDistribution(normalized(p_atoms.ravel()))
-    q = FiniteDistribution(normalized(q_atoms.ravel()))
-    pair = AbsContPair(p, q)
-    tail = ExactTail(gen_hat.ravel(), p.probs)
-    return SuperSampleRun(exp, pair, gen_hat.ravel(), tail)
+    # gathered over the atoms (s, ztilde, w)
+    scale = (pz / total)[None, :, None] / n_s
+    p_atoms = np.take(post_h, sel_type, axis=0)
+    p_atoms *= scale
+    q_atoms = np.broadcast_to(scale * w_given_tau[tau], p_atoms.shape)
+    pair = AbsContPair(
+        FiniteDistribution(normalized(p_atoms.ravel())),
+        FiniteDistribution(normalized(q_atoms.ravel())),
+    )
+    gen_hat = np.take(gap, sel_type * n_h + comp_type, axis=0).ravel()
+    return SuperSampleRun(exp, pair, gen_hat, tail, class_pair)

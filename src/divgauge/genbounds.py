@@ -236,9 +236,11 @@ def cmi_tail_orlicz(
 ) -> float:
     """Orlicz version of the paired-sample tail bound.
 
-    ``pair`` is the flattened (P_{WZS}, P_{W|Z} P_{ZS}) pair produced by the
-    paired-sample experiment; the indicator norm is taken at the Hoeffding
-    surrogate mass, and is 0 where that mass underflows to 0, as for events.
+    ``pair`` is the (P_{WZS}, P_{W|Z} P_{ZS}) pair of a paired-sample
+    experiment, either its per-atom ``pair`` or its ``class_pair`` (merging
+    atoms of equal dP/dQ keeps the Amemiya norm); the indicator norm is taken
+    at the Hoeffding surrogate mass, and is 0 where that mass underflows to
+    0, as for events.
     """
     theta = setting.theta(eta)
     am = amemiya_norm(pair, gamma, spec)

@@ -342,3 +342,38 @@ def test_experiment_non_finite_eta_grid_exits_2(grid, gibbs_file, capsys):
 def test_mi_gap_non_finite_mi_grid_exits_2(grid, capsys):
     assert cli.main(["mi-gap", "--sigma", "1", "--n", "4", "--mi-grid", grid]) == 2
     assert capsys.readouterr().err.startswith(f"divgauge: error: grid {grid!r}")
+
+
+# point counts np.arange refuses at once (1e20, 2e18) or returns as an empty
+# array (2^63 + 1); none allocates anything
+OVERSIZED_GRIDS = ["0:1e20:1", "0:2e18:1", "0:9223372036854775807:1"]
+
+
+@pytest.mark.parametrize("grid", OVERSIZED_GRIDS)
+def test_mi_gap_grid_numpy_cannot_hold_exits_2(grid, capsys):
+    assert cli.main(["mi-gap", "--sigma", "1", "--n", "4", "--mi-grid", grid]) == 2
+    assert capsys.readouterr().err.startswith(f"divgauge: error: grid {grid!r} has ")
+
+
+@pytest.mark.parametrize(
+    "gammas", [["x"], "12", [1.0, None], [True], [1.0, math.nan], [math.inf], {"1": 2.0}, 2.0]
+)
+def test_experiment_rejects_malformed_gammas(gammas, tmp_path, capsys):
+    cfg = tmp_path / "ss.json"
+    cfg.write_text(json.dumps({"type": "supersample", "p_z": [0.5, 0.5],
+                               "loss_table": [[0.0, 1.0], [0.8, 0.1]], "n": 2,
+                               "temperature": 1.0, "gammas": gammas}))
+    out = tmp_path / "out.json"
+    assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "gammas must be a list of finite numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_accepts_integer_gammas(tmp_path):
+    cfg = tmp_path / "ss.json"
+    cfg.write_text(json.dumps({"type": "supersample", "p_z": [0.5, 0.5],
+                               "loss_table": [[0.0, 1.0], [0.8, 0.1]], "n": 2,
+                               "temperature": 1.0, "gammas": [1, 2.5]}))
+    code, payload = run_json(["experiment", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    assert set(payload["conditional_hockey_stick"]) == {"1", "2.5"}

@@ -12,7 +12,7 @@ from divgauge import (
     run_supersample_experiment,
 )
 from divgauge.errors import RangeError, ResourceError, ValidationError
-from divgauge.experiments import _counts, _digit_matrix, _posterior
+from divgauge.experiments import _digit_matrix, _posterior
 
 LOSSES = np.array([[0.0, 1.0], [1.0, 0.0], [0.4, 0.6]])
 
@@ -200,6 +200,10 @@ def test_exact_tail_rejects_nan_eta():
         run.exact_tail(math.nan)
 
 
+def _counts(digits, m):
+    return np.stack([(digits == c).sum(axis=1) for c in range(m)], axis=1)
+
+
 def _string_enumeration(exp):
     """The dataset joint and gap table summed string by string from the
     digit matrix: the oracle for the type-class enumeration."""
@@ -264,3 +268,84 @@ def test_exact_tail_is_the_exact_sum_over_two_million_strings():
     masses = run.joint.matrix.ravel()
     want = math.fsum(masses[np.abs(run.gen_table).ravel() >= eta])
     assert run.exact_tail(eta) == pytest.approx(want, abs=1e-13)
+
+
+def _supersample_strings(exp):
+    """The law of (S, Ztilde, W) and the paired gap summed atom by atom over
+    every selector and super-sample: the oracle for the class enumeration."""
+    m, k, n = exp.m, exp.k, exp.n
+    digits = _digit_matrix(m, 2 * n)
+    pzt = np.exp(_counts(digits, m) @ np.log(exp.p_z.probs))
+    pzt = pzt / pzt.sum()
+    cols = np.arange(n)
+    post_by_s, gen_hat = [], []
+    for s in _digit_matrix(2, n).astype(np.intp):
+        emp_sel = _counts(digits[:, cols + s * n], m) @ exp.loss_table.T / n
+        emp_comp = _counts(digits[:, cols + (1 - s) * n], m) @ exp.loss_table.T / n
+        post_by_s.append(_posterior(emp_sel, exp.temperature))
+        gen_hat.append(emp_comp - emp_sel)
+    post_by_s = np.array(post_by_s)
+    scale = pzt[None, :, None] / 2**n
+    p = dg.dist.normalized((scale * post_by_s).ravel())
+    w_given_z = np.broadcast_to(post_by_s.mean(axis=0), post_by_s.shape)
+    q = dg.dist.normalized((scale * w_given_z).ravel())
+    pair = dg.AbsContPair(dg.FiniteDistribution(p), dg.FiniteDistribution(q))
+    return pair, np.array(gen_hat).ravel()
+
+
+# row 2 repeats row 0 (an argmin tie everywhere); at m = 2, rows 0 and 1 also
+# tie on balanced halves; m = 4, n = 3 has 20 half types, 400 (t, t') pairs
+_SS_LAWS = {
+    2: ([0.35, 0.65], [[0.2, 0.9], [0.9, 0.2], [0.2, 0.9]], (1, 2, 3, 6)),
+    3: ([0.2, 0.3, 0.5], [[0.0, 0.5, 1.0], [1.0, 0.4, 0.1], [0.0, 0.5, 1.0]], (1, 2, 4)),
+    4: ([0.1, 0.2, 0.3, 0.4],
+        [[0.0, 0.3, 0.6, 1.0], [0.9, 0.1, 0.5, 0.2], [0.0, 0.3, 0.6, 1.0]], (3,)),
+}
+
+
+@pytest.mark.parametrize("temperature", [0.0, 2.5, math.inf])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m, n", [(m, n) for m, law in _SS_LAWS.items() for n in law[2]])
+def test_class_enumeration_matches_supersample_strings(m, n, k, temperature):
+    p_z, table, _ = _SS_LAWS[m]
+    exp = SuperSampleExperiment(make_distribution(p_z), np.array(table[:k]), n, temperature)
+    run = run_supersample_experiment(exp)
+    pair, gen_hat = _supersample_strings(exp)
+    assert run.pair.size == m ** (2 * n) * 2**n * k
+    assert np.array_equal(run.pair.p.probs, pair.p.probs)
+    assert np.array_equal(run.gen_hat, gen_hat)
+    # the string side averages P(w | Ztilde) over the selectors one by one,
+    # and each side's normalization puts its rounding remainder on its largest atom
+    got_q, want_q = run.pair.q.probs, pair.q.probs
+    rest = np.ones(got_q.size, dtype=bool)
+    rest[[np.argmax(got_q), np.argmax(want_q)]] = False
+    assert np.all(np.abs(got_q - want_q)[rest] <= 1e-14 * want_q[rest])
+    assert np.all(np.abs(got_q - want_q)[~rest] <= 1e-15)
+
+    for gamma in (0.5, 1.0, 2.0, 4.0):
+        want = dg.f_divergence(pair, dg.hockey_stick_kind(gamma))
+        assert run.conditional_hockey_stick(gamma) == pytest.approx(want, rel=0, abs=1e-13)
+    setting = exp.bounded_loss_setting()
+    spec = dg.power_orlicz(2.0)
+    for eta in (0.1, 0.4):
+        want = dg.cmi_tail_orlicz(setting, eta, 1.0, pair, spec)
+        got = dg.cmi_tail_orlicz(setting, eta, 1.0, run.class_pair, spec)
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    masses, gaps = pair.p.probs, np.abs(gen_hat)
+    for eta in [*np.unique(gaps), *(np.linspace(0.02, 1.0, 50) * setting.span)]:
+        want_tail = math.fsum(masses[gaps >= eta])
+        assert run.exact_tail(float(eta)) == pytest.approx(want_tail, rel=0, abs=1e-13)
+
+
+def test_supersample_exact_tail_is_the_exact_sum_over_four_million_atoms():
+    # a cumulative sum over the 4.2 M sorted atom masses was off by 1.3e-12 here
+    exp = SuperSampleExperiment(make_distribution([0.35, 0.65]),
+                                np.array([[0.2, 0.9], [0.7, 0.0]]), 7, 2.0)
+    run = run_supersample_experiment(exp)
+    assert run.pair.size == 4**7 * 2**7 * 2
+    gaps, masses = np.abs(run.gen_hat), run.pair.p.probs
+    etas = np.linspace(0.02, 1.0, 50) * exp.bounded_loss_setting().span
+    for i in (0, 24, 49):
+        want = math.fsum(masses[gaps >= etas[i]])
+        assert run.exact_tail(float(etas[i])) == pytest.approx(want, rel=0, abs=1e-14)
