@@ -22,7 +22,10 @@ Conventions
   returns the upper side of its final bracket, so each inverted bound errs
   on the sound side; the scalar entry points are the same kernels at one
   point.  A free-parameter competitor returns q at divergence 0 and 1 at
-  divergence +inf.
+  divergence +inf.  The power competitor's optimum is the implicit power
+  bound itself (its stationarity condition is the implicit power
+  constraint), so it searches nothing of its own and reports its optimal
+  shift in closed form.
 * The scalar Young-Fenchel search is deterministic (no RNG): golden-section
   over the gap u - v on the log bracket [1e-5, 1e12], with v by a line
   search over the whole real line.
@@ -157,15 +160,15 @@ def bound_egamma(q: float, e_gamma: float, gamma: float) -> BoundResult:
     return _two_point("egamma", egamma_core, q, e_gamma, "E_gamma", gamma=float(gamma))
 
 
-def strong_converse_core(q, tail_mass, gamma):
-    """gamma * q + P(dP/dQ > gamma)."""
-    q = np.asarray(q, dtype=float)
-    return _override(q, gamma * q + tail_mass)
+def _tail_masses(r, p, q, gamma):
+    """P({dP/dQ > gamma}), the strict upper tail of the ratio under P, per
+    row of ratios r and masses p (the table's stat; q is not read)."""
+    return ((r > gamma) * p).sum(axis=-1, keepdims=True)
 
 
 def likelihood_tail_mass(pair: AbsContPair, gamma: float) -> float:
-    """P({dP/dQ > gamma}), the strict upper tail of the ratio under P."""
-    return float(pair.p.probs[pair.ratios > gamma].sum())
+    """P({dP/dQ > gamma}) of one pair."""
+    return float(_tail_masses(pair.ratios, pair.p.probs, None, gamma)[0])
 
 
 def bound_strong_converse(pair: AbsContPair, mask: EventMask, gamma: float) -> BoundResult:
@@ -177,7 +180,7 @@ def bound_strong_converse(pair: AbsContPair, mask: EventMask, gamma: float) -> B
     deg = _degenerate("strong_converse", q, params)
     if deg:
         return deg
-    return BoundResult("strong_converse", float(strong_converse_core(q, tail, gamma)), params)
+    return BoundResult("strong_converse", float(egamma_core(q, tail, gamma)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -842,46 +845,25 @@ def comp_vincze_core(q, vc):
     return 2.0 * raw - np.asarray(q, dtype=float), c_star
 
 
-def _log_mix(log_q, w):
-    """log(q + (1 - q) e^w) for w <= 0, summed as e^w + q (1 - e^w), two
-    nonnegative terms, so it stays accurate as w -> 0."""
-    with np.errstate(divide="ignore"):
-        return np.logaddexp(w, log_q + np.log(-np.expm1(w)))
-
-
 def comp_power_core(q, h_beta, beta):
-    """Competitor with a free shift s, at its stationary point.
+    """Competitor with a free shift s, at its optimum.
 
-    With s = -rho / (1 - rho), the optimum solves
-    log amp + ((1-qb)/qb) log(q + (1-q) rho^qb) + log(q + (1-q) rho^(qb-1)) = 0,
-    increasing in rho; it is solved in z = -log rho.  Where the value at
-    s = 0, amp q^(1/qb), is at least 1 the infimum is 1, at s = 1.
-    """
+    With rho = s / (s - 1), the stationarity condition written in
+    Y = q + (1-q) rho^(1/(beta-1)) is the implicit power constraint at
+    p = q / Y, where the family's value is p: the optimum is
+    :func:`power_implicit_core`, attained at
+    rho* = (q (1-p*) / (p* (1-q)))^(beta-1).  Returns (raw, s*) with
+    s* = -rho* / (1 - rho*), -inf at H_beta = 0 and 1 where p* = 1.  Both
+    log-ratios of rho* are log1p of (p* - q) over a denominator, which does
+    not cancel near p* = q and is a plain log where p* >> q."""
     q = np.asarray(q, dtype=float)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    h = np.broadcast_to(np.asarray(h_beta, dtype=float), qs.shape)
-    qb = beta / (beta - 1.0)
-    log_q = np.log(qs)
-    log_1q = np.log1p(-qs)
-    log_amp = np.log1p((beta - 1.0) * h) / beta
-    log_at_zero = log_amp + log_q / qb
-
-    def condition(z, log_q, log_1q, log_amp):  # the slope uses qb / beta = qb - 1 = 1 / (beta - 1)
-        m1, m2 = _log_mix(log_q, -qb * z), _log_mix(log_q, (1.0 - qb) * z)
-        r1, r2 = np.exp(log_1q - qb * z - m1), np.exp(log_1q + (1.0 - qb) * z - m2)
-        return m1 / beta - m2 - log_amp, (r2 - r1) / (beta - 1.0)
-
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        # at z_hi, q + (1-q) rho^(qb-1) <= q^(1/beta) / amp: the condition's left side is <= 0
-        z_hi = (beta - 1.0) * (
-            log_amp + log_1q - np.log(-np.expm1(log_at_zero)) - log_q / beta
-        )
-        vacuous = log_at_zero >= 0.0
-        z_hi = _searched(q, 0.0, np.where(vacuous, 0.0, z_hi))  # the value is 1 where vacuous
-        z = increasing_root(condition, 0.0, z_hi, 0.0, log_q, log_1q, log_amp)
-        s_star = np.where(h == 0.0, -np.inf, np.where(vacuous, 1.0, -1.0 / np.expm1(z)))
-    raw = np.where(h == 0.0, qs, np.where(vacuous, 1.0, comp_power_fixed(qs, h, beta, s_star)))
-    return _override(q, raw), s_star
+    p = power_implicit_core(q, h_beta, beta)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gap = p - qs
+        z = (beta - 1.0) * (np.log1p(gap / qs) + np.log1p(gap / (1.0 - p)))  # -log rho*
+        s_star = np.where(p >= 1.0, 1.0, -1.0 / np.expm1(z))
+    return p, s_star
 
 
 def comp_power_fixed(q, h_beta, beta, s):
@@ -889,15 +871,17 @@ def comp_power_fixed(q, h_beta, beta, s):
     s, the norm under the weights (q, 1-q), amp = (1 + (beta-1) H_beta)^(1/beta)
     and qb = beta / (beta - 1).  For s < 0, with rho = s / (s - 1) = e^-z, it
     reads (e^A - rho) / (1 - rho), A = log amp + log(q + (1-q) rho^qb) / qb,
-    evaluated as e^A (1 - e^(log rho - A)) / (1 - rho) since A >= log rho."""
+    evaluated as -s expm1(D) with D = A + z, which does not cancel where
+    e^A is close to rho: D = log amp + log(1 + q (e^(qb z) - 1)) / qb, the
+    log from log1p and expm1, or from logaddexp where e^(qb z) overflows."""
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     qb = beta / (beta - 1.0)
     log_q = np.log(qs)
     log_amp = np.log1p((beta - 1.0) * np.asarray(h_beta, dtype=float)) / beta
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = np.log1p(-1.0 / s)
-        a = log_amp + _log_mix(log_q, -qb * z) / qb
-        below = np.exp(a) * np.expm1(-z - a) / np.expm1(-z)
+        w = qb * np.log1p(-1.0 / s)
+        mix = np.where(w < 700.0, np.log1p(qs * np.expm1(w)), np.logaddexp(np.log1p(-qs), log_q + w))
+        below = -s * np.expm1(log_amp + mix / qb)
         linear = s + np.exp(log_amp + log_q / qb) * np.maximum(1.0 - s, 0.0)
         return np.where(s < 0.0, below, linear)
 
@@ -1008,10 +992,6 @@ def _grid(**axes) -> tuple[dict, ...]:
     return tuple(dict(zip(axes, values)) for values in itertools.product(*axes.values()))
 
 
-def _tail_masses(r, p, q, gamma):
-    return ((r > gamma) * p).sum(axis=1, keepdims=True)
-
-
 def _amemiya_norms(r, p, q, kappa, gamma):
     return amemiya_norm_rows(np.maximum(r - gamma, 0.0), q, power_orlicz(kappa))[:, None]
 
@@ -1051,7 +1031,7 @@ _POWER_ARGS = ("beta", "q_max")
 _TABLE = (
     Bound("egamma", hockey_stick_kind, egamma_core, _HS_GRID,
           scalar=bound_egamma, scalar_args=("gamma",)),
-    Bound("strong_converse", None, strong_converse_core, _HS_GRID, stat=_tail_masses),
+    Bound("strong_converse", None, egamma_core, _HS_GRID, stat=_tail_masses),
     Bound("kl", KL, kl_opt_core, scalar=bound_kl, scalar_args=("c",), claim="same",
           competitor=Bound("competitor_kl", KL, kl_opt_core, fixed=kl_fixed_core)),
     Bound("kl_closed", KL, kl_closed_core),
@@ -1064,7 +1044,7 @@ _TABLE = (
     Bound("power_small_q", power_kind, power_small_q_core, _BETA_GRID,
           scalar=partial(bound_power_beta, mode="small_q"), scalar_args=_POWER_ARGS,
           claim="incomparable", row_params={"beta": 2.0},
-          competitor=Bound("competitor_power", power_kind, comp_power_core, _BETA_GRID)),
+          competitor=Bound("competitor_power", power_kind, power_implicit_core, _BETA_GRID)),
     Bound("hellinger", SQUARED_HELLINGER, hellinger_core, scalar=bound_hellinger, claim="ours",
           competitor=Bound("competitor_squared_hellinger", SQUARED_HELLINGER,
                            comp_sq_hellinger_core, checked=True)),

@@ -127,11 +127,11 @@ class AbsContPair:
         if np.any(bad):
             where = np.flatnonzero(bad).tolist()
             raise DominationError(f"P is not dominated by Q at atoms {where}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(qv > 0.0, pv / np.where(qv > 0.0, qv, 1.0), 0.0)
+        r = np.divide(pv, qv, out=np.zeros(qv.shape), where=qv > 0.0)
         if abs(float((r * qv).sum()) - 1.0) > MASS_TOL:
             raise ValidationError("ratios * Q does not sum back to 1")
-        object.__setattr__(self, "ratios", _frozen(r))
+        r.flags.writeable = False
+        object.__setattr__(self, "ratios", r)
 
     @property
     def size(self) -> int:

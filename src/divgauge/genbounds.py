@@ -91,11 +91,6 @@ class DPParams:
             raise RangeError("c1, c2 must be positive")
 
 
-UNSPECIFIED_DP_CONSTANTS_NOTE = (
-    "DP constants c1, c2 are existence-only; supplied values are placeholders"
-)
-
-
 @dataclass(frozen=True)
 class GenTailResult:
     """All branch values of the sub-Gaussian tail bound at one eta."""
@@ -299,30 +294,17 @@ def _tstar(mi: float) -> float:
     ))
 
 
-def avg_gen_bound_mi(
-    setting: SubGaussianSetting,
-    mi: float,
-    variant: str = "closed",
-    prefactor: str = "sqrt",
-) -> float:
-    """Bound on E|gen(S, W)| in terms of I(S; W).
+def avg_gen_bound_mi(setting: SubGaussianSetting, mi: float, variant: str = "closed") -> float:
+    """Bound on E|gen(S, W)| in terms of I(S; W), with the prefactor
+    2 sigma / sqrt(n).
 
     variant "closed": prefactor * (2 sqrt(I + 2/e) + sqrt(pi)).
     variant "tstar":  prefactor * (2 t (1 - e^{-t^2}) + sqrt(pi) erfc(t)) at
     the root t of t^2 (1 - 2 e^{-t^2}) = I + 2/e; always at most "closed".
-
-    prefactor "sqrt" is 2 sigma / sqrt(n); "linear" selects the alternate
-    2 sigma^2 / n scaling some statements carry.  The two disagree
-    dimensionally; "sqrt" is the default.
     """
     if mi < 0:
         raise RangeError("mutual information must be nonnegative")
-    if prefactor == "sqrt":
-        pref = 2.0 * setting.sigma / math.sqrt(setting.n)
-    elif prefactor == "linear":
-        pref = 2.0 * setting.sigma**2 / setting.n
-    else:
-        raise RangeError(f"unknown prefactor {prefactor!r}")
+    pref = 2.0 * setting.sigma / math.sqrt(setting.n)
     if variant == "closed":
         return pref * (2.0 * math.sqrt(mi + 2.0 / math.e) + math.sqrt(math.pi))
     if variant == "tstar":

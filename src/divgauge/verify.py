@@ -38,6 +38,7 @@ from .errors import RangeError, ResourceError, UnknownBoundError, ValidationErro
 
 SLACK_TOL = 1e-9
 SAMPLED_EVENTS = 100_000
+DOMINANCE_TOL = 1e-10  # how far ours may exceed the competitor and still count as tighter
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +74,10 @@ def random_joint(seed, index: int, n_s: int, n_w: int) -> JointFinite:
 class PairBatch:
     """Vectorized view of several pairs against a shared event-mask matrix."""
 
-    def __init__(self, p: np.ndarray, q: np.ndarray, masks: np.ndarray) -> None:
+    def __init__(self, p: np.ndarray, q: np.ndarray, r: np.ndarray, masks: np.ndarray) -> None:
         self.p = p
         self.q = q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.r = np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0), 0.0)
+        self.r = r
         mf = masks.astype(float)
         self.masks = masks
         self.p_events = p @ mf.T
@@ -89,7 +89,7 @@ class PairBatch:
     def from_pairs(cls, pairs: list[AbsContPair], masks: np.ndarray) -> "PairBatch":
         p = np.stack([pr.p.probs for pr in pairs])
         q = np.stack([pr.q.probs for pr in pairs])
-        return cls(p, q, masks)
+        return cls(p, q, np.stack([pr.ratios for pr in pairs]), masks)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -121,8 +121,8 @@ def _evaluator(spec: B.Bound) -> Evaluator:
 
 
 def _shared(bound_id: str, evaluate: Evaluator) -> Evaluator:
-    """Evaluate once per batch: a competitor that claims the same formula
-    reads these values instead of computing them again."""
+    """Evaluate once per batch: every entry of the table with the same
+    formula reads these values instead of computing them again."""
 
     def once(b: PairBatch, **params):
         key = (bound_id, tuple(sorted(params.items())))
@@ -139,11 +139,26 @@ def _chi2_missing_sqrt(b: PairBatch):
     return q + q * (1.0 - q) * b.div(CHI2), None
 
 
-_REGISTRY: dict[str, Evaluator] = {spec.id: _evaluator(spec) for spec in B.BOUNDS.values()}
-_REGISTRY[NEGATIVE_CONTROL] = _chi2_missing_sqrt
-for _ours in B.DOMINANCE_ROWS.values():
-    if _ours.claim == "same":
-        _REGISTRY[_ours.id] = _REGISTRY[_ours.competitor.id] = _shared(_ours.id, _REGISTRY[_ours.id])
+def _registry() -> dict[str, Evaluator]:
+    """An evaluator per bound of the table; entries with the same core,
+    divergence, statistic and ``checked`` share one evaluation per batch.
+    Only those are cached: caching every case would hold a (batch, events)
+    array per case."""
+    formulas: dict[tuple, list[B.Bound]] = {}
+    for spec in B.BOUNDS.values():
+        formulas.setdefault((spec.core, spec.kind, spec.stat, spec.checked), []).append(spec)
+    registry: dict[str, Evaluator] = {}
+    for specs in formulas.values():
+        evaluate = _evaluator(specs[0])
+        if len(specs) > 1:
+            evaluate = _shared(specs[0].id, evaluate)
+        registry.update((spec.id, evaluate) for spec in specs)
+    registry[NEGATIVE_CONTROL] = _chi2_missing_sqrt
+    return registry
+
+
+# read at call time, so its entries can be wrapped
+_REGISTRY: dict[str, Evaluator] = _registry()
 
 
 def registered_bounds() -> tuple[str, ...]:
@@ -380,19 +395,17 @@ def binary_tightness_witness(
     return AbsContPair(FiniteDistribution(pv), FiniteDistribution(qv))
 
 
-def sibson_grid_min(
-    joint: JointFinite,
-    alpha: float,
-    resolution: float = 1e-3,
-    refine: int = 2,
-    shrink: float = 20.0,
-) -> float:
+SIBSON_ZOOMS = 2  # refinements of sibson_grid_min around its incumbent
+SIBSON_SHRINK = 20.0  # the factor each refinement divides its step by
+
+
+def sibson_grid_min(joint: JointFinite, alpha: float, resolution: float = 1e-3) -> float:
     """Direct grid minimization of the order-alpha divergence over output
     marginals: the independent oracle for the Sibson closed form.
 
-    Scans the whole simplex at `resolution`, then zooms `refine` times around
-    the incumbent, shrinking the step by `shrink` each time.  Supports
-    |W| in {2, 3}.
+    Scans the whole simplex at `resolution`, then zooms SIBSON_ZOOMS times
+    around the incumbent, dividing the step by SIBSON_SHRINK each time.
+    Supports |W| in {2, 3}.
     """
     if alpha <= 1.0:
         raise RangeError("need alpha > 1")
@@ -436,7 +449,7 @@ def sibson_grid_min(
     center = np.full(n_w, 1.0 / n_w)
     half = 1.0
     best = math.inf
-    for _ in range(refine + 1):
+    for _ in range(SIBSON_ZOOMS + 1):
         pts = grid_around(center, half, step)
         vals = objective(pts)
         i = int(np.argmin(vals))
@@ -444,7 +457,7 @@ def sibson_grid_min(
             best = float(vals[i])
             center = pts[i]
         half = 2.0 * step
-        step = step / shrink
+        step = step / SIBSON_SHRINK
     return best
 
 
@@ -470,12 +483,12 @@ def _dominance_rows(q, divergence):
         yield row, ours.claim, d, ours_v, comp_v, valid
 
 
-def dominance_report(pair: AbsContPair, tol: float = 1e-10) -> list[dict]:
+def dominance_report(pair: AbsContPair) -> list[dict]:
     """Ours-vs-competitor comparison per divergence row, over all events.
 
     Claims: "same" rows must agree to 1e-12, "ours" rows must never exceed
-    the competitor by more than `tol`, the power row is reported without a
-    claim.  Rows with infinite divergence are marked not applicable.
+    the competitor by more than DOMINANCE_TOL, the power row is reported
+    without a claim.  Rows with infinite divergence are marked not applicable.
     """
     batch = PairBatch.from_pairs([pair], _all_events(pair, "dominance report"))
     rows = []
@@ -492,7 +505,7 @@ def dominance_report(pair: AbsContPair, tol: float = 1e-10) -> list[dict]:
                 events=n_valid,
                 divergence=d,
                 max_ours_minus_competitor=float(diff[valid].max()) if n_valid else None,
-                ours_tighter_or_equal=int(((diff <= tol) & valid).sum()),
+                ours_tighter_or_equal=int(((diff <= DOMINANCE_TOL) & valid).sum()),
             )
         rows.append(entry)
     return rows
@@ -514,7 +527,7 @@ def dominance_rows_at_event(pair: AbsContPair, mask) -> list[dict]:
         if applicable:
             ours_v = float(np.asarray(ours).reshape(()))
             comp_v = float(np.asarray(comp).reshape(()))
-            entry.update(ours=ours_v, competitor=comp_v, tighter=bool(ours_v <= comp_v + 1e-10))
+            entry.update(ours=ours_v, competitor=comp_v, tighter=bool(ours_v <= comp_v + DOMINANCE_TOL))
         rows.append(entry)
     return rows
 

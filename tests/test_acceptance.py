@@ -195,7 +195,7 @@ def test_criterion_4_sibson_closed_form_vs_grid():
         joint = dg.random_joint(201, idx, 3, 3)
         for alpha in (1.5, 2.0, 4.0):
             closed = dg.sibson_mi(joint, alpha)
-            grid = dg.sibson_grid_min(joint, alpha, resolution=1e-3, refine=2)
+            grid = dg.sibson_grid_min(joint, alpha, resolution=1e-3)
             assert grid >= closed - 1e-12, (idx, alpha, grid - closed)
             worst = max(worst, abs(grid - closed))
     assert worst <= 1e-6, worst

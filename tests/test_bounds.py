@@ -450,7 +450,6 @@ def test_root_kernels_are_on_the_sound_side(q, d):
         with np.errstate(all="ignore"):
             excess = float(B._power_excess(p_pow, q, beta)[0])
         assert q <= p_pow <= 1.0 and (p_pow == 1.0 or excess >= (beta - 1.0) * d)
-        assert float(B.comp_power_core(q, d, beta)[0]) >= p_pow - slack
 
 
 def _reference_root(fn, lo, hi, target, *args):
@@ -475,6 +474,7 @@ def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
     # of the same kernel with an exact bisection in place of the root-finder.
     # Closer agreement is not defined: the constraints are evaluated with a
     # few ulp of noise, and two bisections can stop at different crossings.
+    # The power competitor is the implicit power bound, evaluated once.
     from divgauge import _optim, verify as V
     from divgauge._optim import ROOT_STEPS, increasing_root
 
@@ -483,11 +483,12 @@ def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
 
     def values():
         batch = V.PairBatch.from_pairs(pairs, masks)
-        return [
-            np.broadcast_to(V._REGISTRY[bound_id](batch, **params)[0], batch.shape)
+        return {
+            V.case_label(bound_id, params):
+                np.broadcast_to(V._REGISTRY[bound_id](batch, **params)[0], batch.shape)
             for bound_id, params in V.default_cases()
             if bound_id in ROOT_KERNEL_IDS
-        ]
+        }
 
     steps = []
 
@@ -508,10 +509,14 @@ def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
     monkeypatch.setattr(B, "increasing_root", _reference_root)
     with np.errstate(all="ignore"):
         reference = values()
-    assert len(steps) == len(ours) == 9 and max(n for _, n in steps) < ROOT_STEPS
+    assert len(ours) == 9 and len(steps) == 6 and max(n for _, n in steps) < ROOT_STEPS
     # the KL search starts below p = 1, whose slope is infinite, so it settles fast
     assert max(n for fn, n in steps if fn is B._kl_above) <= 20
-    for got, want in zip(ours, reference):
+    for beta in (1.5, 2, 4):
+        assert np.array_equal(ours[f"competitor_power[beta={beta:g}]"],
+                              ours[f"power_implicit[beta={beta:g}]"])
+    for label, got in ours.items():
+        want = reference[label]
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.nanmax(np.abs(got - want)) <= 4 * np.spacing(1.0)
 
@@ -677,6 +682,34 @@ def test_competitor_power_fixed_and_optimized():
     assert opt.raw <= fixed.raw + 1e-9
     with pytest.raises(RangeError):
         dg.competitor_bound("power", q, h)
+
+
+def test_competitor_power_is_the_implicit_power_bound():
+    # the family's optimum is the implicit power constraint's root, and the
+    # family at the reported shift evaluates back to it
+    rng = np.random.default_rng(31)
+    q = np.concatenate([10.0 ** rng.uniform(-6, 0, 150), rng.uniform(1e-6, 1, 50)])
+    h = 10.0 ** rng.uniform(-6, math.log10(50.0), q.size)
+    for beta in (1.5, 2.0, 4.0, 10.0):
+        for qv, hv in zip(q, h):
+            comp = dg.competitor_bound("power", qv, hv, beta=beta)
+            assert comp.raw == dg.bound_power_beta(qv, hv, beta, mode="implicit").raw
+            if comp.raw < 1.0:
+                at_s = float(B.comp_power_fixed(qv, hv, beta, comp.free_params["s"]))
+                assert at_s == pytest.approx(comp.raw, rel=1e-12, abs=0), (qv, hv, beta)
+
+
+def test_competitor_power_at_tiny_q():
+    # at q ~ 1e-226 the family infimum (by 400-digit arithmetic) is
+    # 3.7429075059428380e-173; a stationarity search in z = -log rho
+    # stopped at 2.55e-173, below every member of the family
+    q, h = 2.718305126734714e-226, 3.257020655659663e-14
+    opt = dg.competitor_bound("power", q, h, beta=4)
+    assert opt.raw == pytest.approx(3.7429075059428380e-173, rel=1e-12, abs=0)
+    # at a fixed shift where e^A is close to rho (600-digit reference);
+    # subtracting the two lost 14%
+    fixed = dg.competitor_bound("power", q, h, beta=4, s=-1e-160)
+    assert fixed.raw == pytest.approx(4.6365846965208396e-173, rel=1e-12, abs=0)
 
 
 def test_competitor_optima_at_extreme_inputs():

@@ -257,9 +257,6 @@ def test_avg_mi_closed_plug_in():
     s = SubGaussianSetting(sigma=2.0, n=25)
     want = (2 * 2.0 / 5.0) * (2 * math.sqrt(2 / math.e) + math.sqrt(math.pi))
     assert avg_gen_bound_mi(s, 0.0) == pytest.approx(want, rel=1e-12)
-    # the alternate stated scaling differs by sigma / sqrt(n)
-    alt = avg_gen_bound_mi(s, 0.0, prefactor="linear")
-    assert alt == pytest.approx(want * 2.0 / 5.0, rel=1e-12)
 
 
 def test_avg_mi_tstar_variant_is_tighter():

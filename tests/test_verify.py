@@ -150,6 +150,21 @@ def test_bound_table_drives_registry_cases_and_dominance_rows():
         assert ours.claim in ("same", "ours", "incomparable")
 
 
+def test_entries_with_one_formula_share_one_evaluation():
+    from divgauge import verify
+    from divgauge.dist import event_mask_matrix
+
+    registry = verify._REGISTRY
+    shared = {bid for bid, fn in registry.items()
+              if sum(other is fn for other in registry.values()) > 1}
+    assert shared == {"kl", "competitor_kl", "chi2", "competitor_chi2",
+                      "power_implicit", "competitor_power"}
+    batch = verify.PairBatch.from_pairs([random_pair(3, 0, 5)], event_mask_matrix(5))
+    ours = registry["power_implicit"](batch, beta=2.0)
+    assert registry["competitor_power"](batch, beta=2.0) is ours
+    assert len(batch._case_cache) == 1
+
+
 def test_egamma_variational_identity_and_witness():
     for i in range(15):
         pair = random_pair(13, i, 8)
@@ -229,7 +244,7 @@ def test_sibson_grid_oracle_agrees_with_closed_form():
     joint = dg.random_joint(33, 2, 3, 3)
     for alpha in (1.5, 2.0):
         closed = sibson_mi(joint, alpha)
-        grid = sibson_grid_min(joint, alpha, resolution=2e-3, refine=2)
+        grid = sibson_grid_min(joint, alpha, resolution=2e-3)
         assert grid >= closed - 1e-12  # closed form is the true minimum
         assert grid - closed <= 1e-6
 
@@ -237,7 +252,7 @@ def test_sibson_grid_oracle_agrees_with_closed_form():
 def test_sibson_grid_oracle_two_output_case():
     joint = dg.random_joint(34, 0, 4, 2)
     closed = sibson_mi(joint, 2.0)
-    grid = sibson_grid_min(joint, 2.0, resolution=1e-3, refine=2)
+    grid = sibson_grid_min(joint, 2.0, resolution=1e-3)
     assert abs(grid - closed) <= 1e-8
 
 
