@@ -21,11 +21,14 @@ Conventions
   derived from q and the divergence, empty where Q(E) is 0 or 1), which
   returns the upper side of its final bracket, so each inverted bound errs
   on the sound side; the scalar entry points are the same kernels at one
-  point.  A free-parameter competitor returns q at divergence 0 and 1 at
-  divergence +inf.  The power competitor's optimum is the implicit power
-  bound itself (its stationarity condition is the implicit power
-  constraint), so it searches nothing of its own and reports its optimal
-  shift in closed form.
+  point.
+* Each competitor with a free parameter, squared Hellinger aside, is at
+  its optimum one of our sharp bounds (Vincze-Le Cam through the reverse
+  chi-square bound at V/2), so none computes its own value.  Every optimal
+  parameter is a function of the logit gap z = logit p* - logit q
+  (:func:`_logit_gap`): c* = z (KL), 1 / expm1(2z) (reverse chi-square,
+  Vincze-Le Cam), 1 / expm1(z) (reverse KL), s* = -1 / expm1((beta-1) z)
+  (power).  So each returns q at divergence 0 and 1 at divergence +inf.
 * The scalar Young-Fenchel search is deterministic (no RNG): golden-section
   over the gap u - v on the log bracket [1e-5, 1e12], with v by a line
   search over the whole real line.
@@ -59,7 +62,6 @@ from .divergences import (
     SQUARED_HELLINGER,
     VINCZE_LECAM,
     DivergenceKind,
-    _log_ratio,
     bernoulli_kl_core,
     generator_derivative,
     generator_values,
@@ -189,9 +191,10 @@ def bound_strong_converse(pair: AbsContPair, mask: EventMask, gamma: float) -> B
 
 
 def chi2_core(q, chi2):
+    """q + sqrt(q) sqrt((1-q) chi^2), which does not underflow at tiny q."""
     q = np.asarray(q, dtype=float)
     with np.errstate(invalid="ignore"):
-        raw = q + np.sqrt(q * (1.0 - q) * chi2)
+        raw = q + np.sqrt(q) * np.sqrt((1.0 - q) * chi2)
     return _override(q, raw)
 
 
@@ -205,29 +208,39 @@ def kl_fixed_core(q, d, c):
         return (d + np.log1p(np.asarray(q, dtype=float) * np.expm1(c))) / c
 
 
+def _logit_gap(p, q):
+    """z = logit p - logit q for p >= q as log1p((p-q)/q) + log1p((p-q)/(1-p)),
+    which does not cancel near p = q and is a plain log where p >> q; +inf
+    at p = 1.  Every optimal free parameter is a function of z at p*."""
+    gap = p - q
+    return np.log1p(gap / q) + np.log1p(gap / (1.0 - p))
+
+
 def _kl_above(p, q):
-    """kl(p || q) and its slope logit p - logit q, for p >= q."""
-    return bernoulli_kl_core(p, q), _log_ratio(p, q, p - q) - _log_ratio(1.0 - p, 1.0 - q, q - p)
+    """kl(p || q) and its slope, the logit gap, for p >= q."""
+    return bernoulli_kl_core(p, q), _logit_gap(p, q)
 
 
 def kl_opt_core(q, d):
     """The KL bound minimized over c > 0: the Chernoff inversion
     p* = sup{p >= q : kl(p || q) <= d}, attained at c* = logit p* - logit q,
-    by Newton steps from Pinsker's q + sqrt(d / 2), where kl >= d, capped at
-    the predecessor of 1.0, where the slope is still finite (a start that
-    evaluates below d, as a capped one can, is the bracket's lower end).  Where
-    d >= log(1/q) = kl(1 || q) the infimum is the limit 1 as c -> inf,
-    reported as raw 1 and c* = inf.  Returns (raw, c_star) arrays."""
+    by Newton steps from q plus Pinsker's gap sqrt(d / 2) or, if smaller,
+    twice d + sqrt(d) sqrt(d + 2q), where kl(p || q) >= (p - q)^2 / (2p) is
+    2d (and at least 1e-12 q: a margin over rounding), capped at the
+    predecessor of 1.0, where the slope is still finite (a start that
+    evaluates below d is the bracket's lower end).  Where d >= log(1/q) the
+    infimum is the limit 1 as c -> inf: raw 1 and c* = inf."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        start = np.minimum(qs + np.sqrt(0.5 * d), np.nextafter(1.0, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gap = np.minimum(np.sqrt(0.5 * d), 2.0 * (d + np.sqrt(d) * np.sqrt(d + 2.0 * qs)))
+        start = np.minimum(qs + np.maximum(gap, 1e-12 * qs), np.nextafter(1.0, 0.0))
         above = _kl_above(start, qs)[0] >= d
         lo, hi = np.where(above, qs, start), np.where(above, start, 1.0)
         root = increasing_root(_kl_above, lo, _searched(q, lo, hi), d, qs)
         p = np.where(d >= -np.log(qs), 1.0, root)
-        c_star = np.log(p / qs) + np.log1p(-qs) - np.log1p(-p)
+        c_star = _logit_gap(p, qs)
     return _override(q, p), c_star
 
 
@@ -271,19 +284,19 @@ def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
 # ---------------------------------------------------------------------------
 
 
-def hellinger_core(q, h2):
-    """Exact inversion of the two-point Hellinger constraint.
+def _hellinger_closed(q, x):
+    """(sqrt(q) x + sqrt((1-q)(1-x^2)))^2: max p with sqrt(pq) + sqrt((1-p)(1-q)) >= x."""
+    with np.errstate(invalid="ignore"):
+        return (np.sqrt(q) * x + np.sqrt((1.0 - q) * np.maximum(1.0 - x * x, 0.0))) ** 2
 
-    For x := 1 - h2/2 >= sqrt(q) this is the closed form
-    (sqrt(q) x + sqrt((1-q)(1-x^2)))^2; below that threshold the constraint
-    admits p = 1, so the bound is vacuous and we return 1.
-    """
+
+def hellinger_core(q, h2):
+    """Exact inversion of the two-point Hellinger constraint: the closed form
+    at x = 1 - h2/2 where x >= sqrt(q), else 1 (the constraint admits p = 1)."""
     q = np.asarray(q, dtype=float)
     x = 1.0 - 0.5 * np.asarray(h2, dtype=float)
     with np.errstate(invalid="ignore"):
-        s = np.sqrt(q)
-        body = (s * x + np.sqrt((1.0 - q) * np.maximum(1.0 - x * x, 0.0))) ** 2
-        raw = np.where(x >= s, body, 1.0)
+        raw = np.where(x >= np.sqrt(q), _hellinger_closed(q, x), 1.0)
     return _override(q, raw)
 
 
@@ -316,10 +329,15 @@ def _check_beta(beta: float) -> float:
 def _power_excess(p, q, beta):
     """p^b q^(1-b) + (1-p)^b (1-q)^(1-b) - 1, summed as
     q ((p/q)^b - 1) + (1-q) (((1-p)/(1-q))^b - 1) from log1p and expm1 so that
-    it does not cancel near p = q, and its slope in p."""
+    it does not cancel near p = q, and its slope in p.  Where (p/q)^b would
+    overflow (and read as the target reached), q (p/q)^b is one exp."""
     up = np.log1p((p - q) / q)
     down = np.log1p((q - p) / (1.0 - q))
-    value = q * np.expm1(beta * up) + (1.0 - q) * np.expm1(beta * down)
+    rise = beta * up
+    first = q * np.expm1(rise)
+    if np.any(rise >= 700.0):
+        first = np.where(rise < 700.0, first, np.exp(rise + np.log(q)))
+    value = first + (1.0 - q) * np.expm1(beta * down)
     return value, beta * (np.exp((beta - 1.0) * up) - np.exp((beta - 1.0) * down))
 
 
@@ -328,15 +346,24 @@ def power_implicit_core(q, h_beta, beta):
 
     The left side is increasing and convex in p on [q, 1], so Newton steps
     stay on the safe (upper) side of the root.  They start where the first
-    term alone reaches the target, p = ((1 + (b-1) H_b) q^(b-1))^(1/b), or at 1.
-    """
+    term alone reaches the target, p = ((1 + (b-1) H_b) q^(b-1))^(1/b), or at
+    1; or, where lower and reaching the target as evaluated, at q plus twice
+    the gap (q^(b-1) (b-1) H_b)^(1/b) of p >> q or sqrt(2 q H_b / b) of p near
+    q (the larger for b < 2, else the smaller; at least 1e-12 q), without
+    which tiny q takes hundreds of steps."""
     q = np.asarray(q, dtype=float)
     excess = (beta - 1.0) * np.asarray(h_beta, dtype=float)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     lhs = partial(_power_excess, beta=beta)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        start = np.minimum(np.exp((np.log1p(excess) + (beta - 1.0) * np.log(qs)) / beta), 1.0)
+        log_q = (beta - 1.0) * np.log(qs)
+        start = np.minimum(np.exp((np.log1p(excess) + log_q) / beta), 1.0)
         hi = np.where(lhs(start, qs)[0] >= excess, start, 1.0)
+        far = np.exp((np.log(excess) + log_q) / beta)
+        close = np.sqrt(2.0 * qs / (beta * (beta - 1.0))) * np.sqrt(excess)
+        gap = np.maximum(far, close) if beta < 2.0 else np.minimum(far, close)
+        near = qs + np.maximum(2.0 * gap, 1e-12 * qs)
+        hi = np.where((near < hi) & (lhs(near, qs)[0] >= excess), near, hi)
         raw = increasing_root(lhs, qs, _searched(q, qs, hi), excess, qs)
     return _override(q, raw)
 
@@ -603,11 +630,12 @@ def bound_f_via_egamma(
 
 
 def reverse_chi2_core(q, r):
-    """Upper root of (1+r) p^2 - (r + 2q) p + q^2 <= 0, r = chi^2(Q || P)."""
+    """Upper root of (1+r) p^2 - (r + 2q) p + q^2 <= 0, r = chi^2(Q || P), the
+    root of the discriminant as sqrt(r) sqrt(r + 4q(1-q)) (no underflow)."""
     q = np.asarray(q, dtype=float)
     r = np.broadcast_to(np.asarray(r, dtype=float), q.shape)
     with np.errstate(invalid="ignore", over="ignore"):
-        raw = (r + 2.0 * q + np.sqrt(r * r + 4.0 * r * q * (1.0 - q))) / (2.0 * (1.0 + r))
+        raw = (r + 2.0 * q + np.sqrt(r) * np.sqrt(r + 4.0 * q * (1.0 - q))) / (2.0 * (1.0 + r))
     raw = np.where(np.isinf(r), 1.0, raw)
     return _override(q, raw)
 
@@ -624,9 +652,9 @@ def _kl_below(p, q):
 def reverse_kl_exact_core(q, d):
     """Sharp inversion: the unique p in [q, 1) with kl(q, p) = D(Q || P), on
     the upper side of the root (kl(q, p) >= D as evaluated), exactly q at
-    D = 0, and the predecessor of 1.0 where D exceeds kl(q, that predecessor).
-    Newton steps start at p = 1 - e^(-z), z = (D + H(q)) / (1 - q), where
-    kl(q || p) >= (1 - q) z - H(q) = D."""
+    D = 0, 1 at D = +inf, and the predecessor of 1.0 where a finite D
+    exceeds kl(q, that predecessor).  Newton steps start at p = 1 - e^(-z),
+    z = (D + H(q)) / (1 - q), where kl(q || p) >= (1 - q) z - H(q) = D."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
@@ -636,7 +664,7 @@ def reverse_kl_exact_core(q, d):
         start = np.clip(-np.expm1(-(d + entropy) / (1.0 - qs)), qs, top)
         hi = np.where(_kl_below(start, qs)[0] >= d, start, top)
         root = increasing_root(_kl_below, qs, _searched(q, qs, hi), d, qs)
-    return _override(q, np.where(d == 0.0, q, root))
+    return _override(q, np.where(d == 0.0, q, np.where(np.isinf(d), 1.0, root)))
 
 
 def reverse_kl_explicit_core(q, d):
@@ -673,13 +701,10 @@ def bound_reverse_kl(q: float, dqp: float, mode: str = "exact") -> BoundResult:
 
 
 def vincze_core(q, vc):
-    """Upper root of the Vincze-Le Cam two-point quadratic."""
+    """Upper root of the Vincze-Le Cam two-point quadratic: twice the
+    reverse chi-square bound at r = vc / 2, minus q."""
     q = np.asarray(q, dtype=float)
-    v = np.broadcast_to(np.asarray(vc, dtype=float), q.shape)
-    with np.errstate(invalid="ignore", over="ignore"):
-        raw = (v * (1.0 - q) + 2.0 * q + np.sqrt(v * (v + 8.0 * q * (1.0 - q)))) / (v + 2.0)
-    raw = np.where(np.isinf(v), 2.0 - q, raw)
-    return _override(q, raw)
+    return 2.0 * reverse_chi2_core(q, 0.5 * np.asarray(vc, dtype=float)) - q
 
 
 def bound_vincze_lecam(q: float, vc: float) -> BoundResult:
@@ -763,17 +788,21 @@ def bound_orlicz_joint(
 
 def comp_sq_hellinger_core(q, h2, c=None):
     """Competitor family 1 + c - c(1+c)(1 - H^2)^2 / (q + c) and its closed
-    optimum.  Returns (raw, valid): valid requires H^2 <= 1 and
-    sqrt(q) <= 1 - H^2."""
+    optimum, the Hellinger closed form at x = 1 - H^2 (ours has 1 - H^2/2).
+    Returns (raw, valid): valid requires H^2 <= 1 and sqrt(q) <= 1 - H^2."""
     q = np.asarray(q, dtype=float)
     x = 1.0 - np.asarray(h2, dtype=float)
     with np.errstate(invalid="ignore"):
         valid = (x >= 0.0) & (np.sqrt(q) <= x)
-        if c is None:
-            raw = (np.sqrt(np.maximum(1.0 - x * x, 0.0) * (1.0 - q)) + x * np.sqrt(q)) ** 2
-        else:
-            raw = 1.0 + c - c * (1.0 + c) * x * x / (q + c)
+        raw = _hellinger_closed(q, x) if c is None else 1.0 + c - c * (1.0 + c) * x * x / (q + c)
     return _override(q, raw), valid
+
+
+def _inverse_expm1(q, p, k):
+    """1 / expm1(k z) at the logit gap z of p over q: inf at p = q, 0 at p = 1."""
+    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return 1.0 / np.expm1(k * _logit_gap(p, qs))
 
 
 def comp_reverse_chi2_ac(q, r, c):
@@ -788,17 +817,10 @@ def comp_reverse_chi2_ac(q, r, c):
 
 
 def comp_reverse_chi2_core(q, r):
-    """The family at its stationary point, in closed form:
-    tanh t* = 2q(1-q) / (r + 2q(1-q) + sqrt(r (r + 4q(1-q))))."""
-    q = np.asarray(q, dtype=float)
-    r = np.broadcast_to(np.asarray(r, dtype=float), q.shape)
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        root = np.sqrt(r) * np.sqrt(r + 4.0 * qs * (1.0 - qs))
-        u = np.where(np.isinf(r), 1.0, (r + root) / (r + 2.0 * qs * (1.0 - qs) + root))
-        c_star = (1.0 - u) ** 2 / (u * (2.0 - u))
-        raw = np.where(r == 0.0, qs, comp_reverse_chi2_ac(qs, r, c_star))
-    return _override(q, raw), c_star
+    """The family at its optimum, (raw, c*): :func:`reverse_chi2_core`,
+    attained at tanh t* = e^(-z), c* = sinh^2 t* = 1 / expm1(2z)."""
+    p = reverse_chi2_core(q, r)
+    return p, _inverse_expm1(q, p, 2.0)
 
 
 def comp_reverse_kl_ac(q, d, c):
@@ -810,25 +832,10 @@ def comp_reverse_kl_ac(q, d, c):
 
 
 def comp_reverse_kl_core(q, d):
-    """The family at its stationary point, the root z* of
-    log(1 + q (e^z - 1)) - q z = d, increasing and convex in z, found by
-    Newton steps from z = (d - log q) / (1 - q).  The left side is evaluated
-    as (1 - q) z + log(1 - (1 - q)(1 - e^-z)), which does not overflow."""
-    q = np.asarray(q, dtype=float)
-    d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    finite = np.where(np.isinf(d), 0.0, d)
-
-    def condition(z, q):
-        decay = (1.0 - q) * np.expm1(-z)
-        return (1.0 - q) * z + np.log1p(decay), -q * decay / (1.0 + decay)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z_hi = _searched(q, 0.0, (finite - np.log(qs)) / (1.0 - qs))
-        z = increasing_root(condition, 0.0, z_hi, finite, qs)
-        c_star = np.where(d == 0.0, np.inf, np.where(np.isinf(d), 0.0, 1.0 / np.expm1(z)))
-        raw = np.where(d == 0.0, qs, comp_reverse_kl_ac(qs, d, c_star))
-    return _override(q, raw), c_star
+    """The family at its optimum, (raw, c*): :func:`reverse_kl_exact_core`,
+    attained at log(1 + 1/c*) = z, c* = 1 / expm1(z)."""
+    p = reverse_kl_exact_core(q, d)
+    return p, _inverse_expm1(q, p, 1.0)
 
 
 def comp_vincze_ac(q, vc, c):
@@ -839,31 +846,21 @@ def comp_vincze_ac(q, vc, c):
 
 
 def comp_vincze_core(q, vc):
-    """The family at its stationary point, that of the reverse chi-square
-    family at r = vc / 2."""
-    raw, c_star = comp_reverse_chi2_core(q, 0.5 * np.asarray(vc, dtype=float))
-    return 2.0 * raw - np.asarray(q, dtype=float), c_star
+    """The family at its optimum, (raw, c*): :func:`vincze_core`, attained
+    at the reverse chi-square family's c* at r = vc / 2."""
+    half, c_star = comp_reverse_chi2_core(q, 0.5 * np.asarray(vc, dtype=float))
+    return 2.0 * half - np.asarray(q, dtype=float), c_star
 
 
 def comp_power_core(q, h_beta, beta):
-    """Competitor with a free shift s, at its optimum.
-
-    With rho = s / (s - 1), the stationarity condition written in
+    """Competitor with a free shift s, at its optimum, (raw, s*).  With
+    rho = s / (s - 1), the stationarity condition written in
     Y = q + (1-q) rho^(1/(beta-1)) is the implicit power constraint at
     p = q / Y, where the family's value is p: the optimum is
-    :func:`power_implicit_core`, attained at
-    rho* = (q (1-p*) / (p* (1-q)))^(beta-1).  Returns (raw, s*) with
-    s* = -rho* / (1 - rho*), -inf at H_beta = 0 and 1 where p* = 1.  Both
-    log-ratios of rho* are log1p of (p* - q) over a denominator, which does
-    not cancel near p* = q and is a plain log where p* >> q."""
-    q = np.asarray(q, dtype=float)
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
+    :func:`power_implicit_core`, attained at rho* = e^(-(beta-1) z), so
+    s* = -1 / expm1((beta-1) z), -inf at H_beta = 0 and 1 where p* = 1."""
     p = power_implicit_core(q, h_beta, beta)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gap = p - qs
-        z = (beta - 1.0) * (np.log1p(gap / qs) + np.log1p(gap / (1.0 - p)))  # -log rho*
-        s_star = np.where(p >= 1.0, 1.0, -1.0 / np.expm1(z))
-    return p, s_star
+    return p, np.where(p >= 1.0, 1.0, -_inverse_expm1(q, p, beta - 1.0))
 
 
 def comp_power_fixed(q, h_beta, beta, s):
@@ -875,6 +872,7 @@ def comp_power_fixed(q, h_beta, beta, s):
     e^A is close to rho: D = log amp + log(1 + q (e^(qb z) - 1)) / qb, the
     log from log1p and expm1, or from logaddexp where e^(qb z) overflows."""
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
+    s = np.asarray(s, dtype=float)
     qb = beta / (beta - 1.0)
     log_q = np.log(qs)
     log_amp = np.log1p((beta - 1.0) * np.asarray(h_beta, dtype=float)) / beta
@@ -884,6 +882,15 @@ def comp_power_fixed(q, h_beta, beta, s):
         below = -s * np.expm1(log_amp + mix / qb)
         linear = s + np.exp(log_amp + log_q / qb) * np.maximum(1.0 - s, 0.0)
         return np.where(s < 0.0, below, linear)
+
+
+# each competitor family with a free c > 0, at a fixed c and at its optimum
+_C_FAMILIES = {
+    "kl": (kl_fixed_core, kl_opt_core),
+    "reverse_chi2": (comp_reverse_chi2_ac, comp_reverse_chi2_core),
+    "reverse_kl": (comp_reverse_kl_ac, comp_reverse_kl_core),
+    "vincze_lecam": (comp_vincze_ac, comp_vincze_core),
+}
 
 
 def competitor_bound(
@@ -923,17 +930,11 @@ def competitor_bound(
         if beta is None:
             raise RangeError("power row needs beta")
         beta = _check_beta(beta)
-        if s is not None:
-            raw = comp_power_fixed(q, div, beta, s)
-            return BoundResult(name, float(raw), {"beta": beta, "s": float(s)})
-        raw, s_star = comp_power_core(q, div, beta)
-        return BoundResult(name, float(raw), {"beta": beta, "s": float(s_star)})
-    # the rows with a free c > 0
-    spec = DOMINANCE_ROWS[row].competitor
-    if c is None:
-        raw, c_star = spec.core(np.asarray(q), div)
-        return BoundResult(name, float(raw), {"c": float(c_star)})
-    return BoundResult(name, float(spec.fixed(q, div, c)), {"c": float(c)})
+        raw, s = comp_power_core(q, div, beta) if s is None else (comp_power_fixed(q, div, beta, s), s)
+        return BoundResult(name, float(raw), {"beta": beta, "s": float(s)})
+    fixed, optimum = _C_FAMILIES[row]
+    raw, c = optimum(np.asarray(q), div) if c is None else (fixed(q, div, c), c)
+    return BoundResult(name, float(raw), {"c": float(c)})
 
 
 # ---------------------------------------------------------------------------
@@ -956,10 +957,10 @@ class Bound:
     A bound of ours may carry the prior-art ``competitor`` for its
     divergence, itself a Bound, with the ``claim`` of the comparison
     ("same", "ours" or "incomparable") and the params of its dominance
-    row.  A competitor with a free parameter c gives its value at a fixed c
-    as ``fixed(q, d, c)``.  ``scalar`` is the `divgauge bound` entry point,
-    called as scalar(q, div, **options) with the command-line options named
-    in ``scalar_args``.
+    row.  A competitor whose optimum is our bound ("same") names our core,
+    so the two share one evaluation per batch.  ``scalar`` is the
+    `divgauge bound` entry point, called as scalar(q, div, **options) with
+    the command-line options named in ``scalar_args``.
     """
 
     id: str
@@ -971,7 +972,6 @@ class Bound:
     competitor: Bound | None = None
     claim: str | None = None
     row_params: dict = field(default_factory=dict)
-    fixed: Callable | None = None
     scalar: Callable[..., BoundResult] | None = None
     scalar_args: tuple[str, ...] = ()
 
@@ -1033,7 +1033,7 @@ _TABLE = (
           scalar=bound_egamma, scalar_args=("gamma",)),
     Bound("strong_converse", None, egamma_core, _HS_GRID, stat=_tail_masses),
     Bound("kl", KL, kl_opt_core, scalar=bound_kl, scalar_args=("c",), claim="same",
-          competitor=Bound("competitor_kl", KL, kl_opt_core, fixed=kl_fixed_core)),
+          competitor=Bound("competitor_kl", KL, kl_opt_core)),
     Bound("kl_closed", KL, kl_closed_core),
     Bound("chi2", CHI2, chi2_core, scalar=bound_chi2, claim="same",
           competitor=Bound("competitor_chi2", CHI2, chi2_core)),
@@ -1052,18 +1052,15 @@ _TABLE = (
     Bound("orlicz", None, _orlicz_case, _grid(kappa=(1.5, 2.0, 4.0), gamma=(0.0, 1.0, 2.0)),
           stat=_amemiya_norms),
     Bound("reverse_chi2", REVERSE_CHI2, reverse_chi2_core, scalar=bound_reverse_chi2,
-          claim="ours",
-          competitor=Bound("competitor_reverse_chi2", REVERSE_CHI2, comp_reverse_chi2_core,
-                           fixed=comp_reverse_chi2_ac)),
+          claim="same",
+          competitor=Bound("competitor_reverse_chi2", REVERSE_CHI2, reverse_chi2_core)),
     Bound("reverse_kl_exact", REVERSE_KL, reverse_kl_exact_core,
-          scalar=partial(bound_reverse_kl, mode="exact"), claim="ours",
-          competitor=Bound("competitor_reverse_kl", REVERSE_KL, comp_reverse_kl_core,
-                           fixed=comp_reverse_kl_ac)),
+          scalar=partial(bound_reverse_kl, mode="exact"), claim="same",
+          competitor=Bound("competitor_reverse_kl", REVERSE_KL, reverse_kl_exact_core)),
     Bound("reverse_kl_explicit", REVERSE_KL, reverse_kl_explicit_core,
           scalar=partial(bound_reverse_kl, mode="explicit")),
-    Bound("vincze_lecam", VINCZE_LECAM, vincze_core, scalar=bound_vincze_lecam, claim="ours",
-          competitor=Bound("competitor_vincze_lecam", VINCZE_LECAM, comp_vincze_core,
-                           fixed=comp_vincze_ac)),
+    Bound("vincze_lecam", VINCZE_LECAM, vincze_core, scalar=bound_vincze_lecam, claim="same",
+          competitor=Bound("competitor_vincze_lecam", VINCZE_LECAM, vincze_core)),
 )
 BOUNDS: dict[str, Bound] = {
     b.id: b for ours in _TABLE for b in (ours, ours.competitor) if b is not None

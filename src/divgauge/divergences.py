@@ -212,7 +212,7 @@ def renyi(pair: AbsContPair, alpha: float) -> float:
     r, q = pair.ratios, pair.q.probs
     mask = (r > 0) & (q > 0)
     if not mask.any():
-        return math.inf if alpha > 1 else math.inf
+        return math.inf
     with np.errstate(divide="ignore"):
         log_terms = alpha * np.log(r[mask]) + np.log(q[mask])
     total = logsumexp(log_terms)

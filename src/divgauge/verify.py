@@ -486,8 +486,10 @@ def _dominance_rows(q, divergence):
 def dominance_report(pair: AbsContPair) -> list[dict]:
     """Ours-vs-competitor comparison per divergence row, over all events.
 
-    Claims: "same" rows must agree to 1e-12, "ours" rows must never exceed
-    the competitor by more than DOMINANCE_TOL, the power row is reported
+    Claims: a "same" row's competitor at its optimum is our bound (KL, chi^2,
+    reverse chi^2, reverse KL, Vincze-Le Cam), so it is not evaluated again
+    and reports 0.0; the "ours" row (squared Hellinger) must never exceed
+    the competitor by more than DOMINANCE_TOL; the power row is reported
     without a claim.  Rows with infinite divergence are marked not applicable.
     """
     batch = PairBatch.from_pairs([pair], _all_events(pair, "dominance report"))

@@ -75,6 +75,12 @@ def test_chi2_bound_examples():
     assert dg.bound_chi2(0.5, 1.0).raw == pytest.approx(1.0, abs=1e-15)
 
 
+def test_chi2_bound_where_the_product_underflows():
+    # q (1-q) chi^2 underflows to 0 here, which returned q itself
+    assert B.chi2_core(3.723e-262, 6.05e-150) == pytest.approx(
+        4.7459614410570174e-206, rel=1e-15, abs=0)
+
+
 def test_kl_bound_fixed_c_example():
     want = (0.2 + math.log(1 + 0.5 * (math.e - 1))) / 1.0
     assert dg.bound_kl(0.5, 0.2, c=1.0).raw == pytest.approx(want, abs=1e-15)
@@ -166,6 +172,27 @@ def test_power_implicit_below_small_q_relaxation():
         tight = dg.bound_power_beta(q, h, beta, mode="implicit").raw
         loose = dg.bound_power_beta(q, h, beta, mode="small_q").raw
         assert tight <= loose + 1e-9
+
+
+def test_power_implicit_at_tiny_q():
+    # from the start q^((b-1)/b) the steps hit the cap far above the root
+    # (1.52e-161 at beta = 2); at beta = 2 the constraint is the chi^2 one
+    q, h = 3.723e-262, 6.05e-150
+    assert B.power_implicit_core(q, h, 2.0) == pytest.approx(
+        float(B.chi2_core(q, h)), rel=1e-12, abs=0)
+    for beta in (1.5, 4.0):
+        with np.errstate(all="ignore"):
+            want = float(_reference_root(partial(B._power_excess, beta=beta), q, 1.0,
+                                         (beta - 1.0) * h, q))
+        assert B.power_implicit_core(q, h, beta) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_power_implicit_where_the_ratio_power_overflows():
+    # (p/q)^b overflowed to inf well below the root and read as the target
+    # reached: at q = 4.8e-247 the bound was 7.9e-31 where p = 1 is admitted
+    q = 4.7911978217550844e-247
+    for h in (1e300, math.inf):
+        assert dg.bound_power_beta(q, h, 2.0).raw == 1.0
 
 
 def test_power_qmax_flags_nonpositive_slope():
@@ -344,6 +371,18 @@ def test_reverse_bounds_collapse_at_zero_divergence():
     assert dg.bound_reverse_kl(q, 0.0, mode="explicit").raw >= q
 
 
+def test_reverse_chi2_and_vincze_where_the_product_underflows():
+    # r * q * (1-q) under one root underflows: both returned 1.5e-200
+    assert B.reverse_chi2_core(1e-200, 1e-200) == pytest.approx(
+        (3.0 + math.sqrt(5.0)) / 2.0 * 1e-200, rel=1e-15, abs=0)
+    assert B.vincze_core(1e-200, 1e-200) == pytest.approx(3e-200, rel=1e-15, abs=0)
+
+
+def test_reverse_kl_exact_is_one_at_infinite_divergence():
+    assert dg.bound_reverse_kl(0.3, math.inf).raw == 1.0
+    assert dg.invert_binary_kl(1e-200, math.inf) == 1.0
+
+
 def test_reverse_kl_exact_below_explicit():
     rng = np.random.default_rng(12)
     for _ in range(200):
@@ -441,10 +480,6 @@ def test_root_kernels_are_on_the_sound_side(q, d):
     assert q <= p <= 1.0 and (p == 1.0 or dg.bernoulli_kl(p, q) >= d)
     p_rev = float(B.reverse_kl_exact_core(q, d))
     assert q <= p_rev and (p_rev == np.nextafter(1.0, 0.0) or dg.bernoulli_kl(q, p_rev) >= d)
-    # the competitors: a number, and never below the sharp bound
-    slack = dg.verify.SLACK_TOL
-    comp_rev = float(B.comp_reverse_kl_core(q, d)[0])
-    assert comp_rev >= p_rev - slack
     for beta in (1.5, 2.0, 4.0):
         p_pow = float(B.power_implicit_core(q, d, beta))
         with np.errstate(all="ignore"):
@@ -474,7 +509,7 @@ def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
     # of the same kernel with an exact bisection in place of the root-finder.
     # Closer agreement is not defined: the constraints are evaluated with a
     # few ulp of noise, and two bisections can stop at different crossings.
-    # The power competitor is the implicit power bound, evaluated once.
+    # The power and reverse-KL competitors are our bounds, evaluated once.
     from divgauge import _optim, verify as V
     from divgauge._optim import ROOT_STEPS, increasing_root
 
@@ -509,12 +544,13 @@ def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
     monkeypatch.setattr(B, "increasing_root", _reference_root)
     with np.errstate(all="ignore"):
         reference = values()
-    assert len(ours) == 9 and len(steps) == 6 and max(n for _, n in steps) < ROOT_STEPS
+    assert len(ours) == 9 and len(steps) == 5 and max(n for _, n in steps) < ROOT_STEPS
     # the KL search starts below p = 1, whose slope is infinite, so it settles fast
     assert max(n for fn, n in steps if fn is B._kl_above) <= 20
     for beta in (1.5, 2, 4):
         assert np.array_equal(ours[f"competitor_power[beta={beta:g}]"],
                               ours[f"power_implicit[beta={beta:g}]"])
+    assert np.array_equal(ours["competitor_reverse_kl"], ours["reverse_kl_exact"])
     for label, got in ours.items():
         want = reference[label]
         assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -656,22 +692,16 @@ def test_competitor_squared_hellinger_closed_form():
 
 
 def test_competitor_dominance_on_reverse_rows():
+    # at their optima the reverse competitors are our sharp bounds
     rng = np.random.default_rng(77)
     for _ in range(40):
         q = float(rng.uniform(0.02, 0.9))
         d = float(rng.exponential(0.6))
-        assert (
-            dg.bound_reverse_chi2(q, d).raw
-            <= dg.competitor_bound("reverse_chi2", q, d).raw + 1e-10
-        )
-        assert (
-            dg.bound_reverse_kl(q, d, mode="exact").raw
-            <= dg.competitor_bound("reverse_kl", q, d).raw + 1e-10
-        )
-        assert (
-            dg.bound_vincze_lecam(q, min(d, 1.99)).raw
-            <= dg.competitor_bound("vincze_lecam", q, min(d, 1.99)).raw + 1e-10
-        )
+        assert dg.bound_reverse_chi2(q, d).raw == dg.competitor_bound("reverse_chi2", q, d).raw
+        assert (dg.bound_reverse_kl(q, d, mode="exact").raw
+                == dg.competitor_bound("reverse_kl", q, d).raw)
+        v = min(d, 1.99)
+        assert dg.bound_vincze_lecam(q, v).raw == dg.competitor_bound("vincze_lecam", q, v).raw
 
 
 def test_competitor_power_fixed_and_optimized():
@@ -712,33 +742,55 @@ def test_competitor_power_at_tiny_q():
     assert fixed.raw == pytest.approx(4.6365846965208396e-173, rel=1e-12, abs=0)
 
 
+# row -> (our scalar bound, the competitor family at a free parameter t > 0,
+# the name of t in the competitor's free_params, extra competitor_bound args)
+_POWER_FAMILIES = {
+    f"power[beta={beta:g}]": (
+        partial(dg.bound_power_beta, beta=beta, mode="implicit"),
+        lambda q, d, t, beta=beta: B.comp_power_fixed(q, d, beta, -t),
+        "s", {"beta": beta},
+    )
+    for beta in (1.5, 2.0, 4.0)
+}
+_FAMILIES = {
+    "kl": (dg.bound_kl, B.kl_fixed_core, "c", {}),
+    "reverse_chi2": (dg.bound_reverse_chi2, B.comp_reverse_chi2_ac, "c", {}),
+    "reverse_kl": (partial(dg.bound_reverse_kl, mode="exact"), B.comp_reverse_kl_ac, "c", {}),
+    "vincze_lecam": (dg.bound_vincze_lecam, B.comp_vincze_ac, "c", {}),
+    **_POWER_FAMILIES,
+}
+
+
 def test_competitor_optima_at_extreme_inputs():
-    """Each free-parameter competitor at its optimum: never NaN, never above
-    its own family on a log grid of the parameter, q at divergence 0."""
+    """Each free-parameter competitor at its optimum is our scalar bound,
+    bit for bit; its family at the reported optimum evaluates back to it;
+    and no member of the family on a log grid of the parameter is below it.
+    So it is the family's infimum, attained at the reported parameter."""
     rng = np.random.default_rng(2026)
     q = np.concatenate([10.0 ** rng.uniform(-300, 0, 60), rng.uniform(0, 1, 40)])
     grid = np.geomspace(1e-6, 1e6, 2001)
-    families = [
-        (B.kl_opt_core, B.kl_fixed_core),
-        (B.comp_reverse_chi2_core, B.comp_reverse_chi2_ac),
-        (B.comp_reverse_kl_core, B.comp_reverse_kl_ac),
-        (B.comp_vincze_core, B.comp_vincze_ac),
-    ] + [
-        (partial(B.comp_power_core, beta=beta),
-         lambda q, d, t, beta=beta: B.comp_power_fixed(q, d, beta, -t))
-        for beta in (1.5, 2.0, 4.0)
-    ]
-    for d in (0.0, 1e-300, 1e-12, 0.3, 50.0, math.inf):
-        for core, family in families:
-            raw, _ = core(q, d)
-            assert not np.isnan(raw).any(), (core, d)
-            best = family(q[:, None], d, grid[None, :]).min(axis=1)
-            assert np.all(raw <= best + 1e-12), (core, d, np.max(raw - best))
+    for label, (ours, family, param, extra) in _FAMILIES.items():
+        row = label.split("[")[0]
+        for d in (0.0, 1e-300, 1e-12, 0.3, 50.0, math.inf):
+            raw, t_star = np.empty(q.size), np.empty(q.size)
+            for i, qv in enumerate(q):
+                comp = dg.competitor_bound(row, float(qv), d, **extra)
+                assert comp.raw == ours(float(qv), d).raw, (label, qv, d)
+                raw[i], t_star[i] = comp.raw, comp.free_params[param]
+            t_star = -t_star if param == "s" else t_star
+            assert not np.isnan(raw).any(), (label, d)
             if d == 0.0:
-                assert np.array_equal(raw, q), (core, d)
-        vacuous = d >= np.log(1.0 / q)
-        for qv in q[vacuous]:
-            assert dg.bound_kl(float(qv), d).raw == 1.0
+                assert np.array_equal(raw, q), (label, d)
+            with np.errstate(all="ignore"):
+                best = family(q[:, None], d, grid[None, :]).min(axis=1)
+                at_opt = family(q, d, t_star)
+            assert np.all(best >= raw - 1e-12), (label, d, np.max(raw - best))
+            attained = np.isfinite(t_star) & (t_star > 0.0) & (raw < 1.0)
+            err = np.abs(at_opt - raw)[attained] / raw[attained]
+            assert np.all(err <= 1e-12), (label, d, err.max())
+            if row == "kl":
+                for qv in q[d >= np.log(1.0 / q)]:
+                    assert dg.bound_kl(float(qv), d).raw == 1.0
 
 
 def test_competitor_unknown_row():

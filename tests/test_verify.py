@@ -158,11 +158,16 @@ def test_entries_with_one_formula_share_one_evaluation():
     shared = {bid for bid, fn in registry.items()
               if sum(other is fn for other in registry.values()) > 1}
     assert shared == {"kl", "competitor_kl", "chi2", "competitor_chi2",
-                      "power_implicit", "competitor_power"}
+                      "power_implicit", "competitor_power", "reverse_chi2",
+                      "competitor_reverse_chi2", "reverse_kl_exact", "competitor_reverse_kl",
+                      "vincze_lecam", "competitor_vincze_lecam"}
     batch = verify.PairBatch.from_pairs([random_pair(3, 0, 5)], event_mask_matrix(5))
     ours = registry["power_implicit"](batch, beta=2.0)
     assert registry["competitor_power"](batch, beta=2.0) is ours
     assert len(batch._case_cache) == 1
+    ours = registry["reverse_kl_exact"](batch)
+    assert registry["competitor_reverse_kl"](batch) is ours
+    assert len(batch._case_cache) == 2
 
 
 def test_egamma_variational_identity_and_witness():
@@ -219,15 +224,14 @@ def test_mixture_witness_renyi_and_structure():
 def test_dominance_report_claims():
     pair = random_pair(21, 5, 6, zero_prob=0.0)
     rows = {r["row"]: r for r in dg.dominance_report(pair)}
-    for name in ("kl", "chi2"):
+    for name in ("kl", "chi2", "reverse_chi2", "reverse_kl", "vincze_lecam"):
         assert rows[name]["claim"] == "same"
         assert rows[name]["max_ours_minus_competitor"] == 0.0
-    for name in ("squared_hellinger", "reverse_chi2", "reverse_kl", "vincze_lecam"):
-        row = rows[name]
-        assert row["claim"] == "ours"
-        if row["applicable"] and row["events"]:
-            assert row["max_ours_minus_competitor"] <= 1e-10
-            assert row["ours_tighter_or_equal"] == row["events"]
+    row = rows["squared_hellinger"]
+    assert row["claim"] == "ours"
+    if row["applicable"] and row["events"]:
+        assert row["max_ours_minus_competitor"] <= 1e-10
+        assert row["ours_tighter_or_equal"] == row["events"]
     assert rows["power"]["claim"] == "incomparable"
 
 
