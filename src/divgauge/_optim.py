@@ -4,17 +4,22 @@ The scalar minimizers (the Young-Fenchel search, numeric conjugates and
 custom-gauge Amemiya norms) refine a bracket by golden-section: a coarse
 grid locates it on a fixed log range, or doubling steps on the whole line.
 Every root in the package comes from one root-finder,
-:func:`increasing_root`, for a nondecreasing function inside a bracket the
-caller derives; scalar roots are its calls at shape ``()``.  It settles on
-entry every element whose bracket already decides it, then takes Newton
-steps from the hi side on the open elements, falling back to a secant or
-halving step where a Newton step is not safe (rtsafe), and drops each
-element once it has converged.  It returns the hi side, where the function
-is not below the target as evaluated: the sound side of every bound
-inverted this way.  For an increasing convex function every Newton step
-from the hi side stays there, so the sharp inversions converge from above.
-No RNG anywhere; identical inputs give identical results, which regression
-tests rely on.
+:func:`increasing_root`, for a nondecreasing function on a range [lo, hi]
+searched from a start the caller derives; scalar roots are its calls at
+shape ``()``, through the same code as a batch.  Each point is evaluated
+once: the start, which splits the range into a bracket, then the bracket's
+other end where it is not the start, then one point per step.  The bound
+kernels evaluate nothing themselves, and an empty range (lo == hi), which a
+kernel gives where it overrides the root, is not evaluated at all.  The
+root-finder settles every element whose bracket already decides it, then
+takes Newton steps from the hi side on the open elements, falling back to
+a secant or halving step where a Newton step is not safe (rtsafe), and
+drops the elements that have converged on the steps where some have.  It
+returns the hi side, where the function is not below the target as
+evaluated: the sound side of every bound inverted this way.  For an
+increasing convex function every Newton step from the hi side stays
+there, so the sharp inversions converge from above.  No RNG anywhere;
+identical inputs give identical results, which regression tests rely on.
 """
 
 from __future__ import annotations
@@ -135,33 +140,45 @@ def min_convex_line(
     return _golden_section(safe, a, b)
 
 
-def increasing_root(fn: Callable[..., tuple], lo, hi, target, *args) -> np.ndarray:
-    """Root of an elementwise nondecreasing function on [lo, hi].
+def increasing_root(fn: Callable[..., tuple], lo, start, hi, target, *args) -> np.ndarray:
+    """Root of an elementwise nondecreasing function on [lo, hi], searched
+    from start in [lo, hi].
 
     ``fn(x, *args)`` returns (value, slope) at x; the arrays ``args`` are
-    per-element parameters, broadcast with lo, hi and target and passed for
-    the elements still open (at shape ``()``, as 0-d arrays).
+    per-element parameters, broadcast with lo, start, hi and target and
+    passed for the elements still open (at shape ``()``, as 0-d arrays).
+
+    Each point is evaluated once.  fn is evaluated at start, which makes
+    the bracket [lo, start] where it reaches target and [start, hi] where
+    it does not, and then at the end so left open, where that end is not
+    start itself.  An element with lo == hi is settled at hi and not
+    evaluated at all.
 
     Returns the hi side, where fn is not below target as evaluated: lo
-    where fn(lo) already reaches target, hi where fn(hi) does not (or
-    either is NaN), and otherwise the upper end of a bracket narrowed
-    until it is 2 ulp wide or a Newton step from its upper end is at most
-    2 ulp.  Each step tries that Newton point, or, where it falls at or
-    below the lower end (the function is concave there), the secant point
-    of the bracket, kept above the lower end.  It halves the bracket
-    instead where the slope is not finite and positive, so a caller
-    without a derivative returns NaN and gets pure halving, where the
-    guess does not move, or where it moves more than half the step before
-    last (rtsafe).  Open elements stop after ROOT_STEPS steps.  The
-    elements are searched ROOT_BLOCK at a time.
+    where fn(lo) already reaches target, hi where fn(hi) does not, the
+    upper end of that first bracket where fn is NaN at either of its ends,
+    and otherwise the upper end of a bracket narrowed until it is 2 ulp
+    wide or a Newton step from its upper end is at most 2 ulp.  Each step tries that Newton point, or,
+    where it falls at or below the lower end (the function is concave
+    there), the secant point of the bracket, kept above the lower end.  It
+    halves the bracket instead where the slope is not finite and positive,
+    so a caller without a derivative returns NaN and gets pure halving,
+    where the guess does not move, or where it moves more than half the
+    step before last (rtsafe).  Open elements stop after ROOT_STEPS steps.
+    The elements are searched ROOT_BLOCK at a time.
     """
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, target, *args)))
+    arrays = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (lo, start, hi, target, *args))
+    )
     shape = arrays[0].shape
     at_call = (lambda v: v.reshape(())) if shape == () else (lambda v: v)
 
-    def evaluate(x, params):  # (value, slope) as flat arrays
-        out = fn(at_call(x), *(at_call(p) for p in params))
-        return [np.broadcast_to(np.asarray(v, dtype=float), x.shape).ravel() for v in out]
+    def evaluate(x, params):  # (value, slope) in x's shape, as fn returned them where they have it
+        out = []
+        for v in fn(at_call(x), *(at_call(p) for p in params)):
+            v = np.asarray(v, dtype=float)
+            out.append(v.reshape(x.shape) if v.size == x.size else np.broadcast_to(v, x.shape))
+        return out
 
     out = np.empty(arrays[0].size)
     for i in range(0, out.size, ROOT_BLOCK):
@@ -169,23 +186,37 @@ def increasing_root(fn: Callable[..., tuple], lo, hi, target, *args) -> np.ndarr
     return out.reshape(shape)
 
 
-def _root_block(evaluate, a, b, t, *args) -> np.ndarray:
+def _root_block(evaluate, a, x, b, t, *args) -> np.ndarray:
     """increasing_root on flat arrays, with fn behind ``evaluate``."""
-    g_lo = evaluate(a, args)[0]
-    g_hi, s_hi = evaluate(b, args)
-    out = np.where(g_lo >= t, a, b)
-    live = np.flatnonzero((g_lo < t) & (g_hi >= t))
-    a, b, ga, g, s, t = a[live], b[live], g_lo[live], g_hi[live], s_hi[live], t[live]
-    del g_lo, g_hi, s_hi
+    out = b.copy()
+    live = np.flatnonzero(a < b)
+    if live.size == 0:
+        return out
+    a, x, b, t = a[live], x[live], b[live], t[live]
     args = [p[live] for p in args]
+    gx, sx = evaluate(x, args)
+    above = gx >= t
+    end = np.where(above, a, b)
+    g_end, s_end = gx.copy(), sx.copy()  # the start's values where it is the end
+    open_end = np.flatnonzero(end != x)
+    if open_end.size:
+        g_end[open_end], s_end[open_end] = evaluate(end[open_end], [p[open_end] for p in args])
+    a, ga = np.where(above, a, x), np.where(above, g_end, gx)
+    b, g, s = np.where(above, x, b), np.where(above, gx, g_end), np.where(above, sx, s_end)
+    out[live] = np.where(ga >= t, a, b)
+    keep = (ga < t) & (g >= t)
+    live, a, b, ga, g, s, t = (v[keep] for v in (live, a, b, ga, g, s, t))
+    args = [p[keep] for p in args]
     x, last, before = b, b - a, b - a
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(ROOT_STEPS):
             if live.size == 0:
                 break
-            newton = (g - t) / s
-            tangent = b - newton > a
-            guess = np.where(tangent, b - newton, b - (g - t) * (b - a) / (g - ga))
+            excess = g - t
+            newton = excess / s
+            tip = b - newton
+            tangent = tip > a
+            guess = np.where(tangent, tip, b - excess * (b - a) / (g - ga))
             # a guess rounded onto lo means the root is within rounding above it
             guess = np.maximum(guess, np.nextafter(a, b))
             move = np.abs(guess - x)
@@ -201,11 +232,12 @@ def _root_block(evaluate, a, b, t, *args) -> np.ndarray:
             a, ga = np.where(above, a, x), np.where(above, ga, gx)
             b, g, s = np.where(above, x, b), np.where(above, gx, g), np.where(above, sx, s)
             done |= b - a <= 2.0 * np.spacing(b)
-            out[live[done]] = b[done]
-            keep = ~done
-            live, a, b, ga, g, s, t, x, last, before = (
-                v[keep] for v in (live, a, b, ga, g, s, t, x, last, before)
-            )
-            args = [p[keep] for p in args]
+            if done.any():  # drop the finished elements
+                out[live[done]] = b[done]
+                keep = ~done
+                live, a, b, ga, g, s, t, x, last, before = (
+                    v[keep] for v in (live, a, b, ga, g, s, t, x, last, before)
+                )
+                args = [p[keep] for p in args]
     out[live] = b
     return out

@@ -17,11 +17,12 @@ Conventions
   The optimized KL bound is the Chernoff inversion
   sup{p >= q : kl(p || q) <= d}; the implicit power bound and the exact
   reverse-KL bound are roots too.  Every root comes from
-  ``_optim.increasing_root`` (Newton steps from the upper end of a bracket
-  derived from q and the divergence, empty where Q(E) is 0 or 1), which
-  returns the upper side of its final bracket, so each inverted bound errs
-  on the sound side; the scalar entry points are the same kernels at one
-  point.
+  ``_optim.increasing_root`` (Newton steps from a closed-form start derived
+  from q and the divergence, which it evaluates once and brackets from; the
+  bracket is empty where Q(E) is 0 or 1 or the kernel overrides the root),
+  which returns the upper side of its final bracket, so each inverted bound
+  errs on the sound side; the scalar entry points are the same kernels at
+  one point.
 * Each competitor with a free parameter, squared Hellinger aside, is at
   its optimum one of our sharp bounds (Vincze-Le Cam through the reverse
   chi-square bound at V/2), so none computes its own value.  Every optimal
@@ -130,10 +131,11 @@ def _override(q, raw):
     return np.where(q <= 0.0, 0.0, np.where(q >= 1.0, 1.0, raw))
 
 
-def _searched(q, lo, hi):
-    """The root bracket's upper end where 0 < q < 1, and lo elsewhere: the
-    empty bracket settles, without a search, the roots _override discards."""
-    return np.where((q > 0.0) & (q < 1.0), hi, lo)
+def _searched(q, lo, hi, settled=False):
+    """The root bracket's upper end where 0 < q < 1 and not ``settled``, and
+    lo elsewhere: the empty bracket settles, without an evaluation, the
+    roots the caller overrides."""
+    return np.where((q > 0.0) & (q < 1.0) & np.logical_not(settled), hi, lo)
 
 
 def _two_point(name: str, core, q: float, d: float, what: str, **params) -> BoundResult:
@@ -226,20 +228,20 @@ def kl_opt_core(q, d):
     p* = sup{p >= q : kl(p || q) <= d}, attained at c* = logit p* - logit q,
     by Newton steps from q plus Pinsker's gap sqrt(d / 2) or, if smaller,
     twice d + sqrt(d) sqrt(d + 2q), where kl(p || q) >= (p - q)^2 / (2p) is
-    2d (and at least 1e-12 q: a margin over rounding), capped at the
-    predecessor of 1.0, where the slope is still finite (a start that
-    evaluates below d is the bracket's lower end).  Where d >= log(1/q) the
-    infimum is the limit 1 as c -> inf: raw 1 and c* = inf."""
+    2d, plus 1e-12 q: a margin over the rounding of kl(p || q), which is
+    within rounding of d at Pinsker's gap where Pinsker is tight (q near
+    1/2, tiny d).  The start is capped at the predecessor of 1.0, where the
+    slope is still finite.  Where d >= log(1/q) the infimum is the limit 1
+    as c -> inf: raw 1 and c* = inf, with no search."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        saturated = d >= -np.log(qs)
         gap = np.minimum(np.sqrt(0.5 * d), 2.0 * (d + np.sqrt(d) * np.sqrt(d + 2.0 * qs)))
-        start = np.minimum(qs + np.maximum(gap, 1e-12 * qs), np.nextafter(1.0, 0.0))
-        above = _kl_above(start, qs)[0] >= d
-        lo, hi = np.where(above, qs, start), np.where(above, start, 1.0)
-        root = increasing_root(_kl_above, lo, _searched(q, lo, hi), d, qs)
-        p = np.where(d >= -np.log(qs), 1.0, root)
+        start = np.minimum(qs + gap + 1e-12 * qs, np.nextafter(1.0, 0.0))
+        root = increasing_root(_kl_above, qs, start, _searched(q, qs, 1.0, saturated), d, qs)
+        p = np.where(saturated, 1.0, root)
         c_star = _logit_gap(p, qs)
     return _override(q, p), c_star
 
@@ -346,11 +348,12 @@ def power_implicit_core(q, h_beta, beta):
 
     The left side is increasing and convex in p on [q, 1], so Newton steps
     stay on the safe (upper) side of the root.  They start where the first
-    term alone reaches the target, p = ((1 + (b-1) H_b) q^(b-1))^(1/b), or at
-    1; or, where lower and reaching the target as evaluated, at q plus twice
-    the gap (q^(b-1) (b-1) H_b)^(1/b) of p >> q or sqrt(2 q H_b / b) of p near
-    q (the larger for b < 2, else the smaller; at least 1e-12 q), without
-    which tiny q takes hundreds of steps."""
+    term alone reaches the target, p = ((1 + (b-1) H_b) q^(b-1))^(1/b),
+    capped at 1, or, where lower, at q plus twice the gap
+    (q^(b-1) (b-1) H_b)^(1/b) of p >> q or sqrt(2 q H_b / b) of p near q (the
+    larger for b < 2, else the smaller; at least 1e-12 q), without which tiny
+    q takes hundreds of steps.  A start that evaluates below the target is
+    the lower end of the bracket [start, 1]."""
     q = np.asarray(q, dtype=float)
     excess = (beta - 1.0) * np.asarray(h_beta, dtype=float)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
@@ -358,13 +361,11 @@ def power_implicit_core(q, h_beta, beta):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_q = (beta - 1.0) * np.log(qs)
         start = np.minimum(np.exp((np.log1p(excess) + log_q) / beta), 1.0)
-        hi = np.where(lhs(start, qs)[0] >= excess, start, 1.0)
         far = np.exp((np.log(excess) + log_q) / beta)
         close = np.sqrt(2.0 * qs / (beta * (beta - 1.0))) * np.sqrt(excess)
         gap = np.maximum(far, close) if beta < 2.0 else np.minimum(far, close)
-        near = qs + np.maximum(2.0 * gap, 1e-12 * qs)
-        hi = np.where((near < hi) & (lhs(near, qs)[0] >= excess), near, hi)
-        raw = increasing_root(lhs, qs, _searched(q, qs, hi), excess, qs)
+        start = np.minimum(start, qs + np.maximum(2.0 * gap, 1e-12 * qs))
+        raw = increasing_root(lhs, qs, start, _searched(q, qs, 1.0), excess, qs)
     return _override(q, raw)
 
 
@@ -662,8 +663,8 @@ def reverse_kl_exact_core(q, d):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         entropy = -qs * np.log(qs) - (1.0 - qs) * np.log1p(-qs)
         start = np.clip(-np.expm1(-(d + entropy) / (1.0 - qs)), qs, top)
-        hi = np.where(_kl_below(start, qs)[0] >= d, start, top)
-        root = increasing_root(_kl_below, qs, _searched(q, qs, hi), d, qs)
+        settled = (d == 0.0) | np.isinf(d)
+        root = increasing_root(_kl_below, qs, start, _searched(q, qs, top, settled), d, qs)
     return _override(q, np.where(d == 0.0, q, np.where(np.isinf(d), 1.0, root)))
 
 

@@ -288,10 +288,16 @@ def mi_gap_constant() -> float:
 def _tstar(mi: float) -> float:
     target = mi + 2.0 / math.e
     hi = max(20.0, math.sqrt(target) + 2.0)
-    # t^2 (1 - 2 e^{-t^2}) is increasing for t >= 1.1, which contains the root
-    return float(increasing_root(
-        lambda t: (t * t * (1.0 - 2.0 * math.exp(-t * t)), math.nan), 1.1, hi, target
-    ))
+
+    def fn(t):  # t^2 (1 - 2 e^{-t^2}) and its slope
+        e = math.exp(-t * t)
+        return t * t * (1.0 - 2.0 * e), 2.0 * t * (1.0 - 2.0 * e + 2.0 * t * e * t)
+
+    # the function is increasing and convex for t >= 1.1, which contains the
+    # root; t^2 >= target puts the root at or below the start, where t^2 is
+    # target / (1 - 2 e^{-target})
+    start = min(max(math.sqrt(target / (1.0 - 2.0 * math.exp(-target))), 1.1), hi)
+    return float(increasing_root(fn, 1.1, start, hi, target))
 
 
 def avg_gen_bound_mi(setting: SubGaussianSetting, mi: float, variant: str = "closed") -> float:

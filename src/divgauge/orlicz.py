@@ -94,7 +94,7 @@ def custom_orlicz(
             hi *= 2.0
         else:
             raise OrliczSpecError("psi never reaches the requested level")
-        return float(increasing_root(lambda t: (psi(t), math.nan), 0.0, hi, s))
+        return float(increasing_root(lambda t: (psi(t), math.nan), 0.0, hi, hi, s))
 
     spec = OrliczSpec(
         name, psi, conjugate if conjugate else num_conj, inverse if inverse else num_inv
@@ -191,7 +191,7 @@ def luxemburg_norm_values(values, weights, spec: OrliczSpec) -> float:
         if lo < 1e-300:
             return 0.0
     # excess is nonincreasing in s; return the smallest s with excess <= 1
-    return float(top * increasing_root(lambda s: (-excess(s), math.nan), lo, hi, -1.0))
+    return float(top * increasing_root(lambda s: (-excess(s), math.nan), lo, hi, hi, -1.0))
 
 
 def amemiya_norm_values(values, weights, spec: OrliczSpec) -> float:

@@ -182,7 +182,7 @@ def test_power_implicit_at_tiny_q():
         float(B.chi2_core(q, h)), rel=1e-12, abs=0)
     for beta in (1.5, 4.0):
         with np.errstate(all="ignore"):
-            want = float(_reference_root(partial(B._power_excess, beta=beta), q, 1.0,
+            want = float(_reference_root(partial(B._power_excess, beta=beta), q, None, 1.0,
                                          (beta - 1.0) * h, q))
         assert B.power_implicit_core(q, h, beta) == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -472,6 +472,7 @@ def test_invert_binary_kl_is_on_the_sound_side(q, d):
 @example(0.3, 0.5)
 @example(0.23, 0.0)
 @example(1e-17, 1.0)  # (q - p) / p rounds to -1 in kl(q || p)
+@example(0.5, 1e-20)  # Pinsker is tight: kl(p || q) at q + sqrt(d / 2) rounds below d
 def test_root_kernels_are_on_the_sound_side(q, d):
     # the sharp inversions: the constraint, evaluated as the kernel evaluates
     # it, reaches the target at the returned value (or the value is the end
@@ -487,9 +488,50 @@ def test_root_kernels_are_on_the_sound_side(q, d):
         assert q <= p_pow <= 1.0 and (p_pow == 1.0 or excess >= (beta - 1.0) * d)
 
 
-def _reference_root(fn, lo, hi, target, *args):
+def test_kl_start_is_above_the_root_where_pinsker_is_tight(monkeypatch):
+    # at q = 1/2 and tiny d, kl(p || q) at Pinsker's q + sqrt(d / 2) is d
+    # within its rounding; a start below the root leaves the bracket
+    # [start, 1], searched from p = 1 in 36 steps
+    kl_above = B._kl_above
+    calls = []
+
+    def counted(x, q):
+        calls.append(1)
+        return kl_above(x, q)
+
+    monkeypatch.setattr(B, "_kl_above", counted)
+    p = float(B.kl_opt_core(0.5, 1e-20)[0])
+    assert dg.bernoulli_kl(p, 0.5) >= 1e-20
+    assert len(calls) - 2 <= 10  # the first two evaluate the start and q
+
+
+def test_root_kernels_agree_at_one_point_and_in_a_batch():
+    # one root-finder for every size: a kernel's value at one point, as 0-d
+    # inputs, is its value in a 10k-element batch, bit for bit
+    rng = np.random.default_rng(13)
+    n = 10_000
+    q = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, n // 2), rng.uniform(0.0, 1.0, n // 2)])
+    d = 10.0 ** rng.uniform(-25.0, 2.0, n)
+    kernels = {
+        "kl": lambda q, d: B.kl_opt_core(q, d)[0],
+        "reverse_kl_exact": B.reverse_kl_exact_core,
+        **{f"power_implicit[beta={b:g}]": partial(B.power_implicit_core, beta=b)
+           for b in (1.5, 2.0, 4.0)},
+    }
+    points = np.concatenate([rng.choice(n // 2, 20, replace=False),
+                             rng.choice(np.arange(n // 2, n), 20, replace=False)])
+    for name, core in kernels.items():
+        batch = np.asarray(core(q, d))
+        assert batch.shape == (n,)
+        for i in points:
+            one = np.asarray(core(np.asarray(q[i]), np.asarray(d[i])))
+            assert one.shape == () and one.tobytes() == batch[i].tobytes(), (name, q[i], d[i])
+
+
+def _reference_root(fn, lo, start, hi, target, *args):
     """The smallest double in [lo, hi] (lo >= 0) where fn reaches target, or
-    hi: bisection over the ordered bit patterns of nonnegative doubles."""
+    hi: bisection over the ordered bit patterns of nonnegative doubles,
+    which does not use start."""
     lo, hi, target, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, target, *args)))
     finite = np.isfinite(hi)
     a, b = lo.view(np.int64).copy(), np.where(finite, hi, lo).view(np.int64).copy()
@@ -501,6 +543,10 @@ def _reference_root(fn, lo, hi, target, *args):
 
 
 ROOT_KERNEL_IDS = ("kl", "power_implicit", "reverse_kl_exact", "competitor_power", "competitor_reverse_kl")
+# elements at which each constraint is evaluated on the chunk below (starts,
+# bracket ends and steps of every search, and anything a kernel evaluates
+# itself): a ceiling, so that duplicate evaluations cannot return unnoticed
+EVALUATED_ELEMENTS = {"_kl_above": 435_331, "_power_excess": 855_256, "_kl_below": 670_826}
 
 
 def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
@@ -525,26 +571,43 @@ def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
             if bound_id in ROOT_KERNEL_IDS
         }
 
+    evaluated = dict.fromkeys(EVALUATED_ELEMENTS, 0)
+
+    def counting(name):
+        fn = getattr(B, name)
+
+        def counted(x, *params, **kw):
+            evaluated[name] += np.size(x)
+            return fn(x, *params, **kw)
+
+        return counted
+
+    for name in EVALUATED_ELEMENTS:
+        monkeypatch.setattr(B, name, counting(name))
     steps = []
 
-    def counted_root(fn, lo, hi, target, *args):
+    def counted_root(fn, lo, start, hi, target, *args):
         calls = []
 
         def counted(x, *params):
             calls.append(1)
             return fn(x, *params)
 
-        root = increasing_root(counted, lo, hi, target, *args)
-        steps.append((fn, len(calls) - 2))  # the first two evaluate lo and hi
+        root = increasing_root(counted, lo, start, hi, target, *args)
+        # the first two calls evaluate the start and the bracket ends it
+        # leaves open (each search here has both)
+        steps.append((fn, len(calls) - 2))
         return root
 
     monkeypatch.setattr(B, "increasing_root", counted_root)
     monkeypatch.setattr(_optim, "ROOT_BLOCK", 1 << 30)  # one block per call, so one count
     ours = values()
+    counts = dict(evaluated)
     monkeypatch.setattr(B, "increasing_root", _reference_root)
     with np.errstate(all="ignore"):
         reference = values()
     assert len(ours) == 9 and len(steps) == 5 and max(n for _, n in steps) < ROOT_STEPS
+    assert all(counts[name] <= most for name, most in EVALUATED_ELEMENTS.items()), counts
     # the KL search starts below p = 1, whose slope is infinite, so it settles fast
     assert max(n for fn, n in steps if fn is B._kl_above) <= 20
     for beta in (1.5, 2, 4):

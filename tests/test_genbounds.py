@@ -274,6 +274,23 @@ def test_avg_mi_tstar_variant_is_tighter():
     assert g >= 4 + 2 / math.e  # the root is taken on its upper side
 
 
+def test_tstar_is_the_root_within_a_few_ulp():
+    # Newton steps from an upper start: the root of t^2 (1 - 2 e^{-t^2}) = I + 2/e
+    # (the float target), against a 40-digit root, on its upper side
+    mpmath = pytest.importorskip("mpmath")
+    from divgauge.genbounds import _tstar
+
+    mpmath.mp.dps = 40
+    for mi in (0.0, 1e-9, 0.05, 0.3, 1.0, 4.0, 17.5, 50.0, 300.0, 1e4, 1e8):
+        target = mi + 2.0 / math.e
+        root = float(mpmath.findroot(
+            lambda t: t * t * (1 - 2 * mpmath.exp(-t * t)) - mpmath.mpf(target),
+            math.sqrt(target) + 0.5))
+        t = _tstar(mi)
+        assert abs(t - root) <= 4 * math.ulp(root), mi
+        assert t * t * (1.0 - 2.0 * math.exp(-t * t)) >= target
+
+
 def test_avg_mi_gap_is_minimized_near_the_constant():
     s = SubGaussianSetting(1.0, 1)
     mis = np.linspace(0.0, 10.0, 2001)
