@@ -294,8 +294,9 @@ def _tstar(mi: float) -> float:
         return t * t * (1.0 - 2.0 * e), 2.0 * t * (1.0 - 2.0 * e + 2.0 * t * e * t)
 
     # the function is increasing and convex for t >= 1.1, which contains the
-    # root; t^2 >= target puts the root at or below the start, where t^2 is
-    # target / (1 - 2 e^{-target})
+    # root, so Newton steps from above stay above it; at the root
+    # t^2 = target / (1 - 2 e^{-t^2}) with t^2 >= target, so the start, where
+    # t^2 = target / (1 - 2 e^{-target}), is at or above it
     start = min(max(math.sqrt(target / (1.0 - 2.0 * math.exp(-target))), 1.1), hi)
     return float(increasing_root(fn, 1.1, start, hi, target))
 
