@@ -6,17 +6,24 @@ grid locates it on a fixed log range, or doubling steps on the whole line.
 Every root in the package comes from one root-finder,
 :func:`increasing_root`, for a nondecreasing function on a range [lo, hi]
 searched from a start the caller derives; scalar roots are its calls at
-shape ``()``, through the same code as a batch.  Each point is evaluated
-once: the start, which splits the range into a bracket, then the bracket's
-other end where it is not the start, then one point per step.  The bound
-kernels evaluate nothing themselves, and an empty range (lo == hi), which a
-kernel gives where it overrides the root, is not evaluated at all.  The
-root-finder settles every element whose bracket already decides it, then
-takes Newton steps from the hi side on the open elements, falling back to
-a secant or halving step where a Newton step is not safe (rtsafe), and
-drops the elements that have converged on the steps where some have.  It
-returns the hi side, where the function is not below the target as
-evaluated: the sound side of every bound inverted this way.  For an
+shape ``()``, through the same code as a batch.  The caller guarantees that
+the function is below the target at lo wherever lo < hi (every bound
+kernel's constraint is 0 at q, and a zero target gets an empty range), so
+lo is never evaluated.  Each point is evaluated once: the start, which
+splits the range into a bracket, then hi where the bracket is [start, hi]
+and hi is not the start, then one point per step.  The bound kernels
+evaluate nothing themselves, and an empty range (lo == hi), which a kernel
+gives where it settles the root in closed form, is not evaluated at all.
+The root-finder settles every element whose bracket already decides it,
+then takes Newton steps from the hi side on the open elements, falling
+back to a secant or halving step where a Newton step is not safe
+(rtsafe), and drops the elements that have converged on the steps where
+some have.  On a step where every Newton point lies above the lower end
+of its bracket, as it almost always does for a convex function, the
+fallback is not computed.  The elements are searched in blocks that are
+views of the caller's arrays, which are never written.  It returns the hi
+side, where the function is not below the target as evaluated: the sound
+side of every bound inverted this way.  For an
 increasing convex function every Newton step from the hi side stays
 there, so the sharp inversions converge from above.  No RNG anywhere;
 identical inputs give identical results, which regression tests rely on.
@@ -147,25 +154,29 @@ def increasing_root(fn: Callable[..., tuple], lo, start, hi, target, *args) -> n
     ``fn(x, *args)`` returns (value, slope) at x; the arrays ``args`` are
     per-element parameters, broadcast with lo, start, hi and target and
     passed for the elements still open (at shape ``()``, as 0-d arrays).
+    The caller guarantees fn(lo) < target wherever lo < hi.
 
-    Each point is evaluated once.  fn is evaluated at start, which makes
-    the bracket [lo, start] where it reaches target and [start, hi] where
-    it does not, and then at the end so left open, where that end is not
-    start itself.  An element with lo == hi is settled at hi and not
+    Each point is evaluated once, and lo never.  fn is evaluated at start,
+    which makes the bracket [lo, start] where it reaches target and
+    [start, hi] where it does not, and then at hi where that bracket is
+    left open, unless hi is start itself.  The value at an unevaluated lo
+    is taken as -inf.  An element with lo == hi is settled at hi and not
     evaluated at all.
 
-    Returns the hi side, where fn is not below target as evaluated: lo
-    where fn(lo) already reaches target, hi where fn(hi) does not, the
-    upper end of that first bracket where fn is NaN at either of its ends,
-    and otherwise the upper end of a bracket narrowed until it is 2 ulp
-    wide or a Newton step from its upper end is at most 2 ulp.  Each step tries that Newton point, or,
+    Returns the hi side, where fn is not below target as evaluated: hi
+    where fn(hi) does not reach target, the upper end of the first bracket
+    where fn is NaN at either of its ends, and otherwise the upper end of
+    a bracket narrowed until it is 2 ulp wide or a Newton step from its
+    upper end is at most 2 ulp.  Each step tries that Newton point, or,
     where it falls at or below the lower end (the function is concave
-    there), the secant point of the bracket, kept above the lower end.  It
+    there), the secant point of the bracket, kept above the lower end; at
+    an unevaluated lo that point is the upper end, so the step halves.  It
     halves the bracket instead where the slope is not finite and positive,
     so a caller without a derivative returns NaN and gets pure halving,
     where the guess does not move, or where it moves more than half the
     step before last (rtsafe).  Open elements stop after ROOT_STEPS steps.
-    The elements are searched ROOT_BLOCK at a time.
+    The elements are searched ROOT_BLOCK at a time; the inputs are not
+    written.
     """
     arrays = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (lo, start, hi, target, *args))
@@ -181,29 +192,30 @@ def increasing_root(fn: Callable[..., tuple], lo, start, hi, target, *args) -> n
         return out
 
     out = np.empty(arrays[0].size)
+    flat = [v.reshape(-1) for v in arrays]  # views, unless an input was broadcast
     for i in range(0, out.size, ROOT_BLOCK):
-        out[i:i + ROOT_BLOCK] = _root_block(evaluate, *(v.flat[i:i + ROOT_BLOCK] for v in arrays))
+        out[i:i + ROOT_BLOCK] = _root_block(evaluate, *(v[i:i + ROOT_BLOCK] for v in flat))
     return out.reshape(shape)
 
 
 def _root_block(evaluate, a, x, b, t, *args) -> np.ndarray:
-    """increasing_root on flat arrays, with fn behind ``evaluate``."""
+    """increasing_root on flat arrays, with fn behind ``evaluate``; writes to
+    none of them."""
     out = b.copy()
     live = np.flatnonzero(a < b)
     if live.size == 0:
         return out
     a, x, b, t = a[live], x[live], b[live], t[live]
     args = [p[live] for p in args]
-    gx, sx = evaluate(x, args)
-    above = gx >= t
-    end = np.where(above, a, b)
-    g_end, s_end = gx.copy(), sx.copy()  # the start's values where it is the end
-    open_end = np.flatnonzero(end != x)
+    g, s = evaluate(x, args)
+    above = g >= t
+    ga = np.where(above, -np.inf, g)  # fn(lo) < target, not evaluated
+    open_end = np.flatnonzero(~above & (b != x))
     if open_end.size:
-        g_end[open_end], s_end[open_end] = evaluate(end[open_end], [p[open_end] for p in args])
-    a, ga = np.where(above, a, x), np.where(above, g_end, gx)
-    b, g, s = np.where(above, x, b), np.where(above, gx, g_end), np.where(above, sx, s_end)
-    out[live] = np.where(ga >= t, a, b)
+        g, s = g.copy(), s.copy()
+        g[open_end], s[open_end] = evaluate(b[open_end], [p[open_end] for p in args])
+    a, b = np.where(above, a, x), np.where(above, x, b)
+    out[live] = b
     keep = (ga < t) & (g >= t)
     live, a, b, ga, g, s, t = (v[keep] for v in (live, a, b, ga, g, s, t))
     args = [p[keep] for p in args]
@@ -216,12 +228,20 @@ def _root_block(evaluate, a, x, b, t, *args) -> np.ndarray:
             newton = excess / s
             tip = b - newton
             tangent = tip > a
-            guess = np.where(tangent, tip, b - excess * (b - a) / (g - ga))
-            # a guess rounded onto lo means the root is within rounding above it
-            guess = np.maximum(guess, np.nextafter(a, b))
-            move = np.abs(guess - x)
-            use = (np.isfinite(s) & (s > 0.0) & (guess <= b) & (move <= 0.5 * before)
-                   & (tangent | (move > 0.0)))
+            if tangent.all():
+                # every guess is a Newton point above a, and not above b
+                # where the slope is finite and positive: the secant, its
+                # clamp and the tests guess <= b and tangent | move > 0
+                # cannot change use
+                guess = tip
+                use = np.isfinite(s) & (s > 0.0) & (np.abs(guess - x) <= 0.5 * before)
+            else:
+                guess = np.where(tangent, tip, b - excess * (b - a) / (g - ga))
+                # a guess rounded onto lo means the root is within rounding above it
+                guess = np.maximum(guess, np.nextafter(a, b))
+                move = np.abs(guess - x)
+                use = (np.isfinite(s) & (s > 0.0) & (guess <= b) & (move <= 0.5 * before)
+                       & (tangent | (move > 0.0)))
             x, prev = np.where(use, guess, 0.5 * (a + b)), x
             before, last = last, np.abs(x - prev)
             gx, sx = evaluate(x, args)

@@ -19,7 +19,8 @@ Conventions
   reverse-KL bound are roots too.  Every root comes from
   ``_optim.increasing_root`` (Newton steps from a closed-form start derived
   from q and the divergence, which it evaluates once and brackets from; the
-  bracket is empty where Q(E) is 0 or 1 or the kernel overrides the root),
+  constraint is 0 at q, which is not evaluated, and the bracket is empty
+  where Q(E) is 0 or 1 or the kernel settles the root in closed form),
   which returns the upper side of its final bracket, so each inverted bound
   errs on the sound side; the scalar entry points are the same kernels at
   one point.
@@ -232,7 +233,8 @@ def kl_opt_core(q, d):
     within rounding of d at Pinsker's gap where Pinsker is tight (q near
     1/2, tiny d).  The start is capped at the predecessor of 1.0, where the
     slope is still finite.  Where d >= log(1/q) the infimum is the limit 1
-    as c -> inf: raw 1 and c* = inf, with no search."""
+    as c -> inf: raw 1 and c* = inf, with no search; d = 0 gives q, with no
+    search either."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
@@ -240,7 +242,8 @@ def kl_opt_core(q, d):
         saturated = d >= -np.log(qs)
         gap = np.minimum(np.sqrt(0.5 * d), 2.0 * (d + np.sqrt(d) * np.sqrt(d + 2.0 * qs)))
         start = np.minimum(qs + gap + 1e-12 * qs, np.nextafter(1.0, 0.0))
-        root = increasing_root(_kl_above, qs, start, _searched(q, qs, 1.0, saturated), d, qs)
+        settled = saturated | (d == 0.0)
+        root = increasing_root(_kl_above, qs, start, _searched(q, qs, 1.0, settled), d, qs)
         p = np.where(saturated, 1.0, root)
         c_star = _logit_gap(p, qs)
     return _override(q, p), c_star
@@ -353,20 +356,25 @@ def power_implicit_core(q, h_beta, beta):
     (q^(b-1) (b-1) H_b)^(1/b) of p >> q or sqrt(2 q H_b / b) of p near q (the
     larger for b < 2, else the smaller; at least 1e-12 q), without which tiny
     q takes hundreds of steps.  A start that evaluates below the target is
-    the lower end of the bracket [start, 1]."""
+    the lower end of the bracket [start, 1].  Two cases need no search:
+    where the first term's start reaches 1, (1 + (b-1) H_b) q^(b-1) >= 1,
+    the constraint admits p = 1 and the bound is exactly 1, and H_b = 0
+    gives q."""
     q = np.asarray(q, dtype=float)
     excess = (beta - 1.0) * np.asarray(h_beta, dtype=float)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     lhs = partial(_power_excess, beta=beta)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_q = (beta - 1.0) * np.log(qs)
-        start = np.minimum(np.exp((np.log1p(excess) + log_q) / beta), 1.0)
+        log_first = np.log1p(excess) + log_q
+        admits_one = log_first >= 0.0
         far = np.exp((np.log(excess) + log_q) / beta)
         close = np.sqrt(2.0 * qs / (beta * (beta - 1.0))) * np.sqrt(excess)
         gap = np.maximum(far, close) if beta < 2.0 else np.minimum(far, close)
-        start = np.minimum(start, qs + np.maximum(2.0 * gap, 1e-12 * qs))
-        raw = increasing_root(lhs, qs, start, _searched(q, qs, 1.0), excess, qs)
-    return _override(q, raw)
+        start = np.minimum(np.exp(log_first / beta), qs + np.maximum(2.0 * gap, 1e-12 * qs))
+        settled = admits_one | (excess == 0.0)
+        root = increasing_root(lhs, qs, start, _searched(q, qs, 1.0, settled), excess, qs)
+    return _override(q, np.where(admits_one, 1.0, root))
 
 
 def power_qmax_core(q, h_beta, beta, q_max):

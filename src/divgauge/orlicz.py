@@ -85,7 +85,7 @@ def custom_orlicz(
 
     def num_inv(s: float) -> float:
         s = float(s)
-        if s <= 0.0:
+        if s <= 0.0 or s <= float(psi(0.0)):  # the root-finder needs psi(0) < s
             return 0.0
         hi = 1.0
         for _ in range(4000):

@@ -10,7 +10,7 @@ from divgauge import bounds as B
 from divgauge.dist import EventMask, event_mask_matrix
 from divgauge.divergences import bernoulli_kl_core
 from divgauge.errors import RangeError, ValidationError
-from divgauge._optim import golden_min
+from divgauge._optim import golden_min, increasing_root
 
 
 def exhaustive_events(pair):
@@ -502,7 +502,7 @@ def test_kl_start_is_above_the_root_where_pinsker_is_tight(monkeypatch):
     monkeypatch.setattr(B, "_kl_above", counted)
     p = float(B.kl_opt_core(0.5, 1e-20)[0])
     assert dg.bernoulli_kl(p, 0.5) >= 1e-20
-    assert len(calls) - 2 <= 10  # the first two evaluate the start and q
+    assert len(calls) - 1 <= 10  # the first evaluates the start; q is not evaluated
 
 
 def test_root_kernels_agree_at_one_point_and_in_a_batch():
@@ -546,7 +546,7 @@ ROOT_KERNEL_IDS = ("kl", "power_implicit", "reverse_kl_exact", "competitor_power
 # elements at which each constraint is evaluated on the chunk below (starts,
 # bracket ends and steps of every search, and anything a kernel evaluates
 # itself): a ceiling, so that duplicate evaluations cannot return unnoticed
-EVALUATED_ELEMENTS = {"_kl_above": 435_331, "_power_excess": 855_256, "_kl_below": 670_826}
+EVALUATED_ELEMENTS = {"_kl_above": 381_770, "_power_excess": 474_008, "_kl_below": 569_124}
 
 
 def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
@@ -557,7 +557,7 @@ def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
     # few ulp of noise, and two bisections can stop at different crossings.
     # The power and reverse-KL competitors are our bounds, evaluated once.
     from divgauge import _optim, verify as V
-    from divgauge._optim import ROOT_STEPS, increasing_root
+    from divgauge._optim import ROOT_STEPS
 
     pairs = [dg.random_pair(11, i, 8) for i in range(500)]
     masks = event_mask_matrix(8)
@@ -618,6 +618,109 @@ def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
         want = reference[label]
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.nanmax(np.abs(got - want)) <= 4 * np.spacing(1.0)
+
+
+def test_root_finder_leaves_its_inputs_unchanged(monkeypatch):
+    # the root-finder searches views of the caller's arrays, block by block:
+    # it writes none of them, whether an input is contiguous, strided or
+    # broadcast against the others, and the blocks do not change a root
+    from divgauge import _optim
+
+    rng = np.random.default_rng(3)
+    root = rng.uniform(0.5, 2.0, (6, 10))
+    scale = rng.uniform(1.0, 3.0, 10)  # broadcast over the rows
+    lo = np.zeros((6, 1))  # broadcast over the columns
+    hi = np.repeat(4.0 * root, 2, axis=1)[:, ::2]  # strided
+    start = root * rng.uniform(0.5, 4.0, root.shape)  # some below the root, some above
+    target = scale * root**3
+    inputs = (lo, start, hi, target, scale)
+    before = [v.copy() for v in inputs]
+
+    def cube(x, c):
+        return c * x**3, 3.0 * c * x * x
+
+    whole = increasing_root(cube, *inputs)
+    monkeypatch.setattr(_optim, "ROOT_BLOCK", 7)
+    blocked = increasing_root(cube, *inputs)
+    for got, want in zip(inputs, before):
+        assert np.array_equal(got, want)
+    assert blocked.shape == root.shape and blocked.tobytes() == whole.tobytes()
+    assert np.all(cube(blocked, scale)[0] >= target)
+
+
+def _mixed(x, kind):
+    """kind 0: x^3, convex, so every Newton point from above is above the
+    bracket; kind 1: sqrt(x), concave, where Newton points fall at or below
+    the bracket and secant and halving steps take over; kind 2: x with a
+    NaN slope, searched by halving."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        value = np.where(kind == 0, x**3, np.where(kind == 1, np.sqrt(x), x))
+        slope = np.where(kind == 0, 3.0 * x * x, np.where(kind == 1, 0.5 / np.sqrt(x), np.nan))
+    return value, slope
+
+
+def test_root_finder_steps_do_not_depend_on_the_batch():
+    # on steps where every Newton point is above its bracket the root-finder
+    # skips the fallback; a batch that mixes pure-Newton elements with ones
+    # that need the secant or halving fallback gives each element the root
+    # it gets when searched alone, bit for bit, within 2 ulp of the exact root
+    rng = np.random.default_rng(5)
+    n = 60
+    kind = np.repeat([0.0, 1.0, 2.0], n // 3)
+    root = rng.uniform(0.5, 4.0, n)
+    target = _mixed(root, kind)[0]
+    hi = root * rng.uniform(1.5, 40.0, n)
+    start = np.where(rng.uniform(size=n) < 0.5, hi, root * rng.uniform(0.2, 1.0, n))
+    lo = np.zeros(n)
+    batch = increasing_root(_mixed, lo, start, hi, target, kind)
+    alone = [increasing_root(_mixed, lo[i], start[i], hi[i], target[i], kind[i]) for i in range(n)]
+    assert batch.tobytes() == np.array(alone).tobytes()
+    assert np.all(_mixed(batch, kind)[0] >= target)
+    assert np.all(np.abs(batch - root) <= 2.0 * np.spacing(root))
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 4.0, 50.0])
+def test_power_implicit_settles_where_the_constraint_admits_one(monkeypatch, beta):
+    # where q^(1-b) - 1 <= (b-1) H, p = 1 meets the constraint: the bound is
+    # exactly 1 and nothing is evaluated. Half the points straddle that line
+    # within a few ulp of H; none of their values is below the smallest
+    # double where the constraint, as evaluated, reaches its target
+    rng = np.random.default_rng(int(10 * beta))
+    n = 400
+    q_far = 10.0 ** rng.uniform(-300.0, -1e-3, n // 2)
+    h_far = 10.0 ** rng.uniform(-300.0, 3.0, n // 2)
+    # q >= 1e-300 where the line's H is finite, and H within 4 ulp of it
+    q_near = np.exp(-rng.uniform(1e-3, min(690.0, 700.0 / (beta - 1.0)), n // 2))
+    line = np.expm1((1.0 - beta) * np.log(q_near)) / (beta - 1.0)
+    h_near = line * (1.0 + np.spacing(1.0) * rng.integers(-4, 5, n // 2))
+    q, h = np.concatenate([q_far, q_near]), np.concatenate([h_far, h_near])
+    excess = B._power_excess
+    evaluated = []
+
+    def counted(p, qs, beta):
+        evaluated.append(np.array(qs, ndmin=1))
+        return excess(p, qs, beta)
+
+    monkeypatch.setattr(B, "_power_excess", counted)
+    got = B.power_implicit_core(q, h, beta)
+    settled = ~np.isin(q, np.concatenate(evaluated))
+    evaluated.clear()
+    at_zero = B.power_implicit_core(q, 0.0, beta)
+    assert not evaluated
+    admits_one = np.log1p((beta - 1.0) * h) >= (1.0 - beta) * np.log(q)  # q^(1-b) <= 1 + (b-1) H
+    assert admits_one.any() and not admits_one.all()
+    assert np.array_equal(settled, admits_one)
+    assert np.all(got[admits_one] == 1.0)
+    with np.errstate(all="ignore"):
+        reference = _reference_root(partial(excess, beta=beta), q, None, 1.0, (beta - 1.0) * h, q)
+    near = slice(n // 2, None)
+    assert np.all(got[near] >= reference[near])
+    # elsewhere a tiny H puts the root within rounding of q, where the
+    # constraint is rounding noise: the search and the bisection can stop at
+    # crossings a few ulp apart (see the sweep-chunk test)
+    assert np.all(got >= reference - 8.0 * np.spacing(reference))
+    # H = 0 gives q itself, as bound_kl(q, 0) does
+    assert np.array_equal(at_zero, q)
 
 
 # ---------------------------------------------------------------------------
