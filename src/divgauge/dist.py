@@ -41,6 +41,53 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+# Row-wise checks: each row (last axis) of an array is one distribution, so
+# one call validates a single vector or a whole block of pairs.
+
+
+def _in_row(m: np.ndarray, bad_rows: np.ndarray) -> str:
+    """Names the first flagged row of a block; nothing for a vector."""
+    return f" in row {int(np.argmax(bad_rows))}" if m.ndim > 1 else ""
+
+
+def check_masses(m: np.ndarray) -> None:
+    """Raise ValidationError unless every row of `m` is finite, nonnegative
+    and sums to 1 within MASS_TOL."""
+    # min and max read the block once each and propagate NaN
+    if m.size and not (m.min() >= 0.0 and m.max() < np.inf):
+        infinite = ~np.isfinite(m)
+        if infinite.any():
+            raise ValidationError(f"masses{_in_row(m, infinite.any(axis=-1))} must be finite")
+        raise ValidationError(f"masses{_in_row(m, (m < 0.0).any(axis=-1))} must be nonnegative")
+    sums = m.sum(axis=-1)
+    off = np.abs(sums - 1.0) > MASS_TOL
+    if np.count_nonzero(off):
+        raise ValidationError(
+            f"masses{_in_row(m, off)} sum to {np.reshape(sums, -1)[np.argmax(off)]!r},"
+            f" not 1 within {MASS_TOL}"
+        )
+
+
+def dominated_ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """dP/dQ row by row, 0.0 where Q = 0, for masses that passed
+    `check_masses`.
+
+    Raises DominationError where P > 0 = Q, and ValidationError where a row
+    of ratios * Q does not sum back to 1 within MASS_TOL.
+    """
+    positive = q > 0.0
+    if np.count_nonzero(positive) < q.size:
+        bad = np.atleast_2d((p > 0.0) & ~positive)
+        rows = bad.any(axis=-1)
+        if rows.any():
+            where = np.flatnonzero(bad[np.argmax(rows)]).tolist()
+            raise DominationError(f"P is not dominated by Q at atoms {where}{_in_row(p, rows)}")
+    r = np.divide(p, q, out=np.zeros(q.shape), where=positive)
+    if np.count_nonzero(np.abs((r * q).sum(axis=-1) - 1.0) > MASS_TOL):
+        raise ValidationError("ratios * Q does not sum back to 1")
+    return r
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
     """Probability vector on a labeled finite support.
@@ -56,14 +103,7 @@ class FiniteDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ShapeError("probs must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("masses must be finite")
-        if np.any(p < 0):
-            raise ValidationError("masses must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > MASS_TOL:
-            raise ValidationError(
-                f"masses sum to {p.sum()!r}, not 1 within {MASS_TOL}"
-            )
+        check_masses(p)
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != p.size:
@@ -122,14 +162,7 @@ class AbsContPair:
             raise ShapeError(
                 f"support mismatch: |P| = {self.p.size}, |Q| = {self.q.size}"
             )
-        pv, qv = self.p.probs, self.q.probs
-        bad = (qv == 0.0) & (pv > 0.0)
-        if np.any(bad):
-            where = np.flatnonzero(bad).tolist()
-            raise DominationError(f"P is not dominated by Q at atoms {where}")
-        r = np.divide(pv, qv, out=np.zeros(qv.shape), where=qv > 0.0)
-        if abs(float((r * qv).sum()) - 1.0) > MASS_TOL:
-            raise ValidationError("ratios * Q does not sum back to 1")
+        r = dominated_ratios(self.p.probs, self.q.probs)
         r.flags.writeable = False
         object.__setattr__(self, "ratios", r)
 
@@ -283,12 +316,15 @@ def product_pair(joint: JointFinite) -> AbsContPair:
 
 
 def absorb_rounding(v: np.ndarray) -> np.ndarray:
-    """Add the rounding remainder 1 - sum(v) to the largest atom, in place."""
-    v[int(np.argmax(v))] += 1.0 - v.sum()
+    """Add each row's rounding remainder 1 - sum(row) to the row's largest
+    atom (the first, on ties), in place."""
+    rows = v.reshape(-1, v.shape[-1])  # a view, as v is C-contiguous at every caller
+    rows[np.arange(len(rows)), rows.argmax(axis=1)] += 1.0 - rows.sum(axis=1)
     return v
 
 
 def normalized(v) -> np.ndarray:
-    """A new float vector v / sum(v) with its rounding remainder absorbed."""
+    """A new float array with each row divided by its sum and its rounding
+    remainder absorbed."""
     v = np.asarray(v, dtype=float)
-    return absorb_rounding(v / v.sum())
+    return absorb_rounding(v / v.sum(axis=-1, keepdims=True))

@@ -29,6 +29,8 @@ from .dist import (
     FiniteDistribution,
     JointFinite,
     absorb_rounding,
+    check_masses,
+    dominated_ratios,
     event_mask_matrix,
     event_probability,
     normalized,
@@ -46,18 +48,51 @@ DOMINANCE_TOL = 1e-10  # how far ours may exceed the competitor and still count 
 # ---------------------------------------------------------------------------
 
 
+def _pair_masses(seed, indices, support: int, zero_prob: float):
+    """Normalized (len(indices), support) rows p and q of the pairs at
+    `indices`, not yet validated.
+
+    Pair i draws from the stream seeded by (seed, i): Q's uniforms, P's
+    uniforms, then a coin that with probability `zero_prob` zeroes a random
+    nonempty strict subset of P's atoms (none at support 1, which has no such
+    subset).  Each row is the normalized exponentials of its uniforms, with
+    its rounding remainder at its largest atom.
+    """
+    if support < 1:
+        raise RangeError(f"support must be at least 1, got {support}")
+    indices = list(indices)
+    u = np.empty((2, len(indices), support))  # Q's rows, then P's
+    dead = np.zeros((len(indices), support), dtype=bool)
+    for row, index in enumerate(indices):
+        rng = np.random.default_rng((seed, index))
+        rng.random(out=u[0, row])
+        rng.random(out=u[1, row])
+        if rng.random() < zero_prob and support > 1:
+            n_zero = int(rng.integers(1, support))
+            dead[row, rng.choice(support, size=n_zero, replace=False)] = True
+    w = -np.log(u)
+    w[1][dead] = 0.0  # after the log: a uniform set to 1 would give -0.0
+    q, p = normalized(w)
+    return p, q
+
+
+def random_pair_rows(seed, indices, support: int, zero_prob: float = 0.2):
+    """The pairs ``random_pair`` draws at `indices`, as (len(indices),
+    support) arrays p, q and r = dP/dQ, each row checked as
+    ``AbsContPair`` checks its pair."""
+    p, q = _pair_masses(seed, indices, support, zero_prob)
+    check_masses(q)
+    check_masses(p)
+    return p, q, dominated_ratios(p, q)
+
+
 def random_pair(seed, index: int, support: int, zero_prob: float = 0.2) -> AbsContPair:
     """Reproducible random pair: Dirichlet-style masses from normalized
     exponentials of seeded uniforms; with probability `zero_prob` a strict
-    subset of P's atoms is zeroed to exercise the f(0) conventions."""
-    rng = np.random.default_rng((seed, index))
-    q = -np.log(rng.random(support))
-    p = -np.log(rng.random(support))
-    if rng.random() < zero_prob:
-        n_zero = int(rng.integers(1, support))
-        dead = rng.choice(support, size=n_zero, replace=False)
-        p[dead] = 0.0
-    return AbsContPair(FiniteDistribution(normalized(p)), FiniteDistribution(normalized(q)))
+    subset of P's atoms is zeroed to exercise the f(0) conventions.  The
+    row of ``random_pair_rows`` at `index`."""
+    p, q = _pair_masses(seed, [index], support, zero_prob)
+    return AbsContPair(FiniteDistribution(p[0]), FiniteDistribution(q[0]))
 
 
 def random_joint(seed, index: int, n_s: int, n_w: int) -> JointFinite:
@@ -196,21 +231,29 @@ class VerificationReport:
     def absorb(
         self, slack: np.ndarray, valid: np.ndarray | None, pair_indices: np.ndarray
     ) -> None:
+        """Count the (pair, event) trials where `valid` holds (all where it
+        is None) and their violations, and keep the first smallest slack,
+        NaN ranked smallest of all, as the witness if it beats the last."""
         if valid is None:
-            valid = np.ones(slack.shape, dtype=bool)
-        valid = np.broadcast_to(valid, slack.shape)
-        n_valid = int(valid.sum())
+            n_valid, ranked = slack.size, slack
+        else:
+            n_valid = int(np.count_nonzero(np.broadcast_to(valid, slack.shape)))
+            ranked = np.where(valid, slack, np.inf)
         self.trials += n_valid
         if n_valid == 0:
             return
-        slack_v = np.where(valid, slack, np.inf)
-        # a NaN at a checked position is a violation, ranked worst of all
-        slack_v = np.where(np.isnan(slack_v), -np.inf, slack_v)
-        self.violations += int((slack_v < -SLACK_TOL).sum())
-        flat = int(np.argmin(slack_v))
-        i, j = np.unravel_index(flat, slack.shape)
-        worst = float(slack_v[i, j])
+        flat = int(np.argmin(ranked))
+        if np.isnan(ranked.flat[flat]):
+            # argmin stops at the first NaN: a NaN at a checked position is
+            # a violation, ranked worst of all
+            ranked = np.where(np.isnan(ranked), -np.inf, ranked)
+            flat = int(np.argmin(ranked))
+        worst = float(ranked.flat[flat])
+        # no slack is below -SLACK_TOL unless the smallest one is
+        if worst < -SLACK_TOL:
+            self.violations += int(np.count_nonzero(ranked < -SLACK_TOL))
         if worst < self.worst_slack:
+            i, j = np.unravel_index(flat, slack.shape)
             self.worst_slack = worst
             self.witness = {
                 "pair_index": int(pair_indices[i]),
@@ -290,6 +333,8 @@ def master_soundness(
     batch_size: int = 500,
 ) -> dict[str, VerificationReport]:
     """The master suite: seeded random pairs x all events x all bounds."""
+    if n_pairs < 1 or batch_size < 1:
+        raise RangeError(f"need n_pairs >= 1 and batch_size >= 1, got {n_pairs} and {batch_size}")
     if support > EXHAUSTIVE_LIMIT:
         raise ResourceError("master suite is exhaustive; support must be <= 16")
     cases = default_cases() if cases is None else cases
@@ -312,8 +357,8 @@ def master_soundness(
 def _master_chunk(args) -> dict[str, VerificationReport]:
     seed, start, count, support, cases = args
     indices = np.arange(start, start + count)
-    pairs = [random_pair(seed, int(i), support) for i in indices]
-    batch = PairBatch.from_pairs(pairs, event_mask_matrix(support))
+    batch = PairBatch(*random_pair_rows(seed, range(start, start + count), support),
+                      event_mask_matrix(support))
     return _evaluate_cases(batch, cases, indices, seed)
 
 
@@ -537,7 +582,9 @@ def dominance_rows_at_event(pair: AbsContPair, mask) -> list[dict]:
 def harness_self_test(n_pairs: int = 50, support: int = 6, seed: int = 7) -> VerificationReport:
     """Run the deliberately broken chi-square bound; a healthy harness must
     flag violations (> 0)."""
+    if n_pairs < 1:
+        raise RangeError(f"need at least one pair, got {n_pairs}")
     indices = np.arange(n_pairs)
-    pairs = [random_pair(seed, int(i), support, zero_prob=0.0) for i in indices]
-    batch = PairBatch.from_pairs(pairs, event_mask_matrix(support))
+    batch = PairBatch(*random_pair_rows(seed, range(n_pairs), support, zero_prob=0.0),
+                      event_mask_matrix(support))
     return _evaluate_cases(batch, [(NEGATIVE_CONTROL, {})], indices, seed)[NEGATIVE_CONTROL]

@@ -14,7 +14,7 @@ import divgauge as dg
 from divgauge import bounds as B
 from divgauge import cli
 from divgauge.dist import event_mask_matrix
-from divgauge.verify import PairBatch, case_label, default_cases, master_soundness
+from divgauge.verify import PairBatch, case_label, default_cases, master_soundness, random_pair_rows
 
 MASTER_PAIRS = 10_000
 MASTER_SUPPORT = 8
@@ -22,8 +22,8 @@ MASTER_SEED = 42
 
 
 def _batch(seed, start, count, support):
-    pairs = [dg.random_pair(seed, i, support) for i in range(start, start + count)]
-    return PairBatch.from_pairs(pairs, event_mask_matrix(support))
+    rows = random_pair_rows(seed, range(start, start + count), support)
+    return PairBatch(*rows, event_mask_matrix(support))
 
 
 def test_criterion_1_master_soundness():

@@ -174,6 +174,25 @@ def test_verify_exit_code_three_on_violations(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["ok"] is False
 
 
+@pytest.mark.parametrize("args", [
+    ["--support", "0"], ["--support", "-1"], ["--pairs", "0"], ["--pairs", "-5"],
+])
+def test_verify_master_without_pairs_or_atoms_exits_2(args, capsys):
+    # a sweep of no pairs would report ok without checking anything
+    assert cli.main(["verify", "--suite", "master", "--jobs", "1", *args]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_verify_master_at_support_1(tmp_path):
+    code, payload = run_json(
+        ["verify", "--suite", "master", "--seed", "0", "--pairs", "50",
+         "--support", "1", "--jobs", "1"],
+        tmp_path,
+    )
+    assert code == 0 and payload["ok"] is True
+    assert max(r["trials"] for r in payload["reports"]) == 100  # 2 events per pair
+
+
 def test_genbound_csv_and_determinism(gibbs_file, tmp_path):
     out = tmp_path / "curves.csv"
     argv = [

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import divgauge as dg
 from divgauge import (
@@ -16,8 +19,16 @@ from divgauge import (
     verify_com_bound,
     verify_egamma_variational,
 )
-from divgauge.errors import UnknownBoundError
-from divgauge.verify import case_label, default_cases, registered_bounds
+from divgauge import dist, verify
+from divgauge.errors import DominationError, RangeError, UnknownBoundError, ValidationError
+from divgauge.verify import (
+    SLACK_TOL,
+    VerificationReport,
+    case_label,
+    default_cases,
+    random_pair_rows,
+    registered_bounds,
+)
 
 
 def test_random_pair_is_reproducible_and_normalized():
@@ -35,6 +46,197 @@ def test_random_pair_plants_zero_atoms_sometimes():
         np.any(random_pair(9, i, 8).p.probs == 0.0) for i in range(400)
     ])
     assert 0.1 < frac < 0.3
+
+
+def _normalized_oracle(v):
+    v = v / v.sum()
+    v[int(np.argmax(v))] += 1.0 - v.sum()
+    return v
+
+
+def _random_pair_oracle(seed, index, support, zero_prob):
+    """One pair at a time, as the generator draws it: the reference for
+    random_pair_rows."""
+    rng = np.random.default_rng((seed, index))
+    q = -np.log(rng.random(support))
+    p = -np.log(rng.random(support))
+    if rng.random() < zero_prob and support > 1:
+        n_zero = int(rng.integers(1, support))
+        p[rng.choice(support, size=n_zero, replace=False)] = 0.0
+    p, q = _normalized_oracle(p), _normalized_oracle(q)
+    return p, q, np.divide(p, q, out=np.zeros(support), where=q > 0.0)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("seed", [42, 11, 7])
+@pytest.mark.parametrize("zero_prob", [0.0, 0.2, 1.0])
+def test_pair_rows_equal_the_pairs_drawn_one_at_a_time(seed, zero_prob):
+    indices = range(3, 43)
+    for support in range(1, 17):
+        rows = random_pair_rows(seed, indices, support, zero_prob)
+        pairs = [random_pair(seed, i, support, zero_prob) for i in indices]
+        oracle = [_random_pair_oracle(seed, i, support, zero_prob) for i in indices]
+        stacked = (
+            np.stack([pr.p.probs for pr in pairs]),
+            np.stack([pr.q.probs for pr in pairs]),
+            np.stack([pr.ratios for pr in pairs]),
+        )
+        for k, name in enumerate("pqr"):
+            want = np.stack([o[k] for o in oracle])
+            assert _same_bits(rows[k], want), (support, name)
+            assert _same_bits(stacked[k], want), (support, name)
+
+
+def test_support_one_zeroes_no_atom():
+    # one atom has no nonempty strict subset; the coin is still drawn
+    p, q, r = random_pair_rows(0, range(50), 1, zero_prob=1.0)
+    assert np.array_equal(p, np.ones((50, 1))) and np.array_equal(q, p) and np.array_equal(r, p)
+    assert random_pair(0, 3, 1).p.probs.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("support", [0, -1])
+def test_support_below_one_is_a_range_error(support):
+    with pytest.raises(RangeError):
+        random_pair(0, 0, support)
+    with pytest.raises(RangeError):
+        random_pair_rows(0, range(3), support)
+    with pytest.raises(RangeError):
+        master_soundness(n_pairs=5, support=support, jobs=1)
+
+
+@pytest.mark.parametrize("kwargs", [{"n_pairs": 0}, {"n_pairs": -5}, {"batch_size": 0}])
+def test_a_sweep_of_no_pairs_is_a_range_error(kwargs):
+    with pytest.raises(RangeError):
+        master_soundness(**{"n_pairs": 10, "support": 4, **kwargs})
+    with pytest.raises(RangeError):
+        harness_self_test(n_pairs=0)
+
+
+def _bad_rows(corrupt):
+    p, q, _ = random_pair_rows(5, range(4), 6, zero_prob=0.0)
+    p, q = p.copy(), q.copy()
+    if corrupt == "sum":
+        p[2, 0] += 1e-9
+    elif corrupt == "nan":
+        q[2, 3] = np.nan
+    else:  # Q loses an atom where P has mass, and still sums to 1
+        q[2, 1] = 0.0
+        q[2] = _normalized_oracle(q[2])
+    return p, q
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    ("sum", ValidationError), ("nan", ValidationError), ("undominated", DominationError),
+])
+def test_row_checks_raise_what_the_pair_classes_raise(corrupt, error, monkeypatch):
+    p, q = _bad_rows(corrupt)
+    with pytest.raises(error) as by_class:
+        dg.AbsContPair(dg.FiniteDistribution(p[2]), dg.FiniteDistribution(q[2]))
+    monkeypatch.setattr(verify, "_pair_masses", lambda *args: (p, q))
+    with pytest.raises(error) as by_rows:
+        random_pair_rows(5, range(4), 6)
+    assert type(by_rows.value) is type(by_class.value)
+    assert "row 2" in str(by_rows.value)
+    # the rows without the fault pass the same checks
+    keep = [0, 1, 3]
+    dist.check_masses(p[keep])
+    dist.check_masses(q[keep])
+    dist.dominated_ratios(p[keep], q[keep])
+
+
+# FiniteDistribution and AbsContPair objects that sweep chunks may build: a
+# ceiling, so that per-pair objects cannot return to the chunk unnoticed
+CHUNK_CONSTRUCTIONS = {"FiniteDistribution": 0, "AbsContPair": 0}
+
+
+def test_sweep_chunks_build_no_pair_objects(monkeypatch):
+    built = dict.fromkeys(CHUNK_CONSTRUCTIONS, 0)
+
+    def counting(cls):
+        post_init = cls.__post_init__
+
+        def counted(self):
+            built[cls.__name__] += 1
+            post_init(self)
+
+        return counted
+
+    for name in CHUNK_CONSTRUCTIONS:
+        cls = getattr(dist, name)
+        monkeypatch.setattr(cls, "__post_init__", counting(cls))
+    random_pair(1, 0, 4)
+    assert built == {"FiniteDistribution": 2, "AbsContPair": 1}  # the count sees them
+    built.update(dict.fromkeys(built, 0))
+    reports = master_soundness(n_pairs=30, support=5, seed=3, jobs=1, batch_size=10)
+    assert sum(rep.trials for rep in reports.values()) > 0
+    assert harness_self_test(n_pairs=5).violations > 0
+    assert all(built[name] <= most for name, most in CHUNK_CONSTRUCTIONS.items()), built
+
+
+def _absorb_oracle(rep, slack, valid, pair_indices):
+    """VerificationReport.absorb as a sequence of whole-array passes: the
+    reference for the one-pass absorb."""
+    if valid is None:
+        valid = np.ones(slack.shape, dtype=bool)
+    valid = np.broadcast_to(valid, slack.shape)
+    n_valid = int(valid.sum())
+    rep.trials += n_valid
+    if n_valid == 0:
+        return
+    slack_v = np.where(valid, slack, np.inf)
+    slack_v = np.where(np.isnan(slack_v), -np.inf, slack_v)
+    rep.violations += int((slack_v < -SLACK_TOL).sum())
+    i, j = np.unravel_index(int(np.argmin(slack_v)), slack.shape)
+    worst = float(slack_v[i, j])
+    if worst < rep.worst_slack:
+        rep.worst_slack = worst
+        rep.witness = {
+            "pair_index": int(pair_indices[i]),
+            "event_code": int(j),
+            "slack": float(slack[i, j]),
+        }
+
+
+_EDGE_SLACKS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, -SLACK_TOL,
+    float(np.nextafter(-SLACK_TOL, 0.0)), float(np.nextafter(-SLACK_TOL, -1.0)), 0.25,
+]
+
+
+@st.composite
+def _absorb_calls(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    element = st.one_of(st.sampled_from(_EDGE_SLACKS), st.floats(allow_nan=True, allow_infinity=True))
+    calls = []
+    for _ in range(draw(st.integers(1, 3))):
+        slack = np.array(draw(st.lists(element, min_size=rows * cols, max_size=rows * cols)),
+                         dtype=float).reshape(rows, cols)
+        kind = draw(st.sampled_from(["none", "all_false", "partial", "broadcast"]))
+        if kind == "none":
+            valid = None
+        elif kind == "all_false":
+            valid = np.zeros((rows, cols), dtype=bool)
+        else:
+            shape = (rows, cols) if kind == "partial" else (1, cols)
+            bits = draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                                 max_size=shape[0] * shape[1]))
+            valid = np.array(bits, dtype=bool).reshape(shape)
+        calls.append((slack, valid, np.arange(rows) + 100 * len(calls)))
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(_absorb_calls())
+def test_absorb_matches_the_whole_array_reference(calls):
+    ours, reference = VerificationReport("case"), VerificationReport("case")
+    for slack, valid, pair_indices in calls:
+        ours.absorb(slack, valid, pair_indices)
+        _absorb_oracle(reference, slack, valid, pair_indices)
+        # repr tells NaN, -0.0 and 0.0 apart, and NaN equals itself there
+        assert repr(ours.to_dict()) == repr(reference.to_dict())
 
 
 def test_verify_com_bound_identity_pair():
