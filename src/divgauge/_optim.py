@@ -12,21 +12,23 @@ kernel's constraint is 0 at q, and a zero target gets an empty range), so
 lo is never evaluated.  Each point is evaluated once: the start, which
 splits the range into a bracket, then hi where the bracket is [start, hi]
 and hi is not the start, then one point per step.  The bound kernels
-evaluate nothing themselves, and an empty range (lo == hi), which a kernel
-gives where it settles the root in closed form, is not evaluated at all.
+evaluate nothing themselves and pass only the elements they search; an
+empty range (lo == hi) is not evaluated at all.
 The root-finder settles every element whose bracket already decides it,
 then takes Newton steps from the hi side on the open elements, falling
-back to a secant or halving step where a Newton step is not safe
-(rtsafe), and drops the elements that have converged on the steps where
-some have.  On a step where every Newton point lies above the lower end
-of its bracket, as it almost always does for a convex function, the
-fallback is not computed.  The elements are searched in blocks that are
-views of the caller's arrays, which are never written.  It returns the hi
-side, where the function is not below the target as evaluated: the sound
-side of every bound inverted this way.  For an
-increasing convex function every Newton step from the hi side stays
-there, so the sharp inversions converge from above.  No RNG anywhere;
-identical inputs give identical results, which regression tests rely on.
+back to a secant or halving step where the Newton point is not inside
+the bracket, and drops the elements that have converged on the steps
+where some have.  An element ends when the Newton step from its upper end
+is at most 2 ulp, without evaluating that step, or when the bracket is.  The fallback is computed
+only on steps that need it, and on a step whose points all land above
+the target the upper ends are replaced without a selection.  The elements are
+searched in blocks that are views of the caller's arrays, which are
+never written.  It returns the hi side, where the function is not below
+the target as evaluated: the sound side of every bound inverted this
+way.  For an increasing convex function every Newton step from the hi
+side stays there, so the sharp inversions converge from above, from
+starts that are above the root too.  No RNG anywhere; identical inputs
+give identical results, which regression tests rely on.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ GRID = 33  # coarse grid points of golden_min
 MAX_EXPAND = 200  # bracket doublings of min_convex_line
 ROOT_STEPS = 100  # cap on the Newton or halving steps of increasing_root
 ROOT_BLOCK = 1 << 14  # elements increasing_root searches at a time, bounding its memory
+_ULP = 2.0**-52  # |x| times this is between 1 and 2 ulp of x
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
@@ -166,17 +169,19 @@ def increasing_root(fn: Callable[..., tuple], lo, start, hi, target, *args) -> n
     Returns the hi side, where fn is not below target as evaluated: hi
     where fn(hi) does not reach target, the upper end of the first bracket
     where fn is NaN at either of its ends, and otherwise the upper end of
-    a bracket narrowed until it is 2 ulp wide or a Newton step from its
-    upper end is at most 2 ulp.  Each step tries that Newton point, or,
-    where it falls at or below the lower end (the function is concave
-    there), the secant point of the bracket, kept above the lower end; at
-    an unevaluated lo that point is the upper end, so the step halves.  It
-    halves the bracket instead where the slope is not finite and positive,
-    so a caller without a derivative returns NaN and gets pure halving,
-    where the guess does not move, or where it moves more than half the
-    step before last (rtsafe).  Open elements stop after ROOT_STEPS steps.
-    The elements are searched ROOT_BLOCK at a time; the inputs are not
-    written.
+    a bracket narrowed until its width, or the Newton step from its upper
+    end, is at most |upper end| 2^-52 (1 to 2 ulp; a short Newton step ends
+    the element without being evaluated), or a Newton point leaves the
+    value unchanged.
+    Each step takes the Newton point from the upper end where it falls
+    inside the bracket.  Elsewhere (the function is concave there, or the
+    point rounded onto the root from below) it takes the secant point of
+    the bracket, kept above its lower end; at an unevaluated lo that point
+    is the upper end, so the step halves.  It halves the bracket instead
+    where the slope at the upper end is infinite or NaN, so a caller
+    without a derivative returns NaN and gets pure halving.  Open
+    elements stop after ROOT_STEPS steps.  The elements are searched
+    ROOT_BLOCK at a time; the inputs are not written.
     """
     arrays = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (lo, start, hi, target, *args))
@@ -205,8 +210,9 @@ def _root_block(evaluate, a, x, b, t, *args) -> np.ndarray:
     live = np.flatnonzero(a < b)
     if live.size == 0:
         return out
-    a, x, b, t = a[live], x[live], b[live], t[live]
-    args = [p[live] for p in args]
+    if live.size < out.size:
+        a, x, b, t = a[live], x[live], b[live], t[live]
+        args = [p[live] for p in args]
     g, s = evaluate(x, args)
     above = g >= t
     ga = np.where(above, -np.inf, g)  # fn(lo) < target, not evaluated
@@ -216,48 +222,42 @@ def _root_block(evaluate, a, x, b, t, *args) -> np.ndarray:
         g[open_end], s[open_end] = evaluate(b[open_end], [p[open_end] for p in args])
     a, b = np.where(above, a, x), np.where(above, x, b)
     out[live] = b
-    keep = (ga < t) & (g >= t)
-    live, a, b, ga, g, s, t = (v[keep] for v in (live, a, b, ga, g, s, t))
-    args = [p[keep] for p in args]
-    x, last, before = b, b - a, b - a
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the Newton step from b; none from a point of infinite slope (KL at p = 1)
+        step = np.where(s < np.inf, (g - t) / s, np.nan)
+        keep = (ga < t) & (g >= t) & ~(step <= _ULP * np.abs(b))
+        if not keep.all():
+            keep = np.flatnonzero(keep)
+            live, a, ga, b, g, t, step = (v[keep] for v in (live, a, ga, b, g, t, step))
+            args = [p[keep] for p in args]
         for _ in range(ROOT_STEPS):
             if live.size == 0:
                 break
-            excess = g - t
-            newton = excess / s
-            tip = b - newton
-            tangent = tip > a
-            if tangent.all():
-                # every guess is a Newton point above a, and not above b
-                # where the slope is finite and positive: the secant, its
-                # clamp and the tests guess <= b and tangent | move > 0
-                # cannot change use
-                guess = tip
-                use = np.isfinite(s) & (s > 0.0) & (np.abs(guess - x) <= 0.5 * before)
-            else:
-                guess = np.where(tangent, tip, b - excess * (b - a) / (g - ga))
-                # a guess rounded onto lo means the root is within rounding above it
-                guess = np.maximum(guess, np.nextafter(a, b))
-                move = np.abs(guess - x)
-                use = (np.isfinite(s) & (s > 0.0) & (guess <= b) & (move <= 0.5 * before)
-                       & (tangent | (move > 0.0)))
-            x, prev = np.where(use, guess, 0.5 * (a + b)), x
-            before, last = last, np.abs(x - prev)
+            x = b - step
+            newton = x > a
+            if not newton.all():
+                # the secant point, kept above a, where b has a Newton step
+                # (a finite slope); it is b where a is unevaluated (ga = -inf),
+                # so the step halves
+                secant = np.maximum(b - (g - t) * (b - a) / (g - ga), np.nextafter(a, b))
+                fallback = np.where((secant < b) & (step == step), secant, 0.5 * (a + b))
+                x = np.where(newton, x, fallback)
             gx, sx = evaluate(x, args)
             above = gx >= t
-            # a Newton step that is too short to count, or that leaves the
-            # value unchanged because it has hit its rounding, ends the search
-            done = use & tangent & above & ((newton <= 2.0 * np.spacing(x)) | (gx >= g))
-            a, ga = np.where(above, a, x), np.where(above, ga, gx)
-            b, g, s = np.where(above, x, b), np.where(above, gx, g), np.where(above, sx, s)
-            done |= b - a <= 2.0 * np.spacing(b)
+            # a Newton point that leaves the value unchanged has hit its rounding
+            done = newton & (gx >= g)
+            if above.all():
+                b, g, step = x, gx, (gx - t) / sx
+            else:
+                a, ga = np.where(above, a, x), np.where(above, ga, gx)
+                b, g, step = (np.where(above, x, b), np.where(above, gx, g),
+                              np.where(above, (gx - t) / sx, step))
+            tol = _ULP * np.abs(b)  # between 1 and 2 ulp of b
+            done |= (step <= tol) | (b - a <= tol)
             if done.any():  # drop the finished elements
                 out[live[done]] = b[done]
-                keep = ~done
-                live, a, b, ga, g, s, t, x, last, before = (
-                    v[keep] for v in (live, a, b, ga, g, s, t, x, last, before)
-                )
+                keep = np.flatnonzero(~done)
+                live, a, ga, b, g, t, step = (v[keep] for v in (live, a, ga, b, g, t, step))
                 args = [p[keep] for p in args]
     out[live] = b
     return out

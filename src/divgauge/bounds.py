@@ -17,13 +17,13 @@ Conventions
   The optimized KL bound is the Chernoff inversion
   sup{p >= q : kl(p || q) <= d}; the implicit power bound and the exact
   reverse-KL bound are roots too.  Every root comes from
-  ``_optim.increasing_root`` (Newton steps from a closed-form start derived
-  from q and the divergence, which it evaluates once and brackets from; the
-  constraint is 0 at q, which is not evaluated, and the bracket is empty
-  where Q(E) is 0 or 1 or the kernel settles the root in closed form),
-  which returns the upper side of its final bracket, so each inverted bound
-  errs on the sound side; the scalar entry points are the same kernels at
-  one point.
+  ``_optim.increasing_root`` (Newton steps from a closed-form start above
+  the root, derived from q and the divergence, which it evaluates once and
+  brackets from; the constraint is 0 at q, which is not evaluated), called
+  only on the elements a kernel searches: not where Q(E) is 0 or 1 or the
+  kernel settles the root in closed form.  It returns the upper side of
+  its final bracket, so each inverted bound errs on the sound side; the
+  scalar entry points are the same kernels at one point.
 * Each competitor with a free parameter, squared Hellinger aside, is at
   its optimum one of our sharp bounds (Vincze-Le Cam through the reverse
   chi-square bound at V/2), so none computes its own value.  Every optimal
@@ -132,11 +132,17 @@ def _override(q, raw):
     return np.where(q <= 0.0, 0.0, np.where(q >= 1.0, 1.0, raw))
 
 
-def _searched(q, lo, hi, settled=False):
-    """The root bracket's upper end where 0 < q < 1 and not ``settled``, and
-    lo elsewhere: the empty bracket settles, without an evaluation, the
-    roots the caller overrides."""
-    return np.where((q > 0.0) & (q < 1.0) & np.logical_not(settled), hi, lo)
+def _search(fn, q, qs, settled, hi, target, start):
+    """The root of fn(p, qs) = target on [qs, hi] from ``start(qs, target)``,
+    searched only where 0 < q < 1 and not ``settled``: the start is computed
+    and the root-finder called on those elements alone, and every other
+    element is qs, which the caller overrides."""
+    out = np.array(qs, dtype=float)
+    open_ = (q > 0.0) & (q < 1.0) & np.logical_not(settled)
+    if open_.any():
+        qo, to = qs[open_], np.broadcast_to(target, qs.shape)[open_]
+        out[open_] = increasing_root(fn, qo, start(qo, to), hi, to, qo)
+    return out
 
 
 def _two_point(name: str, core, q: float, d: float, what: str, **params) -> BoundResult:
@@ -227,26 +233,39 @@ def _kl_above(p, q):
 def kl_opt_core(q, d):
     """The KL bound minimized over c > 0: the Chernoff inversion
     p* = sup{p >= q : kl(p || q) <= d}, attained at c* = logit p* - logit q,
-    by Newton steps from q plus Pinsker's gap sqrt(d / 2) or, if smaller,
-    twice d + sqrt(d) sqrt(d + 2q), where kl(p || q) >= (p - q)^2 / (2p) is
-    2d, plus 1e-12 q: a margin over the rounding of kl(p || q), which is
-    within rounding of d at Pinsker's gap where Pinsker is tight (q near
-    1/2, tiny d).  The start is capped at the predecessor of 1.0, where the
-    slope is still finite.  Where d >= log(1/q) the infimum is the limit 1
-    as c -> inf: raw 1 and c* = inf, with no search; d = 0 gives q, with no
-    search either."""
+    by Newton steps from :func:`_kl_start`.  Where d >= log(1/q) the infimum
+    is the limit 1 as c -> inf: raw 1 and c* = inf, with no search; d = 0
+    gives q, with no search either."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         saturated = d >= -np.log(qs)
-        gap = np.minimum(np.sqrt(0.5 * d), 2.0 * (d + np.sqrt(d) * np.sqrt(d + 2.0 * qs)))
-        start = np.minimum(qs + gap + 1e-12 * qs, np.nextafter(1.0, 0.0))
-        settled = saturated | (d == 0.0)
-        root = increasing_root(_kl_above, qs, start, _searched(q, qs, 1.0, settled), d, qs)
+        root = _search(_kl_above, q, qs, saturated | (d == 0.0), 1.0, d, _kl_start)
         p = np.where(saturated, 1.0, root)
         c_star = _logit_gap(p, qs)
     return _override(q, p), c_star
+
+
+def _kl_start(q, d):
+    """The smaller of two points above the root, capped at the predecessor
+    of 1.0, where the slope is still finite.  One is q plus Pinsker's gap
+    sqrt(d / 2) or, if smaller, twice d + sqrt(d) sqrt(d + 2q), where
+    kl(p || q) >= (p - q)^2 / (2p) is 2d, plus 1e-12 q: a margin over the
+    rounding of kl(p || q), which is within rounding of d at Pinsker's gap
+    where Pinsker is tight (q near 1/2, tiny d).  The other, for roots near
+    1, is 1 - u with phi(u) = u (1 + log((1-q)/q) + log(1/u)) <= log(1/q) - d:
+    the entropy of 1 - u is at most u log(1/u) + u, so there
+    kl(1 - u || q) >= log(1/q) - phi(u) >= d.  phi is concave, so each Newton
+    step on phi(u) = log(1/q) - d, four from u = 2^-53, lands where phi is at
+    most that; the margin 2^-51 + 2^-50 u covers the rounding of 1 - u."""
+    gap = np.minimum(np.sqrt(0.5 * d), 2.0 * (d + np.sqrt(d) * np.sqrt(d + 2.0 * q)))
+    logit, slack = np.log1p(-q) - np.log(q), -np.log(q) - d
+    u = np.full_like(q, 2.0**-53)
+    for _ in range(4):
+        u = (slack - u) / (logit - np.log(u))
+    near = np.where((u > 0.0) & (u < 1.0), 1.0 - u * (1.0 - 2.0**-50) + 2.0**-51, 1.0)
+    return np.minimum(np.minimum(q + gap + 1e-12 * q, near), np.nextafter(1.0, 0.0))
 
 
 def kl_closed_core(q, d):
@@ -289,19 +308,21 @@ def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
 # ---------------------------------------------------------------------------
 
 
-def _hellinger_closed(q, x):
-    """(sqrt(q) x + sqrt((1-q)(1-x^2)))^2: max p with sqrt(pq) + sqrt((1-p)(1-q)) >= x."""
+def _hellinger_closed(q, h):
+    """(sqrt(q) x + sqrt((1-q)(1-x^2)))^2 at x = 1 - h: max p with
+    sqrt(pq) + sqrt((1-p)(1-q)) >= x.  1 - x^2 is formed as h (2 - h), which
+    keeps its digits where x rounds to 1 (h below about 1e-16)."""
     with np.errstate(invalid="ignore"):
-        return (np.sqrt(q) * x + np.sqrt((1.0 - q) * np.maximum(1.0 - x * x, 0.0))) ** 2
+        return (np.sqrt(q) * (1.0 - h) + np.sqrt((1.0 - q) * np.maximum(h * (2.0 - h), 0.0))) ** 2
 
 
 def hellinger_core(q, h2):
     """Exact inversion of the two-point Hellinger constraint: the closed form
     at x = 1 - h2/2 where x >= sqrt(q), else 1 (the constraint admits p = 1)."""
     q = np.asarray(q, dtype=float)
-    x = 1.0 - 0.5 * np.asarray(h2, dtype=float)
+    h = 0.5 * np.asarray(h2, dtype=float)
     with np.errstate(invalid="ignore"):
-        raw = np.where(x >= np.sqrt(q), _hellinger_closed(q, x), 1.0)
+        raw = np.where(1.0 - h >= np.sqrt(q), _hellinger_closed(q, h), 1.0)
     return _override(q, raw)
 
 
@@ -333,48 +354,62 @@ def _check_beta(beta: float) -> float:
 
 def _power_excess(p, q, beta):
     """p^b q^(1-b) + (1-p)^b (1-q)^(1-b) - 1, summed as
-    q ((p/q)^b - 1) + (1-q) (((1-p)/(1-q))^b - 1) from log1p and expm1 so that
-    it does not cancel near p = q, and its slope in p.  Where (p/q)^b would
-    overflow (and read as the target reached), q (p/q)^b is one exp."""
+    q ((p/q)^b - 1) + (1-q) (((1-p)/(1-q))^b - 1), and its slope in p.  Below
+    p = 2q the first term is q expm1(b log1p((p-q)/q)), which does not cancel
+    near p = q; from there on it is q (p/q)^b - q, a power accurate to a few
+    ulp, where exp(b log(p/q)) would multiply the rounding of the log by
+    b log(p/q) (some 1,400 at q = 1e-300).  Where (p/q)^b overflows but
+    q (p/q)^b need not, it is (p / q^(1-1/b))^b."""
     up = np.log1p((p - q) / q)
     down = np.log1p((q - p) / (1.0 - q))
-    rise = beta * up
-    first = q * np.expm1(rise)
-    if np.any(rise >= 700.0):
-        first = np.where(rise < 700.0, first, np.exp(rise + np.log(q)))
-    value = first + (1.0 - q) * np.expm1(beta * down)
-    return value, beta * (np.exp((beta - 1.0) * up) - np.exp((beta - 1.0) * down))
+    ratio = p / q
+    far = q * np.power(ratio, beta)
+    if np.isinf(far).any():
+        far = np.where(far < np.inf, far, np.power(p / np.power(q, 1.0 - 1.0 / beta), beta))
+    near = ratio < 2.0
+    value = np.where(near, q * np.expm1(beta * up), far - q) + (1.0 - q) * np.expm1(beta * down)
+    rise = np.where(near, np.exp((beta - 1.0) * up), far / p)
+    return value, beta * (rise - np.exp((beta - 1.0) * down))
 
 
 def power_implicit_core(q, h_beta, beta):
     """Largest p in [q, 1] with p^b q^(1-b) + (1-p)^b (1-q)^(1-b) <= 1 + (b-1) H_b.
 
     The left side is increasing and convex in p on [q, 1], so Newton steps
-    stay on the safe (upper) side of the root.  They start where the first
-    term alone reaches the target, p = ((1 + (b-1) H_b) q^(b-1))^(1/b),
-    capped at 1, or, where lower, at q plus twice the gap
-    (q^(b-1) (b-1) H_b)^(1/b) of p >> q or sqrt(2 q H_b / b) of p near q (the
-    larger for b < 2, else the smaller; at least 1e-12 q), without which tiny
-    q takes hundreds of steps.  A start that evaluates below the target is
-    the lower end of the bracket [start, 1].  Two cases need no search:
-    where the first term's start reaches 1, (1 + (b-1) H_b) q^(b-1) >= 1,
-    the constraint admits p = 1 and the bound is exactly 1, and H_b = 0
-    gives q."""
+    from :func:`_power_start`, which is above the root, stay on the safe
+    (upper) side of it.  Two cases need no search: where
+    (1 + (b-1) H_b) q^(b-1) >= 1 the constraint admits p = 1 and the bound
+    is exactly 1, and H_b = 0 gives q."""
     q = np.asarray(q, dtype=float)
     excess = (beta - 1.0) * np.asarray(h_beta, dtype=float)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    lhs = partial(_power_excess, beta=beta)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_q = (beta - 1.0) * np.log(qs)
-        log_first = np.log1p(excess) + log_q
-        admits_one = log_first >= 0.0
-        far = np.exp((np.log(excess) + log_q) / beta)
-        close = np.sqrt(2.0 * qs / (beta * (beta - 1.0))) * np.sqrt(excess)
-        gap = np.maximum(far, close) if beta < 2.0 else np.minimum(far, close)
-        start = np.minimum(np.exp(log_first / beta), qs + np.maximum(2.0 * gap, 1e-12 * qs))
-        settled = admits_one | (excess == 0.0)
-        root = increasing_root(lhs, qs, start, _searched(q, qs, 1.0, settled), excess, qs)
+        admits_one = np.log1p(excess) + (beta - 1.0) * np.log(qs) >= 0.0
+        root = _search(partial(_power_excess, beta=beta), q, qs, admits_one | (excess == 0.0),
+                       1.0, excess, partial(_power_start, beta=beta))
     return _override(q, np.where(admits_one, 1.0, root))
+
+
+def _power_start(q, excess, beta):
+    """A start above the root of the implicit power constraint, E = (b-1) H_b.
+
+    The smaller of two points above it: where the first term alone reaches
+    1 + E, ((1 + E) q^(b-1))^(1/b) (the second term is not negative), and q
+    plus the gap where b(b-1)/2 min(1, 2^(b-2)) (p - q)^2 / q, a lower bound
+    on the left side (for b < 2 only up to p = 2q), reaches E.  Then two
+    steps of p <- q (1 + w)^(1/b), w = (E - (1-q) expm1(b log1p((q-p)/(1-q))))/q,
+    the constraint solved for its first term with the second held at p: an
+    increasing map with the root as its fixed point, so it stays above it.
+    Written in log1p and expm1 it does not cancel at tiny q.  Its margin,
+    (8 + log1p(w)) ulp, covers the rounding of the map, which exp
+    multiplies by log1p(w) / b, and of the constraint."""
+    p = np.exp((np.log1p(excess) + (beta - 1.0) * np.log(q)) / beta)
+    gap = np.sqrt(q) * np.sqrt(excess / (0.5 * beta * (beta - 1.0) * min(1.0, 2.0 ** (beta - 2.0))))
+    p = np.where((beta >= 2.0) | (gap <= q), np.minimum(p, q + gap), p)
+    for _ in range(2):
+        lift = np.log1p((excess - (1.0 - q) * np.expm1(beta * np.log1p((q - p) / (1.0 - q)))) / q)
+        p = q + q * np.expm1(lift / beta)
+    return np.minimum(p * (1.0 + (8.0 + lift) * 2.0**-52), 1.0)
 
 
 def power_qmax_core(q, h_beta, beta, q_max):
@@ -658,22 +693,35 @@ def _kl_below(p, q):
     return bernoulli_kl_core(q, p), (p - q) / (p * (1.0 - p))
 
 
+_TOP = np.nextafter(1.0, 0.0)
+
+
 def reverse_kl_exact_core(q, d):
     """Sharp inversion: the unique p in [q, 1) with kl(q, p) = D(Q || P), on
     the upper side of the root (kl(q, p) >= D as evaluated), exactly q at
     D = 0, 1 at D = +inf, and the predecessor of 1.0 where a finite D
-    exceeds kl(q, that predecessor).  Newton steps start at p = 1 - e^(-z),
-    z = (D + H(q)) / (1 - q), where kl(q || p) >= (1 - q) z - H(q) = D."""
+    exceeds kl(q, that predecessor).  Newton steps start at
+    :func:`_reverse_kl_start`, above the root."""
     q = np.asarray(q, dtype=float)
     d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
     qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    top = np.nextafter(1.0, 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        entropy = -qs * np.log(qs) - (1.0 - qs) * np.log1p(-qs)
-        start = np.clip(-np.expm1(-(d + entropy) / (1.0 - qs)), qs, top)
-        settled = (d == 0.0) | np.isinf(d)
-        root = increasing_root(_kl_below, qs, start, _searched(q, qs, top, settled), d, qs)
+        root = _search(_kl_below, q, qs, (d == 0.0) | np.isinf(d), _TOP, d, _reverse_kl_start)
     return _override(q, np.where(d == 0.0, q, np.where(np.isinf(d), 1.0, root)))
+
+
+def _reverse_kl_start(q, d):
+    """p = 1 - e^(-z) after two steps of z <- (D + H(q) + q log(1 - e^(-z))) / (1 - q),
+    which is kl(q || p) = D solved for its log(1 - p) term, from
+    z = (D + H(q)) / (1 - q), where kl(q || p) >= (1 - q) z - H(q) = D.  The
+    map is increasing in z with the root as its fixed point, so each step
+    stays above the root.  A margin of 1 ulp of p covers the rounding of p
+    near the root (without it about 2% of a sweep's starts round below)."""
+    z = (d - q * np.log(q) - (1.0 - q) * np.log1p(-q)) / (1.0 - q)
+    p = -np.expm1(-z)
+    for _ in range(2):
+        p = -np.expm1(-(z + q / (1.0 - q) * np.log(p)))
+    return np.clip(p * (1.0 + 2.0**-52), q, _TOP)
 
 
 def reverse_kl_explicit_core(q, d):
@@ -800,10 +848,11 @@ def comp_sq_hellinger_core(q, h2, c=None):
     optimum, the Hellinger closed form at x = 1 - H^2 (ours has 1 - H^2/2).
     Returns (raw, valid): valid requires H^2 <= 1 and sqrt(q) <= 1 - H^2."""
     q = np.asarray(q, dtype=float)
-    x = 1.0 - np.asarray(h2, dtype=float)
+    h2 = np.asarray(h2, dtype=float)
+    x = 1.0 - h2
     with np.errstate(invalid="ignore"):
         valid = (x >= 0.0) & (np.sqrt(q) <= x)
-        raw = _hellinger_closed(q, x) if c is None else 1.0 + c - c * (1.0 + c) * x * x / (q + c)
+        raw = _hellinger_closed(q, h2) if c is None else 1.0 + c - c * (1.0 + c) * x * x / (q + c)
     return _override(q, raw), valid
 
 

@@ -270,6 +270,17 @@ def test_sharp_instances_sound():
     assert not bad, bad
 
 
+@pytest.mark.parametrize("p_e, q_e", [(4.4e-23, 3.67e-109), (1e-6, 1e-30)])
+@pytest.mark.parametrize("bound_id", ["hellinger", "competitor_squared_hellinger"])
+def test_hellinger_sound_relative_to_tiny_masses(bound_id, p_e, q_e):
+    # 1 - x^2 with x = 1 - H^2/2 rounded to 0 where H^2 is below 1e-16: the
+    # bound returned about Q(E), short by nearly all of P(E), a deficit that
+    # the absolute SLACK_TOL cannot see, so check it relative to P(E)
+    rep = verify_com_bound(binary_tightness_witness(p_e, q_e, 2), bound_id)
+    assert rep.violations == 0
+    assert rep.worst_slack >= -4.0 * np.spacing(p_e)
+
+
 def test_verify_com_bound_unknown_id():
     pair = random_pair(1, 0, 4)
     with pytest.raises(UnknownBoundError):
