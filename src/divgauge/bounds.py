@@ -8,22 +8,23 @@ scalars or numpy arrays for q and return raw, unclipped values).
 
 Conventions
 -----------
-* Degenerate events: q = 0 forces P(E) = 0 under domination, and q = 1
-  forces the vacuous bound 1.  Cores apply these overrides instead of
-  evaluating the interior formula.
+* Every core reads q through one :class:`EventView`: its clipped copy and
+  logs, computed once per view, and the positions of the degenerate
+  events.  A sweep batch holds one view for all its cases.  q = 0 forces
+  P(E) = 0 under domination, and q >= 1 the vacuous bound 1: cores
+  evaluate their formula at every event, then write these values at those
+  positions alone (the Orlicz bound keeps its formula at q >= 1).
 * The kernels search no bracket.  Each optimum over a free parameter is a
   closed form or the root of its own stationarity condition, and the
   family is evaluated there in a parametrization that does not cancel.
   The optimized KL bound is the Chernoff inversion
   sup{p >= q : kl(p || q) <= d}; the implicit power bound and the exact
-  reverse-KL bound are roots too.  Every root comes from
-  ``_optim.increasing_root`` (Newton steps from a closed-form start above
-  the root, derived from q and the divergence, which it evaluates once and
-  brackets from; the constraint is 0 at q, which is not evaluated), called
-  only on the elements a kernel searches: not where Q(E) is 0 or 1 or the
-  kernel settles the root in closed form.  It returns the upper side of
-  its final bracket, so each inverted bound errs on the sound side; the
-  scalar entry points are the same kernels at one point.
+  reverse-KL bound are roots too, each from ``_optim.increasing_root``
+  (Newton steps from a closed-form start above the root) on the elements
+  a kernel searches: not where Q(E) is 0 or 1 or the root is a closed
+  form.  It returns the upper side of its final bracket, so each inverted
+  bound errs on the sound side; the scalar entry points are the same
+  kernels at one point.
 * Each competitor with a free parameter, squared Hellinger aside, is at
   its optimum one of our sharp bounds (Vincze-Le Cam through the reverse
   chi-square bound at V/2), so none computes its own value.  Every optimal
@@ -127,20 +128,77 @@ def _degenerate(name: str, q: float, params: dict) -> BoundResult | None:
     return None
 
 
-def _override(q, raw):
-    """Apply the degenerate-event convention elementwise."""
-    return np.where(q <= 0.0, 0.0, np.where(q >= 1.0, 1.0, raw))
+class _OnFirstUse:
+    """An attribute computed on first use and then stored on the instance.
+    Unlike Python 3.11's cached_property it takes no lock, which would cost
+    more than a 0-d core's arithmetic; a race computes the same array twice."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def __set_name__(self, owner, name) -> None:
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        value = view.__dict__[self.name] = self.fn(view)
+        return value
 
 
-def _search(fn, q, qs, settled, hi, target, start):
+class EventView:
+    """Event masses Q(E) and what the kernels derive from them: the flat
+    positions of the degenerate events, Q(E) = 0 (``empty``) and Q(E) >= 1
+    (``full``), and, each computed on first use, ``qs``, q clipped to
+    [1e-300, 1 - 1e-16] (where its logs and 1/q are finite), and ``log_q``
+    and ``log1m_q``, its log and log1p(-qs).  A core given a plain array or
+    scalar builds its own view."""
+
+    def __init__(self, q) -> None:
+        self.q = np.asarray(q, dtype=float)
+        flat = self.q.reshape(-1)
+        self.empty, self.full = (flat <= 0.0).nonzero()[0], (flat >= 1.0).nonzero()[0]
+        self._norm: tuple = (None, None)
+
+    qs = _OnFirstUse(lambda self: self.q.clip(1e-300, 1.0 - 1e-16))
+    log_q = _OnFirstUse(lambda self: np.log(self.qs))
+    log1m_q = _OnFirstUse(lambda self: np.log1p(-self.qs))
+
+    def indicator_norm(self, spec: OrliczSpec) -> np.ndarray:
+        """:func:`indicator_norm` of q under `spec`.  The last power gauge's
+        values are kept (a gauge with ``kappa`` set is the power gauge of
+        that kappa), so the Orlicz cases of one kappa share them."""
+        if spec.kappa is None:
+            return indicator_norm(self.q, spec)
+        if self._norm[0] != spec.kappa:
+            self._norm = (spec.kappa, indicator_norm(self.q, spec))
+        return self._norm[1]
+
+
+def _view(q) -> EventView:
+    return q if isinstance(q, EventView) else EventView(q)
+
+
+def _override(v: EventView, raw, full=1.0):
+    """raw, a fresh array of Q(E)'s shape or a scalar, with the degenerate-
+    event convention written at those events alone: 0 where Q(E) = 0 and
+    ``full`` where Q(E) >= 1 (None keeps raw there)."""
+    if np.shape(raw) != v.q.shape:  # q broadcast against a larger divergence
+        v = EventView(np.broadcast_to(v.q, np.shape(raw)))
+    raw = np.asarray(raw)  # a scalar becomes a writable 0-d array
+    raw.put(v.empty, 0.0)
+    if full is not None:
+        raw.put(v.full, full)
+    return raw
+
+
+def _search(fn, v: EventView, settled, hi, target, start):
     """The root of fn(p, qs) = target on [qs, hi] from ``start(qs, target)``,
     searched only where 0 < q < 1 and not ``settled``: the start is computed
     and the root-finder called on those elements alone, and every other
     element is qs, which the caller overrides."""
-    out = np.array(qs, dtype=float)
-    open_ = (q > 0.0) & (q < 1.0) & np.logical_not(settled)
+    out = np.array(v.qs, dtype=float)
+    open_ = (v.q > 0.0) & (v.q < 1.0) & np.logical_not(settled)
     if open_.any():
-        qo, to = qs[open_], np.broadcast_to(target, qs.shape)[open_]
+        qo, to = v.qs[open_], np.broadcast_to(target, v.q.shape)[open_]
         out[open_] = increasing_root(fn, qo, start(qo, to), hi, to, qo)
     return out
 
@@ -161,9 +219,10 @@ def _two_point(name: str, core, q: float, d: float, what: str, **params) -> Boun
 
 
 def egamma_core(q, e_gamma, gamma):
-    """gamma * q + E_gamma(P || Q)."""
-    q = np.asarray(q, dtype=float)
-    return _override(q, gamma * q + e_gamma)
+    """gamma * q + E_gamma(P || Q), and with D_f / (f'(gamma) - f'(1)) for
+    E_gamma the f-divergence bound through the hockey stick."""
+    v = _view(q)
+    return _override(v, gamma * v.q + e_gamma)
 
 
 def bound_egamma(q: float, e_gamma: float, gamma: float) -> BoundResult:
@@ -201,10 +260,10 @@ def bound_strong_converse(pair: AbsContPair, mask: EventMask, gamma: float) -> B
 
 def chi2_core(q, chi2):
     """q + sqrt(q) sqrt((1-q) chi^2), which does not underflow at tiny q."""
-    q = np.asarray(q, dtype=float)
+    v = _view(q)
+    q = v.q
     with np.errstate(invalid="ignore"):
-        raw = q + np.sqrt(q) * np.sqrt((1.0 - q) * chi2)
-    return _override(q, raw)
+        return _override(v, q + np.sqrt(q) * np.sqrt((1.0 - q) * chi2))
 
 
 def bound_chi2(q: float, chi2: float) -> BoundResult:
@@ -236,15 +295,14 @@ def kl_opt_core(q, d):
     by Newton steps from :func:`_kl_start`.  Where d >= log(1/q) the infimum
     is the limit 1 as c -> inf: raw 1 and c* = inf, with no search; d = 0
     gives q, with no search either."""
-    q = np.asarray(q, dtype=float)
-    d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
+    v = _view(q)
+    d = np.broadcast_to(np.asarray(d, dtype=float), v.q.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        saturated = d >= -np.log(qs)
-        root = _search(_kl_above, q, qs, saturated | (d == 0.0), 1.0, d, _kl_start)
+        saturated = d >= -v.log_q
+        root = _search(_kl_above, v, saturated | (d == 0.0), 1.0, d, _kl_start)
         p = np.where(saturated, 1.0, root)
-        c_star = _logit_gap(p, qs)
-    return _override(q, p), c_star
+        c_star = _logit_gap(p, v.qs)
+    return _override(v, p), c_star
 
 
 def _kl_start(q, d):
@@ -272,10 +330,8 @@ def kl_closed_core(q, d):
     """The closed specialization c = log(1/q): (KL + log(2 - q)) / log(1/q),
     with log(2 - q) taken as log1p(1 - q), which does not round to 0 near
     q = 1."""
-    q = np.asarray(q, dtype=float)
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-    raw = (d + np.log1p(1.0 - qs)) / -np.log(qs)
-    return _override(q, raw)
+    v = _view(q)
+    return _override(v, (d + np.log1p(1.0 - v.qs)) / -v.log_q)
 
 
 def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
@@ -319,11 +375,11 @@ def _hellinger_closed(q, h):
 def hellinger_core(q, h2):
     """Exact inversion of the two-point Hellinger constraint: the closed form
     at x = 1 - h2/2 where x >= sqrt(q), else 1 (the constraint admits p = 1)."""
-    q = np.asarray(q, dtype=float)
+    v = _view(q)
     h = 0.5 * np.asarray(h2, dtype=float)
     with np.errstate(invalid="ignore"):
-        raw = np.where(1.0 - h >= np.sqrt(q), _hellinger_closed(q, h), 1.0)
-    return _override(q, raw)
+        raw = np.where(1.0 - h >= np.sqrt(v.q), _hellinger_closed(v.q, h), 1.0)
+    return _override(v, raw)
 
 
 def bound_hellinger(q: float, h2: float) -> BoundResult:
@@ -380,14 +436,13 @@ def power_implicit_core(q, h_beta, beta):
     (upper) side of it.  Two cases need no search: where
     (1 + (b-1) H_b) q^(b-1) >= 1 the constraint admits p = 1 and the bound
     is exactly 1, and H_b = 0 gives q."""
-    q = np.asarray(q, dtype=float)
+    v = _view(q)
     excess = (beta - 1.0) * np.asarray(h_beta, dtype=float)
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        admits_one = np.log1p(excess) + (beta - 1.0) * np.log(qs) >= 0.0
-        root = _search(partial(_power_excess, beta=beta), q, qs, admits_one | (excess == 0.0),
+        admits_one = np.log1p(excess) + (beta - 1.0) * v.log_q >= 0.0
+        root = _search(partial(_power_excess, beta=beta), v, admits_one | (excess == 0.0),
                        1.0, excess, partial(_power_start, beta=beta))
-    return _override(q, np.where(admits_one, 1.0, root))
+    return _override(v, np.where(admits_one, 1.0, root))
 
 
 def _power_start(q, excess, beta):
@@ -416,40 +471,37 @@ def power_qmax_core(q, h_beta, beta, q_max):
     """Linearized relaxation under an a-priori event-mass cap Q(E) <= q_max.
 
     Returns (raw, m, valid): the implied slope m must be positive for the
-    bound to apply.
+    bound to apply.  The log-sum of q^(1-b) >= 1 and m^b (1-q)^(1-b) is
+    the first alone where the second is under e^-100, below its rounding (as
+    where m <= 0, on most lanes of a sweep), and logaddexp skips those.
     """
-    q = np.asarray(q, dtype=float)
+    v = _view(q)
     rhs = 1.0 + (beta - 1.0) * np.asarray(h_beta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = q_max ** ((1.0 - beta) / beta) * rhs ** (-1.0 / beta) - 1.0
-        qs = np.clip(q, 1e-300, 1.0 - 1e-16)
-        inner = np.logaddexp(
-            (1.0 - beta) * np.log(qs),
-            beta * np.log(np.maximum(m, 1e-300)) + (1.0 - beta) * np.log1p(-qs),
-        )
+        second = beta * np.log(np.maximum(m, 1e-300)) + (1.0 - beta) * v.log1m_q
+        inner = np.multiply(1.0 - beta, v.log_q, out=np.empty(np.broadcast(v.q, second).shape))
+        np.logaddexp(inner, second, out=inner, where=second > -100.0)
         raw = np.exp(np.log(rhs) / beta - inner / beta)
     valid = m > 0.0
-    return _override(q, raw), m, valid
+    return _override(v, raw), m, valid
 
 
 def power_small_q_core(q, h_beta, beta):
-    """Small-q relaxation with the plug-in cap u0 on p itself."""
-    q = np.asarray(q, dtype=float)
+    """Small-q relaxation with the plug-in cap u0 on p itself.  Where u0 >= 1
+    the bracket is 1 + (b-1) H_b (+inf gives +inf, the vacuous bound); the
+    term (1-u0)^b (1-q)^(1-b) it subtracts is taken at least e^-100, below
+    the rounding of 1 + (b-1) H_b >= 1, so exp does not underflow."""
+    v = _view(q)
     rhs = 1.0 + (beta - 1.0) * np.asarray(h_beta, dtype=float)
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_u0 = np.minimum(0.0, (np.log(rhs) + (beta - 1.0) * np.log(qs)) / beta)
-        u0 = np.exp(log_u0)
-        bracket = rhs - np.exp(
-            (1.0 - beta) * np.log1p(-qs) + beta * np.log(np.maximum(1.0 - u0, 1e-300))
-        )
-        bracket = np.where(u0 >= 1.0, rhs - 0.0 * bracket, bracket)  # (1-u0)^b = 0
+        u0 = np.exp(np.minimum(0.0, (np.log(rhs) + (beta - 1.0) * v.log_q) / beta))
+        cap = (1.0 - beta) * v.log1m_q + beta * np.log(np.maximum(1.0 - u0, 1e-300))
+        bracket = np.where(u0 >= 1.0, rhs, rhs - np.exp(np.maximum(cap, -100.0)))
         bracket = np.maximum(bracket, 0.0)
-        raw = np.exp(
-            ((beta - 1.0) * np.log(qs) + np.log(np.maximum(bracket, 1e-300))) / beta
-        )
+        raw = np.exp(((beta - 1.0) * v.log_q + np.log(np.maximum(bracket, 1e-300))) / beta)
         raw = np.where(bracket <= 0.0, 0.0, raw)
-    return _override(q, raw), u0
+    return _override(v, raw), u0
 
 
 def bound_power_beta(
@@ -607,11 +659,6 @@ def _richardson_derivative(f: Callable[[float], float], t: float, h: float = 1e-
     return (4.0 * d2 - d1) / 3.0
 
 
-def f_hs_core(q, df, gamma, slope_gap):
-    q = np.asarray(q, dtype=float)
-    return _override(q, gamma * q + df / slope_gap)
-
-
 def f_slope_gap(
     f: DivergenceKind | Callable[[float], float], gamma: float, lipschitz: float | None = None
 ) -> tuple[float, float]:
@@ -665,7 +712,7 @@ def bound_f_via_egamma(
         return deg
     if gap <= 0.0:
         return BoundResult("f_from_egamma", math.inf, params, preconditions_met=False)
-    return BoundResult("f_from_egamma", float(f_hs_core(q, df, gamma, gap)), params)
+    return BoundResult("f_from_egamma", float(egamma_core(q, df / gap, gamma)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +723,13 @@ def bound_f_via_egamma(
 def reverse_chi2_core(q, r):
     """Upper root of (1+r) p^2 - (r + 2q) p + q^2 <= 0, r = chi^2(Q || P), the
     root of the discriminant as sqrt(r) sqrt(r + 4q(1-q)) (no underflow)."""
-    q = np.asarray(q, dtype=float)
+    v = _view(q)
+    q = v.q
     r = np.broadcast_to(np.asarray(r, dtype=float), q.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         raw = (r + 2.0 * q + np.sqrt(r) * np.sqrt(r + 4.0 * q * (1.0 - q))) / (2.0 * (1.0 + r))
     raw = np.where(np.isinf(r), 1.0, raw)
-    return _override(q, raw)
+    return _override(v, raw)
 
 
 def bound_reverse_chi2(q: float, rchi2: float) -> BoundResult:
@@ -702,12 +750,11 @@ def reverse_kl_exact_core(q, d):
     D = 0, 1 at D = +inf, and the predecessor of 1.0 where a finite D
     exceeds kl(q, that predecessor).  Newton steps start at
     :func:`_reverse_kl_start`, above the root."""
-    q = np.asarray(q, dtype=float)
-    d = np.broadcast_to(np.asarray(d, dtype=float), q.shape)
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
+    v = _view(q)
+    d = np.broadcast_to(np.asarray(d, dtype=float), v.q.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = _search(_kl_below, q, qs, (d == 0.0) | np.isinf(d), _TOP, d, _reverse_kl_start)
-    return _override(q, np.where(d == 0.0, q, np.where(np.isinf(d), 1.0, root)))
+        root = _search(_kl_below, v, (d == 0.0) | np.isinf(d), _TOP, d, _reverse_kl_start)
+    return _override(v, np.where(d == 0.0, v.q, np.where(np.isinf(d), 1.0, root)))
 
 
 def _reverse_kl_start(q, d):
@@ -732,12 +779,12 @@ def reverse_kl_explicit_core(q, d):
     for p <= q and fails soundness otherwise); always at least the sharp
     kl-inversion.
     """
-    q = np.asarray(q, dtype=float)
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
+    v = _view(q)
+    qs = v.qs
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        shift = np.asarray(d, dtype=float) - qs * np.log(qs)
+        shift = np.asarray(d, dtype=float) - qs * v.log_q
         raw = 1.0 - (1.0 - qs) * np.exp(-shift / (1.0 - qs))
-    return _override(q, raw)
+    return _override(v, raw)
 
 
 def invert_binary_kl(q: float, d: float) -> float:
@@ -760,8 +807,8 @@ def bound_reverse_kl(q: float, dqp: float, mode: str = "exact") -> BoundResult:
 def vincze_core(q, vc):
     """Upper root of the Vincze-Le Cam two-point quadratic: twice the
     reverse chi-square bound at r = vc / 2, minus q."""
-    q = np.asarray(q, dtype=float)
-    return 2.0 * reverse_chi2_core(q, 0.5 * np.asarray(vc, dtype=float)) - q
+    v = _view(q)
+    return 2.0 * reverse_chi2_core(v, 0.5 * np.asarray(vc, dtype=float)) - v.q
 
 
 def bound_vincze_lecam(q: float, vc: float) -> BoundResult:
@@ -774,9 +821,9 @@ def bound_vincze_lecam(q: float, vc: float) -> BoundResult:
 
 
 def orlicz_core(q, amemiya: float, gamma: float, spec: OrliczSpec):
-    q = np.asarray(q, dtype=float)
-    raw = gamma * q + indicator_norm(q, spec) * amemiya
-    return np.where(q <= 0.0, 0.0, raw)
+    """gamma q + ||1_E||_psi amemiya, 0 at q = 0 and kept at q >= 1."""
+    v = _view(q)
+    return _override(v, gamma * v.q + v.indicator_norm(spec) * amemiya, full=None)
 
 
 def bound_orlicz(
@@ -847,20 +894,20 @@ def comp_sq_hellinger_core(q, h2, c=None):
     """Competitor family 1 + c - c(1+c)(1 - H^2)^2 / (q + c) and its closed
     optimum, the Hellinger closed form at x = 1 - H^2 (ours has 1 - H^2/2).
     Returns (raw, valid): valid requires H^2 <= 1 and sqrt(q) <= 1 - H^2."""
-    q = np.asarray(q, dtype=float)
+    v = _view(q)
+    q = v.q
     h2 = np.asarray(h2, dtype=float)
     x = 1.0 - h2
     with np.errstate(invalid="ignore"):
         valid = (x >= 0.0) & (np.sqrt(q) <= x)
         raw = _hellinger_closed(q, h2) if c is None else 1.0 + c - c * (1.0 + c) * x * x / (q + c)
-    return _override(q, raw), valid
+    return _override(v, raw), valid
 
 
 def _inverse_expm1(q, p, k):
     """1 / expm1(k z) at the logit gap z of p over q: inf at p = q, 0 at p = 1."""
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return 1.0 / np.expm1(k * _logit_gap(p, qs))
+        return 1.0 / np.expm1(k * _logit_gap(p, _view(q).qs))
 
 
 def comp_reverse_chi2_ac(q, r, c):
@@ -877,8 +924,9 @@ def comp_reverse_chi2_ac(q, r, c):
 def comp_reverse_chi2_core(q, r):
     """The family at its optimum, (raw, c*): :func:`reverse_chi2_core`,
     attained at tanh t* = e^(-z), c* = sinh^2 t* = 1 / expm1(2z)."""
-    p = reverse_chi2_core(q, r)
-    return p, _inverse_expm1(q, p, 2.0)
+    v = _view(q)
+    p = reverse_chi2_core(v, r)
+    return p, _inverse_expm1(v, p, 2.0)
 
 
 def comp_reverse_kl_ac(q, d, c):
@@ -892,8 +940,9 @@ def comp_reverse_kl_ac(q, d, c):
 def comp_reverse_kl_core(q, d):
     """The family at its optimum, (raw, c*): :func:`reverse_kl_exact_core`,
     attained at log(1 + 1/c*) = z, c* = 1 / expm1(z)."""
-    p = reverse_kl_exact_core(q, d)
-    return p, _inverse_expm1(q, p, 1.0)
+    v = _view(q)
+    p = reverse_kl_exact_core(v, d)
+    return p, _inverse_expm1(v, p, 1.0)
 
 
 def comp_vincze_ac(q, vc, c):
@@ -906,8 +955,9 @@ def comp_vincze_ac(q, vc, c):
 def comp_vincze_core(q, vc):
     """The family at its optimum, (raw, c*): :func:`vincze_core`, attained
     at the reverse chi-square family's c* at r = vc / 2."""
-    half, c_star = comp_reverse_chi2_core(q, 0.5 * np.asarray(vc, dtype=float))
-    return 2.0 * half - np.asarray(q, dtype=float), c_star
+    v = _view(q)
+    half, c_star = comp_reverse_chi2_core(v, 0.5 * np.asarray(vc, dtype=float))
+    return 2.0 * half - v.q, c_star
 
 
 def comp_power_core(q, h_beta, beta):
@@ -917,8 +967,9 @@ def comp_power_core(q, h_beta, beta):
     p = q / Y, where the family's value is p: the optimum is
     :func:`power_implicit_core`, attained at rho* = e^(-(beta-1) z), so
     s* = -1 / expm1((beta-1) z), -inf at H_beta = 0 and 1 where p* = 1."""
-    p = power_implicit_core(q, h_beta, beta)
-    return p, np.where(p >= 1.0, 1.0, -_inverse_expm1(q, p, beta - 1.0))
+    v = _view(q)
+    p = power_implicit_core(v, h_beta, beta)
+    return p, np.where(p >= 1.0, 1.0, -_inverse_expm1(v, p, beta - 1.0))
 
 
 def comp_power_fixed(q, h_beta, beta, s):
@@ -929,14 +980,14 @@ def comp_power_fixed(q, h_beta, beta, s):
     evaluated as -s expm1(D) with D = A + z, which does not cancel where
     e^A is close to rho: D = log amp + log(1 + q (e^(qb z) - 1)) / qb, the
     log from log1p and expm1, or from logaddexp where e^(qb z) overflows."""
-    qs = np.clip(q, 1e-300, 1.0 - 1e-16)
+    v = _view(q)
+    qs, log_q = v.qs, v.log_q
     s = np.asarray(s, dtype=float)
     qb = beta / (beta - 1.0)
-    log_q = np.log(qs)
     log_amp = np.log1p((beta - 1.0) * np.asarray(h_beta, dtype=float)) / beta
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = qb * np.log1p(-1.0 / s)
-        mix = np.where(w < 700.0, np.log1p(qs * np.expm1(w)), np.logaddexp(np.log1p(-qs), log_q + w))
+        mix = np.where(w < 700.0, np.log1p(qs * np.expm1(w)), np.logaddexp(v.log1m_q, log_q + w))
         below = -s * np.expm1(log_amp + mix / qb)
         linear = s + np.exp(log_amp + log_q / qb) * np.maximum(1.0 - s, 0.0)
         return np.where(s < 0.0, below, linear)
@@ -1008,9 +1059,10 @@ class Bound:
     gamma, ...); a bound that reads a pair statistic other than a divergence
     gives ``stat(r, p, q, **params)`` instead, on (batch, n) arrays of
     dP/dQ, P and Q.  ``core(q, d, **params)`` evaluates the bound at event
-    masses q; it returns raw values, or a tuple led by them, or with
-    ``checked`` the pair (raw, valid) where valid masks the trials whose
-    preconditions hold.  ``grid`` holds the params of the master suite.
+    masses q (or their :class:`EventView`); it returns raw values, a tuple
+    led by them, or with ``checked`` the pair (raw, valid) where valid masks
+    the trials whose preconditions hold.  ``grid`` holds the params of the
+    master suite.
 
     A bound of ours may carry the prior-art ``competitor`` for its
     divergence, itself a Bound, with the ``claim`` of the comparison
@@ -1061,9 +1113,10 @@ def _orlicz_case(q, amemiya, kappa, gamma):
 def _power_qmax_case(q, h_beta, beta):
     """The q_max relaxation at the tightest admissible cap, q_max = Q(E); a
     trial whose Q(E) exceeds the largest cap, 1 - 1e-12, is not valid."""
-    cap = np.clip(q, 1e-300, 1 - 1e-12)
-    raw, _m, valid = power_qmax_core(q, h_beta, beta, cap)
-    return raw, valid & (q <= cap)
+    v = _view(q)
+    cap = np.clip(v.q, 1e-300, 1 - 1e-12)
+    raw, _m, valid = power_qmax_core(v, h_beta, beta, cap)
+    return raw, valid & (v.q <= cap)
 
 
 def _f_kind(kind, **_):
@@ -1073,8 +1126,9 @@ def _f_kind(kind, **_):
 def _f_hs_case(q, df, kind, gamma, lipschitz=None):
     gap, _ = f_slope_gap(_F_KINDS[kind], gamma, lipschitz)
     if gap <= 0.0:
-        return np.full(np.shape(q), np.inf), np.zeros(np.shape(q), dtype=bool)
-    return f_hs_core(q, df, gamma, gap), None
+        shape = _view(q).q.shape
+        return np.full(shape, np.inf), np.zeros(shape, dtype=bool)
+    return egamma_core(q, df / gap, gamma), None
 
 
 _HS_GRID = _grid(gamma=(0.5, 1.0, 2.0, 5.0))

@@ -117,6 +117,7 @@ class PairBatch:
         self.masks = masks
         self.p_events = p @ mf.T
         self.q_events = q @ mf.T
+        self.events = B.EventView(self.q_events)  # shared by every case's core
         self._div_cache: dict = {}
         self._case_cache: dict = {}
 
@@ -150,20 +151,22 @@ NEGATIVE_CONTROL = "chi2_missing_sqrt"
 def _evaluator(spec: B.Bound) -> Evaluator:
     def evaluate(b: PairBatch, **params):
         d = spec.stat(b.r, b.p, b.q, **params) if spec.stat else b.div(spec.divergence(params))
-        return spec.evaluate(b.q_events, d, params)
+        return spec.evaluate(b.events, d, params)
 
     return evaluate
 
 
-def _shared(bound_id: str, evaluate: Evaluator) -> Evaluator:
+def _shared(bound_id: str, evaluate: Evaluator, readers: int) -> Evaluator:
     """Evaluate once per batch: every entry of the table with the same
-    formula reads these values instead of computing them again."""
+    formula reads these values instead of computing them again.  The batch
+    holds them until the last of the `readers` entries has read them."""
 
     def once(b: PairBatch, **params):
         key = (bound_id, tuple(sorted(params.items())))
-        if key not in b._case_cache:
-            b._case_cache[key] = evaluate(b, **params)
-        return b._case_cache[key]
+        values, unread = b._case_cache.pop(key, None) or (evaluate(b, **params), readers)
+        if unread > 1:
+            b._case_cache[key] = values, unread - 1
+        return values
 
     return once
 
@@ -177,8 +180,8 @@ def _chi2_missing_sqrt(b: PairBatch):
 def _registry() -> dict[str, Evaluator]:
     """An evaluator per bound of the table; entries with the same core,
     divergence, statistic and ``checked`` share one evaluation per batch.
-    Only those are cached: caching every case would hold a (batch, events)
-    array per case."""
+    Only those are cached, each until its last reader: caching every case
+    would hold a (batch, events) array per case."""
     formulas: dict[tuple, list[B.Bound]] = {}
     for spec in B.BOUNDS.values():
         formulas.setdefault((spec.core, spec.kind, spec.stat, spec.checked), []).append(spec)
@@ -186,7 +189,7 @@ def _registry() -> dict[str, Evaluator]:
     for specs in formulas.values():
         evaluate = _evaluator(specs[0])
         if len(specs) > 1:
-            evaluate = _shared(specs[0].id, evaluate)
+            evaluate = _shared(specs[0].id, evaluate, len(specs))
         registry.update((spec.id, evaluate) for spec in specs)
     registry[NEGATIVE_CONTROL] = _chi2_missing_sqrt
     return registry
@@ -289,13 +292,13 @@ def _evaluate_cases(
     seed: int | None,
 ) -> dict[str, VerificationReport]:
     out: dict[str, VerificationReport] = {}
+    slack = np.empty(batch.shape)  # each case's slack, over the last one's
     for bound_id, params in cases:
         if bound_id not in _REGISTRY:
             raise UnknownBoundError(bound_id)
         values, valid = _REGISTRY[bound_id](batch, **params)
-        values = np.broadcast_to(np.asarray(values, dtype=float), batch.shape)
         with np.errstate(invalid="ignore"):
-            slack = values - batch.p_events
+            np.subtract(values, batch.p_events, out=slack)
         label = case_label(bound_id, params)
         rep = out.setdefault(label, VerificationReport(label, seed=seed))
         rep.absorb(slack, valid, pair_indices)
@@ -540,7 +543,7 @@ def dominance_report(pair: AbsContPair) -> list[dict]:
     batch = PairBatch.from_pairs([pair], _all_events(pair, "dominance report"))
     rows = []
     for row, claim, d, ours, comp, valid in _dominance_rows(
-        batch.q_events, lambda kind: batch.div(kind)[0, 0]
+        batch.events, lambda kind: batch.div(kind)[0, 0]
     ):
         entry = {"row": row, "claim": claim, "applicable": ours is not None, "events": 0,
                  "divergence": None, "max_ours_minus_competitor": None, "ours_tighter_or_equal": 0}
@@ -565,7 +568,7 @@ def dominance_rows_at_event(pair: AbsContPair, mask) -> list[dict]:
     q = event_probability(pair.q, mask)
     rows = []
     for row, claim, d, ours, comp, valid in _dominance_rows(
-        np.asarray(q), lambda kind: f_divergence_from_ratios(pair.ratios, pair.q.probs, kind)
+        B.EventView(q), lambda kind: f_divergence_from_ratios(pair.ratios, pair.q.probs, kind)
     ):
         applicable = ours is not None and (valid is None or bool(np.asarray(valid).reshape(())))
         entry = {"row": row, "divergence": d if math.isfinite(d) else None, "p": p, "q": q,

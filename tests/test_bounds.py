@@ -11,6 +11,7 @@ from divgauge.dist import EventMask, event_mask_matrix
 from divgauge.divergences import bernoulli_kl_core
 from divgauge.errors import RangeError, ValidationError
 from divgauge._optim import golden_min, increasing_root
+from divgauge.verify import SLACK_TOL
 
 
 def exhaustive_events(pair):
@@ -193,6 +194,64 @@ def test_power_implicit_where_the_ratio_power_overflows():
     q = 4.7911978217550844e-247
     for h in (1e300, math.inf):
         assert dg.bound_power_beta(q, h, 2.0).raw == 1.0
+
+
+def test_power_small_q_is_vacuous_at_infinite_divergence():
+    # (1 - u0)^beta is 0 where u0 >= 1; its product with the infinite
+    # bracket was NaN, where the bound is +inf (reported as 1)
+    res = dg.bound_power_beta(0.3, math.inf, 2.0, mode="small_q")
+    assert res.raw == math.inf and res.value == 1.0 and res.free_params["u0"] == 1.0
+
+
+_EDGE_Q = np.array([0.0, 1e-300, 3.67e-109, 1e-6, 0.3, 1.0 - 1e-6, 1.0])
+
+
+@pytest.mark.parametrize("at", ["least", "inf"])
+@pytest.mark.parametrize(
+    "bound_id, params",
+    [(b.id, params) for b in B.BOUNDS.values() if b.stat is None for params in b.grid],
+)
+def test_table_cores_at_extreme_divergences(bound_id, params, at):
+    # each core at its divergence's least value (that of P = Q: 0, or
+    # 1 - gamma for E_gamma with gamma < 1) and at +inf, over Q(E) from 0 to
+    # 1: no NaN, and never below Q(E) by more than the harness's SLACK_TOL
+    # (at divergence 0 power_small_q and reverse_kl_explicit cancel to 0 at
+    # Q(E) = 1e-300 and 3.67e-109, and hellinger is an ulp below Q(E) at 0.3)
+    spec = B.BOUNDS[bound_id]
+    kind = spec.divergence(params)
+    same = dg.make_distribution([1.0, 2.0, 3.0])
+    d = dg.f_divergence(dg.AbsContPair(same, same), kind) if at == "least" else math.inf
+    raw, valid = spec.evaluate(_EDGE_Q, d, params)
+    raw = np.broadcast_to(raw, _EDGE_Q.shape)
+    valid = np.ones(_EDGE_Q.shape, dtype=bool) if valid is None else np.broadcast_to(valid, _EDGE_Q.shape)
+    assert not np.isnan(raw[valid]).any(), raw
+    inner = valid & (_EDGE_Q > 0.0) & (_EDGE_Q < 1.0)
+    assert np.all(raw[inner] >= _EDGE_Q[inner] - SLACK_TOL), raw
+
+
+def test_override_writes_only_the_degenerate_events():
+    # Q(E) of 0, 1 and 1 + 1 ulp (the mask matmul can round the full
+    # event's mass up) beside interior masses
+    up = np.nextafter(1.0, 2.0)
+    q = np.array([[0.0, 0.3, 1.0, up], [0.0, 1e-300, 0.5, 1.0 - 1e-16]])
+    want = np.array([[0.0, 7.0, 1.0, 1.0], [0.0, 7.0, 7.0, 7.0]])
+    v = B.EventView(q)
+    assert np.array_equal(v.empty, [0, 4]) and np.array_equal(v.full, [2, 3])
+    assert np.array_equal(B._override(v, np.full(q.shape, 7.0)), want)
+    kept = B._override(v, np.full(q.shape, 7.0), full=None)
+    assert np.array_equal(kept, np.where(q <= 0.0, 0.0, 7.0))
+    # a column of empty events, as every sweep chunk has
+    col = np.array([[0.0, 0.2], [0.0, 0.9], [0.0, up]])
+    assert np.array_equal(B._override(B.EventView(col), np.full(col.shape, 7.0)),
+                          [[0.0, 7.0], [0.0, 7.0], [0.0, 1.0]])
+    # 0-d Q(E) with a scalar, and with a vector of divergences
+    for q0, want0 in ((0.0, 0.0), (1.0, 1.0), (up, 1.0), (0.4, 7.0)):
+        assert float(B._override(B.EventView(q0), np.float64(7.0))) == want0
+        assert np.array_equal(B._override(B.EventView(q0), np.full(3, 7.0)), np.full(3, want0))
+    # a core gives the same values at 0-d masses as in the batch
+    batch = B.chi2_core(q, 0.5)
+    for i, j in np.ndindex(q.shape):
+        assert float(B.chi2_core(q[i, j], 0.5)) == batch[i, j]
 
 
 def test_power_qmax_flags_nonpositive_slope():

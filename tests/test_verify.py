@@ -250,14 +250,16 @@ def test_verify_com_bound_identity_pair():
 
 def _sharp_pairs():
     """Pairs where the bounds are tight: P = Q (every divergence 0, events
-    with Q(E) next to 1 at support 16) and two-point witnesses with P(E)
-    just above Q(E)."""
+    with Q(E) next to 1 at support 16), two-point witnesses with P(E) just
+    above Q(E), and two with P(E) orders of magnitude above a tiny Q(E)."""
     for n in (4, 8, 16):
         q = random_pair(7, n, n, zero_prob=0.0).q
         yield f"P=Q, support {n}", dg.AbsContPair(q, q)
     for eps in (1e-2, 1e-4, 1e-6):
         for q in (1e-6, 0.3, 0.9):
             yield f"witness q={q}, eps={eps}", binary_tightness_witness(q * (1 + eps), q, 2)
+    for p_e, q_e in ((4.4e-23, 3.67e-109), (1e-6, 1e-30)):
+        yield f"witness p={p_e}, q={q_e}", binary_tightness_witness(p_e, q_e, 2)
 
 
 def test_sharp_instances_sound():
@@ -375,12 +377,32 @@ def test_entries_with_one_formula_share_one_evaluation():
                       "competitor_reverse_chi2", "reverse_kl_exact", "competitor_reverse_kl",
                       "vincze_lecam", "competitor_vincze_lecam"}
     batch = verify.PairBatch.from_pairs([random_pair(3, 0, 5)], event_mask_matrix(5))
-    ours = registry["power_implicit"](batch, beta=2.0)
-    assert registry["competitor_power"](batch, beta=2.0) is ours
-    assert len(batch._case_cache) == 1
-    ours = registry["reverse_kl_exact"](batch)
-    assert registry["competitor_reverse_kl"](batch) is ours
-    assert len(batch._case_cache) == 2
+    for ours_id, competitor_id, params in (("power_implicit", "competitor_power", {"beta": 2.0}),
+                                           ("reverse_kl_exact", "competitor_reverse_kl", {})):
+        ours = registry[ours_id](batch, **params)
+        assert len(batch._case_cache) == 1  # held for the competitor
+        assert registry[competitor_id](batch, **params) is ours
+        assert not batch._case_cache  # released after its last reader
+
+
+def test_the_batch_event_view_gives_the_bits_of_a_plain_array():
+    # every case through the batch's shared view, against the same core
+    # given a fresh copy of Q(E) (which builds its own view), NaN included
+    from divgauge import bounds
+    from divgauge.dist import event_mask_matrix
+
+    batch = verify.PairBatch(*random_pair_rows(11, range(200), 8), event_mask_matrix(8))
+    assert (batch.q_events >= 1.0).any() and (batch.q_events == 0.0).any()
+    for bound_id, params in default_cases():
+        spec = bounds.BOUNDS[bound_id]
+        d = (spec.stat(batch.r, batch.p, batch.q, **params) if spec.stat
+             else batch.div(spec.divergence(params)))
+        shared = spec.evaluate(batch.events, d, params)
+        fresh = spec.evaluate(np.array(batch.q_events), d, params)
+        for got, want in zip(shared, fresh):  # raw values, then the valid mask
+            assert (got is None) == (want is None), case_label(bound_id, params)
+            if want is not None:
+                assert np.array_equal(got, want, equal_nan=True), case_label(bound_id, params)
 
 
 def test_egamma_variational_identity_and_witness():
