@@ -3,7 +3,7 @@
 The scalar minimizers (the Young-Fenchel search, numeric conjugates and
 custom-gauge Amemiya norms) refine a bracket by golden-section: a coarse
 grid locates it on a fixed log range, or doubling steps on the whole line.
-Every root in the package comes from one root-finder,
+Every root the package searches for comes from one root-finder,
 :func:`increasing_root`, for a nondecreasing function on a range [lo, hi]
 searched from a start the caller derives; scalar roots are its calls at
 shape ``()``, through the same code as a batch.  The caller guarantees that
@@ -12,23 +12,24 @@ kernel's constraint is 0 at q, and a zero target gets an empty range), so
 lo is never evaluated.  Each point is evaluated once: the start, which
 splits the range into a bracket, then hi where the bracket is [start, hi]
 and hi is not the start, then one point per step.  The bound kernels
-evaluate nothing themselves and pass only the elements they search; an
-empty range (lo == hi) is not evaluated at all.
+pass only the elements they search, and evaluate a constraint themselves
+only to check a closed form; an empty range (lo == hi) is not evaluated.
 The root-finder settles every element whose bracket already decides it,
 then takes Newton steps from the hi side on the open elements, falling
 back to a secant or halving step where the Newton point is not inside
 the bracket, and drops the elements that have converged on the steps
-where some have.  An element ends when the Newton step from its upper end
-is at most 2 ulp, without evaluating that step, or when the bracket is.  The fallback is computed
-only on steps that need it, and on a step whose points all land above
-the target the upper ends are replaced without a selection.  The elements are
-searched in blocks that are views of the caller's arrays, which are
-never written.  It returns the hi side, where the function is not below
-the target as evaluated: the sound side of every bound inverted this
-way.  For an increasing convex function every Newton step from the hi
-side stays there, so the sharp inversions converge from above, from
-starts that are above the root too.  No RNG anywhere; identical inputs
-give identical results, which regression tests rely on.
+where some have.  An element ends when the Newton step from its upper
+end is at most 2 ulp, without evaluating that step, or when the bracket
+is.  The fallback is computed only for the elements that need it, and a
+step moves the lower ends only of the elements whose point fell below
+the target.  The elements are searched in blocks that are views of the
+caller's arrays, which are never written.  It returns the hi side, where
+the function is not below the target as evaluated: the sound side of
+every bound inverted this way.  For an increasing convex function every
+Newton step from the hi side stays there, so the sharp inversions
+converge from above, from starts that are above the root too.  No RNG
+anywhere; identical inputs give identical results, which regression
+tests rely on.
 """
 
 from __future__ import annotations
@@ -189,12 +190,13 @@ def increasing_root(fn: Callable[..., tuple], lo, start, hi, target, *args) -> n
     shape = arrays[0].shape
     at_call = (lambda v: v.reshape(())) if shape == () else (lambda v: v)
 
-    def evaluate(x, params):  # (value, slope) in x's shape, as fn returned them where they have it
-        out = []
-        for v in fn(at_call(x), *(at_call(p) for p in params)):
-            v = np.asarray(v, dtype=float)
-            out.append(v.reshape(x.shape) if v.size == x.size else np.broadcast_to(v, x.shape))
-        return out
+    def evaluate(x, params):  # (value, slope) in x's shape; the search may write the value
+        value, slope = (np.asarray(v, dtype=float) for v in fn(at_call(x), *map(at_call, params)))
+        value, slope = (v.reshape(x.shape) if v.size == x.size else np.broadcast_to(v, x.shape)
+                        for v in (value, slope))
+        if any(np.may_share_memory(value, v) for v in (x, *params)) or not value.flags.writeable:
+            value = value.copy()
+        return value, slope
 
     out = np.empty(arrays[0].size)
     flat = [v.reshape(-1) for v in arrays]  # views, unless an input was broadcast
@@ -218,7 +220,7 @@ def _root_block(evaluate, a, x, b, t, *args) -> np.ndarray:
     ga = np.where(above, -np.inf, g)  # fn(lo) < target, not evaluated
     open_end = np.flatnonzero(~above & (b != x))
     if open_end.size:
-        g, s = g.copy(), s.copy()
+        s = s.copy()  # the value is the search's to write already
         g[open_end], s[open_end] = evaluate(b[open_end], [p[open_end] for p in args])
     a, b = np.where(above, a, x), np.where(above, x, b)
     out[live] = b
@@ -236,22 +238,25 @@ def _root_block(evaluate, a, x, b, t, *args) -> np.ndarray:
             x = b - step
             newton = x > a
             if not newton.all():
-                # the secant point, kept above a, where b has a Newton step
-                # (a finite slope); it is b where a is unevaluated (ga = -inf),
+                # at the elements whose Newton point left the bracket, the
+                # secant point, kept above a, where b has a Newton step (a
+                # finite slope); it is b where a is unevaluated (ga = -inf),
                 # so the step halves
-                secant = np.maximum(b - (g - t) * (b - a) / (g - ga), np.nextafter(a, b))
-                fallback = np.where((secant < b) & (step == step), secant, 0.5 * (a + b))
-                x = np.where(newton, x, fallback)
+                j = np.flatnonzero(~newton)
+                aj, bj = a[j], b[j]
+                secant = bj - (g[j] - t[j]) * (bj - aj) / (g[j] - ga[j])
+                secant = np.maximum(secant, np.nextafter(aj, bj))
+                x[j] = np.where((secant < bj) & (step[j] == step[j]), secant, 0.5 * (aj + bj))
             gx, sx = evaluate(x, args)
             above = gx >= t
             # a Newton point that leaves the value unchanged has hit its rounding
             done = newton & (gx >= g)
-            if above.all():
-                b, g, step = x, gx, (gx - t) / sx
-            else:
-                a, ga = np.where(above, a, x), np.where(above, ga, gx)
-                b, g, step = (np.where(above, x, b), np.where(above, gx, g),
-                              np.where(above, (gx - t) / sx, step))
+            step_x = (gx - t) / sx
+            if not above.all():  # a point below the target moves the lower end instead
+                j = np.flatnonzero(~above)
+                a[j], ga[j] = x[j], gx[j]
+                x[j], gx[j], step_x[j] = b[j], g[j], step[j]
+            b, g, step = x, gx, step_x
             tol = _ULP * np.abs(b)  # between 1 and 2 ulp of b
             done |= (step <= tol) | (b - a <= tol)
             if done.any():  # drop the finished elements

@@ -24,7 +24,9 @@ Conventions
   a kernel searches: not where Q(E) is 0 or 1 or the root is a closed
   form.  It returns the upper side of its final bracket, so each inverted
   bound errs on the sound side; the scalar entry points are the same
-  kernels at one point.
+  kernels at one point.  At beta = 2 the implicit power constraint is the
+  chi-square one, so that bound is the chi-square closed form, raised an
+  ulp at a time where the constraint as evaluated falls short.
 * Each competitor with a free parameter, squared Hellinger aside, is at
   its optimum one of our sharp bounds (Vincze-Le Cam through the reverse
   chi-square bound at V/2), so none computes its own value.  Every optimal
@@ -32,6 +34,9 @@ Conventions
   (:func:`_logit_gap`): c* = z (KL), 1 / expm1(2z) (reverse chi-square,
   Vincze-Le Cam), 1 / expm1(z) (reverse KL), s* = -1 / expm1((beta-1) z)
   (power).  So each returns q at divergence 0 and 1 at divergence +inf.
+  The parameter is computed only by the entry points that report it
+  (``bound_kl``, ``competitor_bound`` and the ``comp_*_core`` optima);
+  the kernels the sweep runs return the bound alone.
 * The scalar Young-Fenchel search is deterministic (no RNG): golden-section
   over the gap u - v on the log bracket [1e-5, 1e12], with v by a line
   search over the whole real line.
@@ -190,16 +195,17 @@ def _override(v: EventView, raw, full=1.0):
     return raw
 
 
-def _search(fn, v: EventView, settled, hi, target, start):
+def _search(fn, v: EventView, settled, hi, target, start, root=None):
     """The root of fn(p, qs) = target on [qs, hi] from ``start(qs, target)``,
     searched only where 0 < q < 1 and not ``settled``: the start is computed
-    and the root-finder called on those elements alone, and every other
-    element is qs, which the caller overrides."""
+    and the root-finder (``increasing_root`` unless ``root`` is given) called
+    on those elements alone, and every other element is qs, which the caller
+    overrides."""
     out = np.array(v.qs, dtype=float)
     open_ = (v.q > 0.0) & (v.q < 1.0) & np.logical_not(settled)
     if open_.any():
         qo, to = v.qs[open_], np.broadcast_to(target, v.q.shape)[open_]
-        out[open_] = increasing_root(fn, qo, start(qo, to), hi, to, qo)
+        out[open_] = (root or increasing_root)(fn, qo, start(qo, to), hi, to, qo)
     return out
 
 
@@ -291,18 +297,25 @@ def _kl_above(p, q):
 
 def kl_opt_core(q, d):
     """The KL bound minimized over c > 0: the Chernoff inversion
-    p* = sup{p >= q : kl(p || q) <= d}, attained at c* = logit p* - logit q,
-    by Newton steps from :func:`_kl_start`.  Where d >= log(1/q) the infimum
-    is the limit 1 as c -> inf: raw 1 and c* = inf, with no search; d = 0
-    gives q, with no search either."""
+    p* = sup{p >= q : kl(p || q) <= d}, by Newton steps from
+    :func:`_kl_start`.  Where d >= log(1/q) the infimum is the limit 1 as
+    c -> inf, with no search; d = 0 gives q, with no search either."""
     v = _view(q)
     d = np.broadcast_to(np.asarray(d, dtype=float), v.q.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         saturated = d >= -v.log_q
-        root = _search(_kl_above, v, saturated | (d == 0.0), 1.0, d, _kl_start)
-        p = np.where(saturated, 1.0, root)
-        c_star = _logit_gap(p, v.qs)
-    return _override(v, p), c_star
+        p = _search(_kl_above, v, saturated | (d == 0.0), 1.0, d, _kl_start)
+    p[saturated] = 1.0
+    return _override(v, p)
+
+
+def comp_kl_core(q, d):
+    """The family at its optimum, (raw, c*): :func:`kl_opt_core`, attained at
+    c* = z, the logit gap (inf where the bound is 1)."""
+    v = _view(q)
+    p = kl_opt_core(v, d)
+    with np.errstate(divide="ignore"):
+        return p, _logit_gap(p, v.qs)
 
 
 def _kl_start(q, d):
@@ -350,7 +363,7 @@ def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
         if c <= 0:
             raise RangeError("need c > 0")
         return BoundResult("kl", float(kl_fixed_core(q, kl, c)), {"c": float(c)})
-    raw, c_star = kl_opt_core(np.asarray(q), kl)
+    raw, c_star = comp_kl_core(q, kl)
     closed = float(kl_closed_core(q, kl))
     return BoundResult(
         "kl",
@@ -435,14 +448,34 @@ def power_implicit_core(q, h_beta, beta):
     from :func:`_power_start`, which is above the root, stay on the safe
     (upper) side of it.  Two cases need no search: where
     (1 + (b-1) H_b) q^(b-1) >= 1 the constraint admits p = 1 and the bound
-    is exactly 1, and H_b = 0 gives q."""
+    is exactly 1, and H_b = 0 gives q.  At b = 2 the constraint is the
+    chi-square one, (p - q)^2 <= q (1-q) H_2: its closed form
+    :func:`chi2_core` is not searched from but checked, by :func:`_ulp_raise`."""
     v = _view(q)
     excess = (beta - 1.0) * np.asarray(h_beta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         admits_one = np.log1p(excess) + (beta - 1.0) * v.log_q >= 0.0
-        root = _search(partial(_power_excess, beta=beta), v, admits_one | (excess == 0.0),
-                       1.0, excess, partial(_power_start, beta=beta))
-    return _override(v, np.where(admits_one, 1.0, root))
+        start, root = ((chi2_core, _ulp_raise) if beta == 2.0
+                       else (partial(_power_start, beta=beta), None))
+        p = _search(partial(_power_excess, beta=beta), v, admits_one | (excess == 0.0), 1.0,
+                    excess, start, root)
+    p[admits_one] = 1.0
+    return _override(v, p)
+
+
+def _ulp_raise(fn, lo, start, hi, target, *args):
+    """A closed-form start, at most hi, raised an ulp at a time toward hi
+    where fn as evaluated falls short of target (its rounding can leave the
+    closed form an ulp or two short), evaluating only those elements; lo is
+    not read."""
+    out = p = np.minimum(start, hi)
+    at = np.arange(out.size)
+    while at.size:
+        short = (fn(p, *args)[0] < target) & (p < hi)
+        at, p, target = at[short], np.nextafter(p[short], hi), target[short]
+        args = [a[short] for a in args]
+        out[at] = p
+    return out
 
 
 def _power_start(q, excess, beta):
@@ -488,17 +521,16 @@ def power_qmax_core(q, h_beta, beta, q_max):
 
 
 def power_small_q_core(q, h_beta, beta):
-    """Small-q relaxation with the plug-in cap u0 on p itself.  Where u0 >= 1
-    the bracket is 1 + (b-1) H_b (+inf gives +inf, the vacuous bound); the
-    term (1-u0)^b (1-q)^(1-b) it subtracts is taken at least e^-100, below
-    the rounding of 1 + (b-1) H_b >= 1, so exp does not underflow."""
+    """Small-q relaxation with the plug-in cap u0 on p itself.  Its bracket
+    1 + (b-1) H_b - (1-u0)^b (1-q)^(1-b) is (b-1) H_b - expm1(cap), with cap,
+    the log of the term, from log1p(-u0) and at least -100: it keeps its
+    digits at H_b = 0 and tiny q, and u0 = 1 gives 1 + (b-1) H_b."""
     v = _view(q)
-    rhs = 1.0 + (beta - 1.0) * np.asarray(h_beta, dtype=float)
+    excess = (beta - 1.0) * np.asarray(h_beta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u0 = np.exp(np.minimum(0.0, (np.log(rhs) + (beta - 1.0) * v.log_q) / beta))
-        cap = (1.0 - beta) * v.log1m_q + beta * np.log(np.maximum(1.0 - u0, 1e-300))
-        bracket = np.where(u0 >= 1.0, rhs, rhs - np.exp(np.maximum(cap, -100.0)))
-        bracket = np.maximum(bracket, 0.0)
+        u0 = np.exp(np.minimum(0.0, (np.log(1.0 + excess) + (beta - 1.0) * v.log_q) / beta))
+        cap = (1.0 - beta) * v.log1m_q + beta * np.log1p(-u0)
+        bracket = np.maximum(excess - np.expm1(np.maximum(cap, -100.0)), 0.0)
         raw = np.exp(((beta - 1.0) * v.log_q + np.log(np.maximum(bracket, 1e-300))) / beta)
         raw = np.where(bracket <= 0.0, 0.0, raw)
     return _override(v, raw), u0
@@ -783,7 +815,7 @@ def reverse_kl_explicit_core(q, d):
     qs = v.qs
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         shift = np.asarray(d, dtype=float) - qs * v.log_q
-        raw = 1.0 - (1.0 - qs) * np.exp(-shift / (1.0 - qs))
+        raw = -np.expm1(v.log1m_q - shift / (1.0 - qs))
     return _override(v, raw)
 
 
@@ -995,7 +1027,7 @@ def comp_power_fixed(q, h_beta, beta, s):
 
 # each competitor family with a free c > 0, at a fixed c and at its optimum
 _C_FAMILIES = {
-    "kl": (kl_fixed_core, kl_opt_core),
+    "kl": (kl_fixed_core, comp_kl_core),
     "reverse_chi2": (comp_reverse_chi2_ac, comp_reverse_chi2_core),
     "reverse_kl": (comp_reverse_kl_ac, comp_reverse_kl_core),
     "vincze_lecam": (comp_vincze_ac, comp_vincze_core),

@@ -214,9 +214,10 @@ _EDGE_Q = np.array([0.0, 1e-300, 3.67e-109, 1e-6, 0.3, 1.0 - 1e-6, 1.0])
 def test_table_cores_at_extreme_divergences(bound_id, params, at):
     # each core at its divergence's least value (that of P = Q: 0, or
     # 1 - gamma for E_gamma with gamma < 1) and at +inf, over Q(E) from 0 to
-    # 1: no NaN, and never below Q(E) by more than the harness's SLACK_TOL
-    # (at divergence 0 power_small_q and reverse_kl_explicit cancel to 0 at
-    # Q(E) = 1e-300 and 3.67e-109, and hellinger is an ulp below Q(E) at 0.3)
+    # 1: no NaN, and never below Q(E) by more than the harness's SLACK_TOL;
+    # power_small_q and reverse_kl_explicit, which cancelled to 0 at Q(E) =
+    # 1e-300 and 3.67e-109, never below Q(E) at all (hellinger is an ulp below
+    # Q(E) at 0.3 and 3.67e-109, from squaring sqrt(q))
     spec = B.BOUNDS[bound_id]
     kind = spec.divergence(params)
     same = dg.make_distribution([1.0, 2.0, 3.0])
@@ -226,7 +227,8 @@ def test_table_cores_at_extreme_divergences(bound_id, params, at):
     valid = np.ones(_EDGE_Q.shape, dtype=bool) if valid is None else np.broadcast_to(valid, _EDGE_Q.shape)
     assert not np.isnan(raw[valid]).any(), raw
     inner = valid & (_EDGE_Q > 0.0) & (_EDGE_Q < 1.0)
-    assert np.all(raw[inner] >= _EDGE_Q[inner] - SLACK_TOL), raw
+    tol = 0.0 if bound_id in ("power_small_q", "reverse_kl_explicit") else SLACK_TOL
+    assert np.all(raw[inner] >= _EDGE_Q[inner] - tol), raw
 
 
 def test_override_writes_only_the_degenerate_events():
@@ -252,6 +254,32 @@ def test_override_writes_only_the_degenerate_events():
     batch = B.chi2_core(q, 0.5)
     for i, j in np.ndindex(q.shape):
         assert float(B.chi2_core(q[i, j], 0.5)) == batch[i, j]
+
+
+# bound_kl and competitor_bound("kl") at (q, KL): the bits of (raw, c*), as
+# float.hex; c* = 0 at KL = 0, and inf where KL >= log(1/q) and the bound is 1
+_KL_C_STAR = [
+    ((0.3, 0.5), "0x1.919c13e375960p-1", "0x1.11c2c23df238cp+1"),
+    ((0.01, 1e-08), "0x1.48242544873c9p-7", "0x1.746c2093d7a66p-10"),
+    ((0.5, 1e-20), "0x1.000000009b7eap-1", "0x1.36fd400000000p-32"),
+    ((1e-06, 3.0), "0x1.08b7c13cd9194p-2", "0x1.9860ab2535deep+3"),
+    ((0.9, 0.05), "0x1.f55f88c2034cbp-1", "0x1.a82073990ea9fp+0"),
+    ((0.2, 0.0), "0x1.999999999999ap-3", "0x0.0p+0"),
+    ((0.1, 5.0), "0x1.0000000000000p+0", "inf"),
+    ((0.3, math.log(1 / 0.3)), "0x1.0000000000000p+0", "inf"),
+    ((1e-300, 1.0), "0x1.7fac286fa3236p-10", "0x1.562004587accfp+9"),
+    ((0.999999, 1e-3), "0x1.0000000000000p+0", "inf"),
+    ((0.75, 0.25), "0x1.fbebc4f87a822p-1", "0x1.dce8d493e31f0p+1"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("point, raw, c_star", _KL_C_STAR)
+def test_kl_reports_the_same_c_star(point, raw, c_star):
+    # c* is computed by the two entry points that report it, not by
+    # kl_opt_core, with no warning where it is inf (p* = 1)
+    for res in (dg.bound_kl(*point), dg.competitor_bound("kl", *point)):
+        assert res.raw == float.fromhex(raw) and res.free_params["c"] == float.fromhex(c_star)
 
 
 def test_power_qmax_flags_nonpositive_slope():
@@ -536,7 +564,7 @@ def test_root_kernels_are_on_the_sound_side(q, d):
     # the sharp inversions: the constraint, evaluated as the kernel evaluates
     # it, reaches the target at the returned value (or the value is the end
     # of its range)
-    p = float(B.kl_opt_core(q, d)[0])
+    p = float(B.kl_opt_core(q, d))
     assert q <= p <= 1.0 and (p == 1.0 or dg.bernoulli_kl(p, q) >= d)
     p_rev = float(B.reverse_kl_exact_core(q, d))
     assert q <= p_rev and (p_rev == np.nextafter(1.0, 0.0) or dg.bernoulli_kl(q, p_rev) >= d)
@@ -559,7 +587,7 @@ def test_kl_start_is_above_the_root_where_pinsker_is_tight(monkeypatch):
         return kl_above(x, q)
 
     monkeypatch.setattr(B, "_kl_above", counted)
-    p = float(B.kl_opt_core(0.5, 1e-20)[0])
+    p = float(B.kl_opt_core(0.5, 1e-20))
     assert dg.bernoulli_kl(p, 0.5) >= 1e-20
     assert len(calls) - 1 <= 10  # the first evaluates the start; q is not evaluated
 
@@ -572,7 +600,7 @@ def test_root_kernels_agree_at_one_point_and_in_a_batch():
     q = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, n // 2), rng.uniform(0.0, 1.0, n // 2)])
     d = 10.0 ** rng.uniform(-25.0, 2.0, n)
     kernels = {
-        "kl": lambda q, d: B.kl_opt_core(q, d)[0],
+        "kl": lambda q, d: B.kl_opt_core(q, d),
         "reverse_kl_exact": B.reverse_kl_exact_core,
         **{f"power_implicit[beta={b:g}]": partial(B.power_implicit_core, beta=b)
            for b in (1.5, 2.0, 4.0)},
@@ -614,7 +642,7 @@ def test_root_kernels_on_an_extreme_grid():
         saturated = d >= -np.log(q)
         kl = _reference_root(B._kl_above, q, None, np.where(saturated, q, 1.0), d, q)
         kernels = {
-            "kl": (B.kl_opt_core(q, d)[0], np.where(saturated, 1.0, kl), 4, 4),
+            "kl": (B.kl_opt_core(q, d), np.where(saturated, 1.0, kl), 4, 4),
             "reverse_kl": (B.reverse_kl_exact_core(q, d),
                            _reference_root(B._kl_below, q, None, np.nextafter(1.0, 0.0), d, q), 4, 4),
         }
@@ -632,10 +660,11 @@ def test_root_kernels_on_an_extreme_grid():
 ROOT_KERNEL_IDS = ("kl", "power_implicit", "reverse_kl_exact", "competitor_power", "competitor_reverse_kl")
 # elements at which each constraint is evaluated on the chunk below (starts,
 # bracket ends and steps of every search, and anything a kernel evaluates
-# itself): a ceiling, so that duplicate evaluations cannot return unnoticed
-EVALUATED_ELEMENTS = {"_kl_above": 244_741, "_power_excess": 336_003, "_kl_below": 364_459}
+# itself, as the beta = 2 power bound checks its closed form): a ceiling, so
+# that duplicate evaluations cannot return unnoticed
+EVALUATED_ELEMENTS = {"_kl_above": 244_741, "_power_excess": 266_619, "_kl_below": 364_459}
 # most root-finder calls after the start's in one search (the power
-# constraint's over its three searches)
+# constraint's over its two searches, beta = 1.5 and 4)
 SEARCH_STEPS = {"_kl_above": 8, "_power_excess": 10, "_kl_below": 6}
 
 
@@ -645,7 +674,8 @@ def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
     # of the same kernel with an exact bisection in place of the root-finder.
     # Closer agreement is not defined: the constraints are evaluated with a
     # few ulp of noise, and two bisections can stop at different crossings.
-    # The power and reverse-KL competitors are our bounds, evaluated once.
+    # The power and reverse-KL competitors are our bounds, evaluated once, and
+    # the power bound at beta = 2 is a closed form: four searches.
     from divgauge import _optim, verify as V
     from divgauge._optim import ROOT_STEPS
 
@@ -697,7 +727,7 @@ def test_root_kernels_converge_on_a_sweep_chunk(monkeypatch):
     monkeypatch.setattr(B, "increasing_root", _reference_root)
     with np.errstate(all="ignore"):
         reference = values()
-    assert len(ours) == 9 and len(steps) == 5 and max(n for _, n in steps) < ROOT_STEPS
+    assert len(ours) == 9 and len(steps) == 4 and max(n for _, n in steps) < ROOT_STEPS
     assert all(counts[name] <= most for name, most in EVALUATED_ELEMENTS.items()), counts
     assert all(n <= SEARCH_STEPS[name] for name, n in steps), steps
     for beta in (1.5, 2, 4):
@@ -736,6 +766,27 @@ def test_root_finder_leaves_its_inputs_unchanged(monkeypatch):
         assert np.array_equal(got, want)
     assert blocked.shape == root.shape and blocked.tobytes() == whole.tobytes()
     assert np.all(cube(blocked, scale)[0] >= target)
+
+
+def test_root_finder_may_be_given_back_its_own_arrays():
+    # a function may return its argument as its value (the identity gauge of
+    # a custom Orlicz norm does); the root-finder writes the values it keeps,
+    # so it must copy such a value first
+    target = np.array([0.3, 1.0, 2.5, 3.9])
+
+    def identity(x, t):
+        return x, np.nan  # no slope: halving, with points below the target
+
+    def shifted(x, t):
+        return x + 0.0, np.nan
+
+    for lo, start in ((0.0, 4.0), (np.zeros(4), target * 0.5)):
+        got = increasing_root(identity, lo, start, 4.0, target, target)
+        assert got.tobytes() == increasing_root(shifted, lo, start, 4.0, target, target).tobytes()
+        assert np.all(got >= target) and np.all(got - target <= 2.0 * np.spacing(target))
+    one = increasing_root(lambda x: (x, np.nan), 0.0, 4.0, 4.0, 1.0)
+    assert one.shape == () and 1.0 <= float(one) <= 1.0 + 2.0 * np.spacing(1.0)
+    assert np.array_equal(target, [0.3, 1.0, 2.5, 3.9])
 
 
 def _mixed(x, kind):
@@ -801,6 +852,10 @@ def test_power_implicit_settles_where_the_constraint_admits_one(monkeypatch, bet
     assert admits_one.any() and not admits_one.all()
     assert np.array_equal(settled, admits_one)
     assert np.all(got[admits_one] == 1.0)
+    # elsewhere the constraint as evaluated reaches its target (beta = 2, a
+    # closed form raised an ulp at a time, as well as the searches)
+    with np.errstate(all="ignore"):
+        assert np.all(excess(got, q, beta)[0][~admits_one] >= (beta - 1.0) * h[~admits_one])
     with np.errstate(all="ignore"):
         reference = _reference_root(partial(excess, beta=beta), q, None, 1.0, (beta - 1.0) * h, q)
     near = slice(n // 2, None)

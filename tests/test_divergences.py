@@ -31,7 +31,7 @@ from divgauge import (
     sibson_mi,
 )
 from divgauge.dist import JointFinite, event_mask_matrix
-from divgauge.divergences import generator_values
+from divgauge.divergences import bernoulli_kl_core, generator_values
 from divgauge.errors import BoundaryError, DegenerateMarginalError, RangeError
 
 ALL_KINDS = [
@@ -110,6 +110,44 @@ def test_bernoulli_kl_just_below_one():
     for b in [0.24005781397043852, *np.linspace(1e-3, 1 - 1e-3, 999)]:
         got = bernoulli_kl(a, float(b))
         assert math.isfinite(got) and abs(got - math.log(1.0 / b)) <= 1e-12
+
+
+def _bernoulli_kl_where(a, b):
+    """The reference form of bernoulli_kl_core: both branches of every
+    np.where computed on every element."""
+    def log_ratio(x, y, diff):
+        down = diff / y
+        return np.where(down > -1.0, np.log1p(down), np.log(x / y))
+
+    t1 = np.where(a > 0, a * log_ratio(a, b, a - b), 0.0)
+    t2 = np.where(a < 1, (1.0 - a) * log_ratio(1.0 - a, 1.0 - b, b - a), 0.0)
+    return t1 + t2
+
+
+def test_bernoulli_kl_core_matches_the_where_form_bit_for_bit():
+    # the rare lanes (a in {0, 1}, or (a - b) / b rounding to -1) are fixed up
+    # after the fact; every value, in every shape, is the reference's
+    rng = np.random.default_rng(19)
+    a = np.concatenate([[0.0, 1.0, 1e-17, 1e-300, np.nextafter(1.0, 0.0), 0.5],
+                        rng.uniform(0.0, 1.0, 50), 10.0 ** rng.uniform(-300.0, 0.0, 50)])
+    b = np.concatenate([[0.3, 0.3, 0.5, 0.9, 0.25, 0.5],
+                        rng.uniform(1e-9, 1.0 - 1e-9, 50), 10.0 ** rng.uniform(-300.0, -1e-9, 50)])
+    cases = [
+        (a, b),  # 1-d, with a = 0, a = 1 and (a - b) / b = -1 lanes
+        (a[6:], b[6:]),  # no rare lane
+        (a[:, None], b[None, :]),  # broadcast to a matrix
+        (0.3, b),  # scalar against a vector
+        (a, 0.5),
+        (np.float64(1e-17), np.float64(0.5)),  # scalars
+        (np.asarray(0.0), np.asarray(0.3)),  # 0-d arrays
+        (np.asarray(0.2), np.asarray(0.7)),
+        (1.0, 0.4),
+    ]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x, y in cases:
+            got, want = bernoulli_kl_core(x, y), _bernoulli_kl_where(x, y)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (x, y)
 
 
 def test_binary_divergence_boundary_errors():
