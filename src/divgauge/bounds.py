@@ -200,12 +200,13 @@ def _search(fn, v: EventView, settled, hi, target, start, root=None):
     searched only where 0 < q < 1 and not ``settled``: the start is computed
     and the root-finder (``increasing_root`` unless ``root`` is given) called
     on those elements alone, and every other element is qs, which the caller
-    overrides."""
+    overrides.  A NaN target gives NaN, not the hi side, which counts as sound."""
     out = np.array(v.qs, dtype=float)
     open_ = (v.q > 0.0) & (v.q < 1.0) & np.logical_not(settled)
     if open_.any():
         qo, to = v.qs[open_], np.broadcast_to(target, v.q.shape)[open_]
-        out[open_] = (root or increasing_root)(fn, qo, start(qo, to), hi, to, qo)
+        found = (root or increasing_root)(fn, qo, start(qo, to), hi, to, qo)
+        out[open_] = found if not np.isnan(to.min()) else np.where(np.isnan(to), to, found)
     return out
 
 
@@ -379,10 +380,12 @@ def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
 
 def _hellinger_closed(q, h):
     """(sqrt(q) x + sqrt((1-q)(1-x^2)))^2 at x = 1 - h: max p with
-    sqrt(pq) + sqrt((1-p)(1-q)) >= x.  1 - x^2 is formed as h (2 - h), which
-    keeps its digits where x rounds to 1 (h below about 1e-16)."""
+    sqrt(pq) + sqrt((1-p)(1-q)) >= x, at least q (squaring sqrt(q) rounds an
+    ulp below it at h = 0).  1 - x^2 is formed as h (2 - h), which keeps its
+    digits where x rounds to 1 (h below about 1e-16)."""
     with np.errstate(invalid="ignore"):
-        return (np.sqrt(q) * (1.0 - h) + np.sqrt((1.0 - q) * np.maximum(h * (2.0 - h), 0.0))) ** 2
+        x = np.sqrt(q) * (1.0 - h) + np.sqrt((1.0 - q) * np.maximum(h * (2.0 - h), 0.0))
+    return np.maximum(x * x, q)
 
 
 def hellinger_core(q, h2):
@@ -521,18 +524,24 @@ def power_qmax_core(q, h_beta, beta, q_max):
 
 
 def power_small_q_core(q, h_beta, beta):
-    """Small-q relaxation with the plug-in cap u0 on p itself.  Its bracket
+    """Small-q relaxation with the plug-in cap u0 = min(1, e^a) on p itself,
+    a = log((1 + (b-1) H_b) q^(b-1)) / b.  Where a < 0 its bracket
     1 + (b-1) H_b - (1-u0)^b (1-q)^(1-b) is (b-1) H_b - expm1(cap), with cap,
     the log of the term, from log1p(-u0) and at least -100: it keeps its
-    digits at H_b = 0 and tiny q, and u0 = 1 gives 1 + (b-1) H_b."""
+    digits at H_b = 0 and tiny q.  Elsewhere u0 = 1 and the bound is e^a."""
     v = _view(q)
     excess = (beta - 1.0) * np.asarray(h_beta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u0 = np.exp(np.minimum(0.0, (np.log(1.0 + excess) + (beta - 1.0) * v.log_q) / beta))
-        cap = (1.0 - beta) * v.log1m_q + beta * np.log1p(-u0)
-        bracket = np.maximum(excess - np.expm1(np.maximum(cap, -100.0)), 0.0)
-        raw = np.exp(((beta - 1.0) * v.log_q + np.log(np.maximum(bracket, 1e-300))) / beta)
-        raw = np.where(bracket <= 0.0, 0.0, raw)
+        a = (np.log(1.0 + excess) + (beta - 1.0) * v.log_q) / beta
+        raw = np.asarray(np.exp(a))  # a 0-d array where a is a scalar
+        u0, low = np.minimum(raw, 1.0), np.flatnonzero(a < 0.0)
+        if low.size:
+            ex, log_q, log1m_q, u = (np.broadcast_to(x, raw.shape).reshape(-1).take(low)
+                                     for x in (excess, v.log_q, v.log1m_q, raw))
+            cap = (1.0 - beta) * log1m_q + beta * np.log1p(-u)
+            bracket = np.maximum(ex - np.expm1(np.maximum(cap, -100.0)), 0.0)
+            low_raw = np.exp(((beta - 1.0) * log_q + np.log(np.maximum(bracket, 1e-300))) / beta)
+            raw.put(low, np.where(bracket <= 0.0, 0.0, low_raw))
     return _override(v, raw), u0
 
 

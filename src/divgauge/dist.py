@@ -2,7 +2,8 @@
 
 Everything downstream (divergences, bounds, experiments) consumes the four
 types defined here.  All types are immutable after construction; arrays are
-copied in and marked read-only, so values can be shared across threads.
+copied in (unless read-only already) and marked read-only, so values can be
+shared across threads.
 
 Conventions
 -----------
@@ -33,12 +34,6 @@ from .errors import (
 MASS_TOL = 1e-12
 JOINT_SUM_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 16  # largest support whose 2^n masks are held as one matrix
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 # Row-wise checks: each row (last axis) of an array is one distribution, so
@@ -75,14 +70,16 @@ def dominated_ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Raises DominationError where P > 0 = Q, and ValidationError where a row
     of ratios * Q does not sum back to 1 within MASS_TOL.
     """
-    positive = q > 0.0
-    if np.count_nonzero(positive) < q.size:
+    if q.min(initial=np.inf) > 0.0:  # one read of q where every atom is positive
+        r = p / q
+    else:
+        positive = q > 0.0
         bad = np.atleast_2d((p > 0.0) & ~positive)
         rows = bad.any(axis=-1)
         if rows.any():
             where = np.flatnonzero(bad[np.argmax(rows)]).tolist()
             raise DominationError(f"P is not dominated by Q at atoms {where}{_in_row(p, rows)}")
-    r = np.divide(p, q, out=np.zeros(q.shape), where=positive)
+        r = np.divide(p, q, out=np.zeros(q.shape), where=positive)
     if np.count_nonzero(np.abs((r * q).sum(axis=-1) - 1.0) > MASS_TOL):
         raise ValidationError("ratios * Q does not sum back to 1")
     return r
@@ -109,7 +106,10 @@ class FiniteDistribution:
             if len(labels) != p.size:
                 raise ShapeError("labels length must match support size")
             object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", _frozen(p))
+        if p.flags.writeable:  # a read-only array is kept as it is
+            p = p.copy()
+            p.flags.writeable = False
+        object.__setattr__(self, "probs", p)
 
     @property
     def size(self) -> int:
@@ -159,9 +159,7 @@ class AbsContPair:
 
     def __post_init__(self) -> None:
         if self.p.size != self.q.size:
-            raise ShapeError(
-                f"support mismatch: |P| = {self.p.size}, |Q| = {self.q.size}"
-            )
+            raise ShapeError(f"support mismatch: |P| = {self.p.size}, |Q| = {self.q.size}")
         r = dominated_ratios(self.p.probs, self.q.probs)
         r.flags.writeable = False
         object.__setattr__(self, "ratios", r)
@@ -220,9 +218,7 @@ class EventMask:
 def event_probability(dist: FiniteDistribution, mask: EventMask) -> float:
     """Total mass of the atoms selected by the mask."""
     if len(mask) != dist.size:
-        raise ShapeError(
-            f"mask length {len(mask)} != support size {dist.size}"
-        )
+        raise ShapeError(f"mask length {len(mask)} != support size {dist.size}")
     return float(dist.probs[mask.bits].sum())
 
 
@@ -253,17 +249,15 @@ class JointFinite:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise ShapeError("joint matrix must be 2-D and nonempty")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("joint entries must be finite")
-        if np.any(m < 0):
+        if not (m.min() >= 0.0 and m.max() < np.inf):  # one read each, NaN failing
+            if not np.all(np.isfinite(m)):
+                raise ValidationError("joint entries must be finite")
             raise ValidationError("joint entries must be nonnegative")
         total = float(m.sum())
         if abs(total - 1.0) > JOINT_SUM_TOL:
-            raise ValidationError(
-                f"joint mass {total!r} is not 1 within {JOINT_SUM_TOL}"
-            )
-        m = m / total
-        object.__setattr__(self, "matrix", _frozen(m))
+            raise ValidationError(f"joint mass {total!r} is not 1 within {JOINT_SUM_TOL}")
+        object.__setattr__(self, "matrix", m / total)  # a fresh array, frozen as it is
+        self.matrix.flags.writeable = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -272,14 +266,12 @@ class JointFinite:
     @property
     def marginal_s(self) -> FiniteDistribution:
         row = self.matrix.sum(axis=1)
-        row = row / row.sum()
-        return FiniteDistribution(row)
+        return FiniteDistribution(row / row.sum())
 
     @property
     def marginal_w(self) -> FiniteDistribution:
         col = self.matrix.sum(axis=0)
-        col = col / col.sum()
-        return FiniteDistribution(col)
+        return FiniteDistribution(col / col.sum())
 
     def conditional_w_given_s(self) -> np.ndarray:
         """Row-stochastic |S| x |W| matrix P(w | s); errors on zero rows."""
@@ -328,3 +320,11 @@ def normalized(v) -> np.ndarray:
     remainder absorbed."""
     v = np.asarray(v, dtype=float)
     return absorb_rounding(v / v.sum(axis=-1, keepdims=True))
+
+
+def adopted_distribution(w: np.ndarray) -> FiniteDistribution:
+    """FiniteDistribution(normalized(w)) in w's memory: w, a fresh float
+    vector that nothing else writes, is normalized in place and frozen."""
+    w /= w.sum()
+    absorb_rounding(w).flags.writeable = False
+    return FiniteDistribution(w)

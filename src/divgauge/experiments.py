@@ -11,15 +11,15 @@ through its type, its letter counts T.  So the enumeration runs over the
 C(n+m-1, m-1) types, each weighted by its multinomial mass: I(S;W) =
 I(T;W), and the same holds for every f-divergence of (P_SW, P_S x P_W), for
 Sibson's I_alpha and maximal leakage, and for the tail of gen(S, W).  The
-dataset-level joint and gap table are gathered from the per-type rows
-through each string's type index.
+dataset-level joint and gap table are derived on first read, from the
+per-type rows through each string's type index.
 
 The paired-sample (selector) variant gives the law of (W, Z-tilde, S) for
 the conditional-information bounds.  Its classes are a pair type (the
 letter counts of the pair-letters (Z-tilde_i, Z-tilde_{i+n})) with the type
 of the selected half: dP/dQ and the paired gap are constant on each, so
 E_gamma and the exact tail come from the class pair, and the per-atom pair
-and gap are gathered from the half-type and pair-type rows.
+and gap are derived on first read, from the half-type and pair-type rows.
 """
 
 from __future__ import annotations
@@ -30,17 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import AbsContPair, FiniteDistribution, JointFinite, normalized, product_pair
-from .divergences import (
-    KL,
-    f_divergence,
-    hockey_stick_kind,
-    maximal_leakage,
-    power_kind,
-    sibson_mi,
-    SQUARED_HELLINGER,
-    CHI2,
-)
+from .dist import AbsContPair, FiniteDistribution, JointFinite, adopted_distribution, product_pair
+from .divergences import (CHI2, KL, SQUARED_HELLINGER, f_divergence, hockey_stick_kind,
+                          maximal_leakage, power_kind, sibson_mi)
 from .errors import RangeError, ResourceError, ValidationError
 from .genbounds import BoundedLossSetting, SubGaussianSetting
 
@@ -152,8 +144,7 @@ class GibbsExperiment(_Learner):
 
     def sub_gaussian_setting(self) -> SubGaussianSetting:
         a, b = self.loss_range
-        span = max(b - a, 1e-12)
-        return SubGaussianSetting(sigma=span / 2.0, n=self.n)
+        return SubGaussianSetting(sigma=max(b - a, 1e-12) / 2.0, n=self.n)
 
 
 class ExactTail:
@@ -179,18 +170,32 @@ class GibbsRun:
     """Everything the exact enumeration of a Gibbs experiment produces.
 
     The panel, the pair and the exact tail come from type_joint; joint and
-    gen_table hold the same law per sample string.
+    gen_table, the same law per sample string, are derived on first read.
     """
 
     experiment: GibbsExperiment
-    joint: JointFinite  # m^n x k law of (S, W)
-    gen_table: np.ndarray  # m^n x k matrix of gen(s, w)
     exact_tail: ExactTail
     type_joint: JointFinite  # C(n+m-1, m-1) x k law of (T, W)
+    _index: np.ndarray  # the type row of each of the m^n sample strings
+    _weights: np.ndarray  # i.i.d. mass of one string of each type
+    _post: np.ndarray  # types x k Gibbs posterior
+    _gen: np.ndarray  # types x k matrix of gen(t, w)
 
     @cached_property
     def pair(self) -> AbsContPair:
         return product_pair(self.type_joint)
+
+    @cached_property
+    def joint(self) -> JointFinite:
+        """The m^n x k law of (S, W): one gather of the per-type rows."""
+        w, index = self._weights, self._index
+        rows = (w / np.take(w, index).sum())[:, None] * self._post
+        return JointFinite(np.take(rows, index, axis=0))
+
+    @cached_property
+    def gen_table(self) -> np.ndarray:
+        """The m^n x k matrix of gen(s, w)."""
+        return np.take(self._gen, self._index, axis=0)
 
     def divergence_panel(
         self,
@@ -200,23 +205,20 @@ class GibbsRun:
     ) -> dict:
         """Exact values of every information measure the tail bounds use."""
         pair = self.pair
-        panel = {
+        return {
             "mutual_information": f_divergence(pair, KL),
             "maximal_leakage": maximal_leakage(self.type_joint),
             "chi2": f_divergence(pair, CHI2),
             "squared_hellinger": f_divergence(pair, SQUARED_HELLINGER),
             "sibson_mi": {a: sibson_mi(self.type_joint, a) for a in alphas},
             "power": {b: f_divergence(pair, power_kind(b)) for b in betas},
-            "hockey_stick": {
-                g: f_divergence(pair, hockey_stick_kind(g)) for g in gammas
-            },
+            "hockey_stick": {g: f_divergence(pair, hockey_stick_kind(g)) for g in gammas},
         }
-        return panel
 
 
 def run_gibbs_experiment(exp: GibbsExperiment) -> GibbsRun:
     """Enumerate the types of all m^n datasets and assemble the exact joint
-    law of (T, W), then gather the law of (S, W) from it.
+    law of (T, W), from which the law of (S, W) is derived on first read.
 
     The dataset joint has m^n * k atoms (capped at 2e7).  gen(s, w) is the
     population risk of w minus its empirical risk on s.
@@ -234,10 +236,7 @@ def run_gibbs_experiment(exp: GibbsExperiment) -> GibbsRun:
     mass = np.bincount(index, minlength=len(types)) * weights  # multinomial
     type_joint = JointFinite(mass[:, None] / mass.sum() * post)
     tail = ExactTail(gen, type_joint.matrix)
-
-    ps = weights[index]
-    joint = JointFinite((ps / ps.sum())[:, None] * post[index])
-    return GibbsRun(exp, joint, gen[index], tail, type_joint)
+    return GibbsRun(exp, tail, type_joint, index, weights, post, gen)
 
 
 @dataclass(frozen=True)
@@ -257,15 +256,34 @@ class SuperSampleExperiment(_Learner):
 class SuperSampleRun:
     """Everything the exact enumeration of a paired-sample experiment produces.
 
-    E_gamma and the exact tail come from class_pair; pair and gen_hat hold
-    the same law per atom (selector, super-sample, hypothesis).
+    E_gamma and the exact tail come from class_pair; pair and gen_hat, the
+    same law per atom (selector, super-sample, hypothesis), are derived on
+    first read.
     """
 
     experiment: SuperSampleExperiment
-    pair: AbsContPair  # flattened (P_{WZS}, P_{W|Z} P_{ZS})
-    gen_hat: np.ndarray  # per-atom paired generalization gap
     exact_tail: ExactTail
     class_pair: AbsContPair  # the same pair over (pair type, selected type, w)
+    _sel_type: np.ndarray  # 2^n x m^(2n) selected half type of each atom
+    _comp_type: np.ndarray  # 2^n x m^(2n) complement half type
+    _post_h: np.ndarray  # half types x k Gibbs posterior
+    _gap: np.ndarray  # (selected type * half types + complement type) x k gap
+    _scale: np.ndarray  # 1 x m^(2n) x k mass P(Ztilde) / 2^n, repeated over w
+    _q_rows: np.ndarray  # 1 x m^(2n) x k mass P(Ztilde) P(w | Ztilde) / 2^n
+
+    @cached_property
+    def pair(self) -> AbsContPair:
+        """The flattened (P_{WZS}, P_{W|Z} P_{ZS}), normalized in place."""
+        p = np.take(self._post_h, self._sel_type, axis=0)
+        p *= self._scale
+        q = np.broadcast_to(self._q_rows, p.shape).ravel()  # a copy
+        return AbsContPair(adopted_distribution(p.ravel()), adopted_distribution(q))
+
+    @cached_property
+    def gen_hat(self) -> np.ndarray:
+        """The per-atom paired generalization gap."""
+        rows = self._sel_type.astype(np.intp) * len(self._post_h) + self._comp_type
+        return np.take(self._gap, rows, axis=0).ravel()
 
     def conditional_hockey_stick(self, gamma: float) -> float:
         """Exact E_gamma(P_{WZS} || P_{W|Z} P_{ZS})."""
@@ -282,8 +300,8 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
     emp(total(tau) - t) - emp(t); so every f-divergence and the tail are
     those of the class pair, whose masses are exact atom counts per class.
     The per-atom pair and gap, over m^(2n) * 2^n * k atoms (capped at 2e7:
-    n <= 7 at m = k = 2), are gathered from the same half-type and pair-type
-    rows.
+    n <= 7 at m = k = 2), are derived on first read from the same half-type
+    and pair-type rows.
     """
     m, k, n = exp.m, exp.k, exp.n
     n_s = 2**n
@@ -299,7 +317,7 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
     selected = i_first + (_digit_matrix(2, n) * place) @ (second - first).T
     half_types, half_index = _type_index(m, n)
     n_h = len(half_types)
-    sel_type = half_index[selected].astype(np.intp)  # (2^n, m^(2n))
+    sel_type = half_index[selected]  # (2^n, m^(2n))
     comp_type = half_index[i_first + i_second - selected]
     # the pair type of a super-sample is its sorted pair-letters (x_i, y_i)
     pair_key = np.sort(first * m + second, axis=1) @ place**2
@@ -312,7 +330,7 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
     # the super-samples of one pair type share their letter counts and, over
     # the 2^n selectors, their selected and complement types; one of each
     # pair type gives the class rows
-    sel_rep, comp_rep = sel_type[:, rep], comp_type[:, rep]
+    sel_rep, comp_rep = sel_type[:, rep].astype(np.intp), comp_type[:, rep]
     totals = half_types[half_index[i_first[rep]]] + half_types[half_index[i_second[rep]]]
     weights = _iid_weights(totals, exp.p_z)  # of one super-sample of each pair type
     w_given_tau = np.take(post_h, sel_rep, axis=0).mean(axis=0)  # P(w | Ztilde)
@@ -326,20 +344,11 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
     c_tau, c_t, c_comp = at % len(rep), sel_rep.ravel()[at], comp_rep.ravel()[at]
     count = np.bincount(tau)[c_tau] * mult  # atoms (s, ztilde) per class
     mass = (count * (weights[c_tau] / total / n_s))[:, None]
-    class_pair = AbsContPair(
-        FiniteDistribution(normalized((mass * post_h[c_t]).ravel())),
-        FiniteDistribution(normalized((mass * w_given_tau[c_tau]).ravel())),
-    )
+    class_pair = AbsContPair(adopted_distribution((mass * post_h[c_t]).ravel()),
+                             adopted_distribution((mass * w_given_tau[c_tau]).ravel()))
     tail = ExactTail(gap[c_t * n_h + c_comp], class_pair.p.probs)
 
-    # gathered over the atoms (s, ztilde, w)
-    scale = (pz / total)[None, :, None] / n_s
-    p_atoms = np.take(post_h, sel_type, axis=0)
-    p_atoms *= scale
-    q_atoms = np.broadcast_to(scale * w_given_tau[tau], p_atoms.shape)
-    pair = AbsContPair(
-        FiniteDistribution(normalized(p_atoms.ravel())),
-        FiniteDistribution(normalized(q_atoms.ravel())),
-    )
-    gen_hat = np.take(gap, sel_type * n_h + comp_type, axis=0).ravel()
-    return SuperSampleRun(exp, pair, gen_hat, tail, class_pair)
+    # repeated over w: its product with the posterior rows runs along one axis
+    scale = np.repeat((pz / total)[None, :, None] / n_s, k, axis=2)
+    return SuperSampleRun(exp, tail, class_pair, sel_type, comp_type, post_h, gap,
+                          scale, scale * w_given_tau[tau])

@@ -164,6 +164,48 @@ def test_power_small_q_reduces_when_u0_hits_one():
     assert res.raw == pytest.approx(want, rel=1e-12)
 
 
+def _power_small_q_full_bracket(q, h_beta, beta):
+    """power_small_q_core with its bracket formed on every element: the
+    reference for the core, which forms it only where u0 < 1."""
+    v = B.EventView(q)
+    excess = (beta - 1.0) * np.asarray(h_beta, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u0 = np.exp(np.minimum(0.0, (np.log(1.0 + excess) + (beta - 1.0) * v.log_q) / beta))
+        cap = (1.0 - beta) * v.log1m_q + beta * np.log1p(-u0)
+        bracket = np.maximum(excess - np.expm1(np.maximum(cap, -100.0)), 0.0)
+        raw = np.exp(((beta - 1.0) * v.log_q + np.log(np.maximum(bracket, 1e-300))) / beta)
+        raw = np.where(bracket <= 0.0, 0.0, raw)
+    return B._override(v, raw), u0
+
+
+@pytest.mark.parametrize("beta", [1.01, 1.5, 2.0, 4.0, 50.0])
+def test_power_small_q_matches_the_full_bracket_form_bit_for_bit(beta):
+    # where u0 = 1 the full bracket is exactly 1 + (b-1) H_b, so the bound is
+    # exp(a); the core forms the bracket only elsewhere.  An extreme grid, a
+    # criterion-1 chunk's event masses against each pair's divergence, and
+    # 0-d inputs, which stay 0-d (NaN compared as NaN, whatever its sign bit)
+    def same(got, want):
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w) and np.array_equal(g, w, equal_nan=True)
+
+    up = np.nextafter(1.0, 2.0)
+    q = np.concatenate([[0.0, 1e-300, 3.67e-109, 1.0 - 1e-16, 1.0, up],
+                        np.geomspace(1e-300, 0.5, 60), 1.0 - np.geomspace(1e-16, 0.5, 40)])
+    h = np.concatenate([[0.0, 1e-300, math.inf, math.nan], np.geomspace(1e-30, 1e300, 96)])
+    same(B.power_small_q_core(q[:, None], h, beta),
+         _power_small_q_full_bracket(q[:, None], h, beta))
+
+    pairs = [dg.random_pair(11, i, 8) for i in range(100)]
+    masses = np.array([pair.q.probs for pair in pairs]) @ event_mask_matrix(8).T
+    div = np.array([[dg.f_divergence(pair, dg.power_kind(beta))] for pair in pairs])
+    same(B.power_small_q_core(masses, div, beta), _power_small_q_full_bracket(masses, div, beta))
+
+    for one in [(0.3, 0.5), (0.6, 3.0), (1e-300, 0.0), (0.3, math.inf), (0.3, math.nan), (1.0, 2.0)]:
+        same(B.power_small_q_core(*one, beta), _power_small_q_full_bracket(*one, beta))
+        same(B.power_small_q_core(*map(np.asarray, one), beta),
+             _power_small_q_full_bracket(*map(np.asarray, one), beta))
+
+
 def test_power_implicit_below_small_q_relaxation():
     rng = np.random.default_rng(0)
     for _ in range(60):
@@ -216,8 +258,9 @@ def test_table_cores_at_extreme_divergences(bound_id, params, at):
     # 1 - gamma for E_gamma with gamma < 1) and at +inf, over Q(E) from 0 to
     # 1: no NaN, and never below Q(E) by more than the harness's SLACK_TOL;
     # power_small_q and reverse_kl_explicit, which cancelled to 0 at Q(E) =
-    # 1e-300 and 3.67e-109, never below Q(E) at all (hellinger is an ulp below
-    # Q(E) at 0.3 and 3.67e-109, from squaring sqrt(q))
+    # 1e-300 and 3.67e-109, and the two Hellinger closed forms, which were an
+    # ulp below Q(E) at 0.3 and 3.67e-109 from squaring sqrt(q), never below
+    # Q(E) at all
     spec = B.BOUNDS[bound_id]
     kind = spec.divergence(params)
     same = dg.make_distribution([1.0, 2.0, 3.0])
@@ -227,7 +270,8 @@ def test_table_cores_at_extreme_divergences(bound_id, params, at):
     valid = np.ones(_EDGE_Q.shape, dtype=bool) if valid is None else np.broadcast_to(valid, _EDGE_Q.shape)
     assert not np.isnan(raw[valid]).any(), raw
     inner = valid & (_EDGE_Q > 0.0) & (_EDGE_Q < 1.0)
-    tol = 0.0 if bound_id in ("power_small_q", "reverse_kl_explicit") else SLACK_TOL
+    exact = ("power_small_q", "reverse_kl_explicit", "hellinger", "competitor_squared_hellinger")
+    tol = 0.0 if bound_id in exact else SLACK_TOL
     assert np.all(raw[inner] >= _EDGE_Q[inner] - tol), raw
 
 
@@ -655,6 +699,26 @@ def test_root_kernels_on_an_extreme_grid():
         ulps = (got - want) / np.spacing(want)
         assert not np.isnan(ulps).any(), name
         assert -below <= ulps.min() and ulps.max() <= above, (name, ulps.min(), ulps.max())
+
+
+def test_root_kernels_give_nan_at_a_nan_divergence():
+    # the root-finder returns the hi side of a bracket whose value is NaN:
+    # the bound was 1, the vacuous value that counts as sound, where the
+    # closed forms (chi2, the power bound at beta = 2) give NaN
+    kernels = {
+        "kl": B.kl_opt_core,
+        "reverse_kl_exact": B.reverse_kl_exact_core,
+        **{f"power_implicit[beta={b:g}]": partial(B.power_implicit_core, beta=b)
+           for b in (1.5, 2.0, 4.0)},
+    }
+    q = np.array([0.3, 1e-200, 0.3, 1e-200])
+    d = np.array([math.nan, math.nan, 0.5, 0.5])
+    for name, core in kernels.items():
+        for one in (0.3, 1e-200):
+            assert np.isnan(core(one, math.nan)), (name, one)
+        batch = core(q, d)
+        assert np.isnan(batch[:2]).all(), name
+        assert np.array_equal(batch[2:], core(q[2:], d[2:])), name
 
 
 ROOT_KERNEL_IDS = ("kl", "power_implicit", "reverse_kl_exact", "competitor_power", "competitor_reverse_kl")

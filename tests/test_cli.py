@@ -283,6 +283,32 @@ def test_experiment_command_supersample(tmp_path):
     assert len(payload["tails"]) == 3
 
 
+def test_experiment_commands_build_no_string_level_field(gibbs_file, tmp_path, monkeypatch):
+    # the CLI reads the panels and tails, which come from the type rows
+    runs = []
+
+    def recording(run_experiment):
+        def run(exp):
+            runs.append(run_experiment(exp))
+            return runs[-1]
+        return run
+
+    for name in ("run_gibbs_experiment", "run_supersample_experiment"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    cfg = tmp_path / "ss.json"
+    cfg.write_text(json.dumps({"type": "supersample", "p_z": [0.5, 0.5],
+                               "loss_table": [[0.0, 1.0], [0.8, 0.1]], "n": 3, "temperature": 3.0}))
+    for argv in (["experiment", "--config", gibbs_file, "--eta-grid", "0.2:0.8:0.3"],
+                 ["experiment", "--config", str(cfg), "--eta-grid", "0.2:0.8:0.3"],
+                 ["genbound", "--sigma", "0.5", "--n", "5", "--eta-grid", "0.1:1.0:0.3",
+                  "--experiment", gibbs_file, "--format", "json"]):
+        assert run_json(argv, tmp_path)[0] == 0
+    assert len(runs) == 3
+    gibbs, supersample, genbound = (set(vars(run)) for run in runs)
+    assert not {"joint", "gen_table"} & (gibbs | genbound)
+    assert not {"pair", "gen_hat"} & supersample
+
+
 @pytest.mark.parametrize("kind", ["gibbs", "supersample"])
 @pytest.mark.parametrize("missing", ["loss_table", "temperature"])
 def test_experiment_config_missing_key_exits_2(kind, missing, tmp_path, capsys):

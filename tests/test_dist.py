@@ -15,7 +15,13 @@ from divgauge import (
     product_pair,
     random_pair,
 )
-from divgauge.dist import EXHAUSTIVE_LIMIT, event_mask_matrix
+from divgauge.dist import (
+    EXHAUSTIVE_LIMIT,
+    adopted_distribution,
+    dominated_ratios,
+    event_mask_matrix,
+    normalized,
+)
 from divgauge.errors import (
     DegenerateMarginalError,
     DominationError,
@@ -145,6 +151,49 @@ def test_joint_renormalizes_within_tolerance():
     assert joint.matrix.sum() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValidationError):
         JointFinite(np.full((2, 2), 0.3))
+
+
+@pytest.mark.parametrize(
+    "entries, problem",
+    [
+        ([[math.nan, -0.1], [0.5, 0.6]], "finite"),  # NaN beside a negative entry
+        ([[-math.inf, 0.5], [0.25, 0.25]], "finite"),
+        ([[math.inf, 0.0], [0.0, 0.0]], "finite"),
+        ([[-0.1, 0.6], [0.25, 0.25]], "nonnegative"),
+    ],
+)
+def test_joint_checks_finite_before_nonnegative(entries, problem):
+    with pytest.raises(ValidationError, match=f"joint entries must be {problem}$"):
+        JointFinite(np.array(entries))
+
+
+def test_joint_and_distribution_hold_read_only_copies():
+    m = np.array([[0.25, 0.25], [0.25, 0.25]])
+    joint = JointFinite(m)
+    w = np.array([0.5, 0.5])
+    dist = FiniteDistribution(w)
+    m[0, 0] = w[0] = 0.9
+    assert joint.matrix[0, 0] == 0.25 and dist.probs[0] == 0.5
+    assert not joint.matrix.flags.writeable and not dist.probs.flags.writeable
+    # a read-only array is frozen already and kept as it is
+    assert FiniteDistribution(dist.probs).probs is dist.probs
+
+
+def test_adopted_distribution_normalizes_in_place_with_the_same_bits():
+    w = np.random.default_rng(3).random(1000)
+    want = FiniteDistribution(normalized(w))
+    got = adopted_distribution(w)
+    assert got.probs is w and not w.flags.writeable
+    assert np.array_equal(got.probs, want.probs)
+
+
+def test_dominated_ratios_where_every_q_is_positive_and_where_some_is_zero():
+    p = np.array([[0.2, 0.3, 0.5], [0.0, 0.6, 0.4]])
+    q = np.array([[0.3, 0.3, 0.4], [0.2, 0.4, 0.4]])
+    assert np.array_equal(dominated_ratios(p, q), p / q)
+    q0 = np.array([[0.3, 0.3, 0.4], [0.0, 0.6, 0.4]])
+    assert np.array_equal(dominated_ratios(p, q0), [[0.2 / 0.3, 1.0, 1.25], [0.0, 1.0, 1.0]])
+    assert dominated_ratios(np.empty((0, 3)), np.empty((0, 3))).shape == (0, 3)
 
 
 def test_joint_conditional_errors_on_zero_row():

@@ -72,6 +72,21 @@ def test_argmin_tie_break_is_lowest_index():
     assert np.all(run.joint.matrix[:, 1] == 0.0)
 
 
+def test_string_level_fields_are_built_on_first_read():
+    # the per-string and per-atom fields are derived on first read, each
+    # alone, and then kept
+    ss = SuperSampleExperiment(make_distribution([0.5, 0.5]), np.array([[0.0, 1.0], [0.8, 0.1]]),
+                               2, 1.0)
+    runs = {("joint", "gen_table"): run_gibbs_experiment(small_gibbs(n=5)),
+            ("pair", "gen_hat"): run_supersample_experiment(ss)}
+    for (first, second), run in runs.items():
+        assert first not in vars(run) and second not in vars(run)
+        value = getattr(run, first)
+        assert vars(run)[first] is value and second not in vars(run)
+        value = getattr(run, second)
+        assert vars(run)[second] is value and getattr(run, second) is value
+
+
 def test_gen_table_matches_direct_enumeration():
     exp = small_gibbs(n=2)
     run = run_gibbs_experiment(exp)
