@@ -6,7 +6,8 @@ grid locates it on a fixed log range, or doubling steps on the whole line.
 Every root the package searches for comes from one root-finder,
 :func:`increasing_root`, for a nondecreasing function on a range [lo, hi]
 searched from a start the caller derives; scalar roots are its calls at
-shape ``()``, through the same code as a batch.  The caller guarantees that
+shape ``()``, which take a one-element path with the same points and steps
+on float64 scalars, without blocks or masks.  The caller guarantees that
 the function is below the target at lo wherever lo < hi (every bound
 kernel's constraint is 0 at q, and a zero target gets an empty range), so
 lo is never evaluated.  Each point is evaluated once: the start, which
@@ -157,7 +158,10 @@ def increasing_root(fn: Callable[..., tuple], lo, start, hi, target, *args) -> n
 
     ``fn(x, *args)`` returns (value, slope) at x; the arrays ``args`` are
     per-element parameters, broadcast with lo, start, hi and target and
-    passed for the elements still open (at shape ``()``, as 0-d arrays).
+    passed for the elements still open.  At shape ``()`` x and args are
+    np.float64 scalars (Python's ** on them is the C library's pow, an
+    ulp off np.power's vector loop at some points, so a fn that must give
+    the same bits at every size uses np.power).
     The caller guarantees fn(lo) < target wherever lo < hi.
 
     Each point is evaluated once, and lo never.  fn is evaluated at start,
@@ -182,16 +186,18 @@ def increasing_root(fn: Callable[..., tuple], lo, start, hi, target, *args) -> n
     where the slope at the upper end is infinite or NaN, so a caller
     without a derivative returns NaN and gets pure halving.  Open
     elements stop after ROOT_STEPS steps.  The elements are searched
-    ROOT_BLOCK at a time; the inputs are not written.
+    ROOT_BLOCK at a time; the inputs are not written.  At shape ``()``
+    :func:`_root_one` takes the same points and steps as a block of one,
+    with nothing to index, and returns the same value as a float64 scalar.
     """
-    arrays = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (lo, start, hi, target, *args))
-    )
+    arrays = [np.asarray(v, dtype=float) for v in (lo, start, hi, target, *args)]
+    if all(v.ndim == 0 for v in arrays):
+        return _root_one(fn, *(v[()] for v in arrays))
+    arrays = np.broadcast_arrays(*arrays)
     shape = arrays[0].shape
-    at_call = (lambda v: v.reshape(())) if shape == () else (lambda v: v)
 
     def evaluate(x, params):  # (value, slope) in x's shape; the search may write the value
-        value, slope = (np.asarray(v, dtype=float) for v in fn(at_call(x), *map(at_call, params)))
+        value, slope = (np.asarray(v, dtype=float) for v in fn(x, *params))
         value, slope = (v.reshape(x.shape) if v.size == x.size else np.broadcast_to(v, x.shape)
                         for v in (value, slope))
         if any(np.may_share_memory(value, v) for v in (x, *params)) or not value.flags.writeable:
@@ -266,3 +272,39 @@ def _root_block(evaluate, a, x, b, t, *args) -> np.ndarray:
                 args = [p[keep] for p in args]
     out[live] = b
     return out
+
+
+def _root_one(fn, a, x, b, t, *args):
+    """increasing_root at shape (), on np.float64 scalars: _root_block's
+    points and steps for one element, with nothing to index or compact."""
+    if not a < b:
+        return b
+    g, s = map(np.float64, fn(x, *args))
+    if g >= t:
+        ga, b = -np.inf, x  # fn(lo) < target, not evaluated
+    else:
+        ga, a = g, x
+        if b != x:
+            g, s = map(np.float64, fn(b, *args))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = (g - t) / s if s < np.inf else np.nan
+        if not (ga < t and g >= t) or step <= _ULP * abs(b):
+            return b
+        for _ in range(ROOT_STEPS):
+            x = b - step
+            newton = x > a
+            if not newton:
+                secant = b - (g - t) * (b - a) / (g - ga)
+                floor = np.nextafter(a, b)
+                secant = floor if secant < floor else secant
+                x = secant if secant < b and step == step else 0.5 * (a + b)
+            gx, sx = map(np.float64, fn(x, *args))
+            done = newton and gx >= g
+            if gx >= t:
+                b, g, step = x, gx, (gx - t) / sx
+            else:
+                a, ga = x, gx
+            tol = _ULP * abs(b)
+            if done or step <= tol or b - a <= tol:
+                return b
+    return b

@@ -200,10 +200,16 @@ def _search(fn, v: EventView, settled, hi, target, start, root=None):
     searched only where 0 < q < 1 and not ``settled``: the start is computed
     and the root-finder (``increasing_root`` unless ``root`` is given) called
     on those elements alone, and every other element is qs, which the caller
-    overrides.  A NaN target gives NaN, not the hi side, which counts as sound."""
+    overrides.  A NaN target gives NaN, not the hi side, which counts as sound.
+    One element (shape ``()``) is searched as one, with no masks."""
     out = np.array(v.qs, dtype=float)
     open_ = (v.q > 0.0) & (v.q < 1.0) & np.logical_not(settled)
-    if open_.any():
+    if open_.ndim == 0:
+        if open_:
+            qo, to = v.qs[()], np.float64(target)
+            found = (root or increasing_root)(fn, qo, start(qo, to), hi, to, qo)
+            out[()] = to if np.isnan(to) else found
+    elif open_.any():
         qo, to = v.qs[open_], np.broadcast_to(target, v.q.shape)[open_]
         found = (root or increasing_root)(fn, qo, start(qo, to), hi, to, qo)
         out[open_] = found if not np.isnan(to.min()) else np.where(np.isnan(to), to, found)
@@ -436,7 +442,8 @@ def _power_excess(p, q, beta):
     down = np.log1p((q - p) / (1.0 - q))
     ratio = p / q
     far = q * np.power(ratio, beta)
-    if np.isinf(far).any():
+    overflow = np.isinf(far)
+    if (overflow if overflow.ndim == 0 else overflow.any()):  # a 0-d call reads its element
         far = np.where(far < np.inf, far, np.power(p / np.power(q, 1.0 - 1.0 / beta), beta))
     near = ratio < 2.0
     value = np.where(near, q * np.expm1(beta * up), far - q) + (1.0 - q) * np.expm1(beta * down)
@@ -472,6 +479,10 @@ def _ulp_raise(fn, lo, start, hi, target, *args):
     closed form an ulp or two short), evaluating only those elements; lo is
     not read."""
     out = p = np.minimum(start, hi)
+    if p.ndim == 0:  # one element
+        while fn(p, *args)[0] < target and p < hi:
+            p = np.nextafter(p, hi)
+        return p
     at = np.arange(out.size)
     while at.size:
         short = (fn(p, *args)[0] < target) & (p < hi)
@@ -531,17 +542,23 @@ def power_small_q_core(q, h_beta, beta):
     digits at H_b = 0 and tiny q.  Elsewhere u0 = 1 and the bound is e^a."""
     v = _view(q)
     excess = (beta - 1.0) * np.asarray(h_beta, dtype=float)
+
+    def capped(ex, log_q, log1m_q, u):  # the bound where a < 0
+        cap = (1.0 - beta) * log1m_q + beta * np.log1p(-u)
+        bracket = np.maximum(ex - np.expm1(np.maximum(cap, -100.0)), 0.0)
+        low_raw = np.exp(((beta - 1.0) * log_q + np.log(np.maximum(bracket, 1e-300))) / beta)
+        return np.where(bracket <= 0.0, 0.0, low_raw)
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = (np.log(1.0 + excess) + (beta - 1.0) * v.log_q) / beta
         raw = np.asarray(np.exp(a))  # a 0-d array where a is a scalar
-        u0, low = np.minimum(raw, 1.0), np.flatnonzero(a < 0.0)
-        if low.size:
-            ex, log_q, log1m_q, u = (np.broadcast_to(x, raw.shape).reshape(-1).take(low)
-                                     for x in (excess, v.log_q, v.log1m_q, raw))
-            cap = (1.0 - beta) * log1m_q + beta * np.log1p(-u)
-            bracket = np.maximum(ex - np.expm1(np.maximum(cap, -100.0)), 0.0)
-            low_raw = np.exp(((beta - 1.0) * log_q + np.log(np.maximum(bracket, 1e-300))) / beta)
-            raw.put(low, np.where(bracket <= 0.0, 0.0, low_raw))
+        u0 = np.minimum(raw, 1.0)
+        if raw.ndim == 0:  # one element: no index arrays
+            if a < 0.0:
+                raw = capped(excess, v.log_q, v.log1m_q, raw)
+        elif (low := np.flatnonzero(a < 0.0)).size:
+            raw.put(low, capped(*(np.broadcast_to(x, raw.shape).reshape(-1).take(low)
+                                  for x in (excess, v.log_q, v.log1m_q, raw))))
     return _override(v, raw), u0
 
 

@@ -178,10 +178,11 @@ def _log_ratio(x, y, diff):
     """log(x / y) as log1p(diff / y), where diff = x - y is formed by the
     caller without cancellation; where diff / y rounds to -1 (x below an ulp
     of y) log1p returns -inf, and log(x / y) is taken instead, only in the
-    rare calls that have such an element."""
+    rare calls that have such an element: a call at one point (0-d) reads
+    its element, a batch its minimum."""
     down = diff / y
     out = np.log1p(down)
-    if np.min(down, initial=np.inf) > -1.0:
+    if (down if out.ndim == 0 else np.min(down, initial=np.inf)) > -1.0:
         return out
     return np.where(down > -1.0, out, np.log(x / y))
 
@@ -192,14 +193,15 @@ def bernoulli_kl_core(a, b):
     Each log-ratio is log1p of a ratio built from the difference a - b (see
     :func:`_log_ratio`), so kl(a, a) is exactly 0 and the value keeps its
     accuracy near a = b.  At a = 0 or 1 a term is 0 log 0, evaluated as
-    0 * -inf = NaN: only calls with a NaN set the convention's 0 there, and
+    0 * -inf = NaN: only calls with a NaN (the element of a call at one
+    point, the minimum of a batch) set the convention's 0 there, and
     divide by zero on the way.  Callers silence that with
     ``np.errstate(divide="ignore", invalid="ignore")``, once around a whole
     search rather than on every evaluation.
     """
     t1, t2 = a * _log_ratio(a, b, a - b), (1.0 - a) * _log_ratio(1.0 - a, 1.0 - b, b - a)
     out = t1 + t2
-    if np.isnan(np.min(out, initial=np.inf)):
+    if np.isnan(out if out.ndim == 0 else np.min(out, initial=np.inf)):
         out = np.where(a > 0, t1, 0.0) + np.where(a < 1, t2, 0.0)
     return out
 

@@ -94,7 +94,9 @@ def custom_orlicz(
             hi *= 2.0
         else:
             raise OrliczSpecError("psi never reaches the requested level")
-        return float(increasing_root(lambda t: (psi(t), math.nan), 0.0, hi, hi, s))
+        # psi is given an array at every size, so a gauge written with ** is
+        # numpy's power, not the C library's pow on a float64 scalar
+        return float(increasing_root(lambda t: (psi(np.asarray(t)), math.nan), 0.0, hi, hi, s))
 
     spec = OrliczSpec(
         name, psi, conjugate if conjugate else num_conj, inverse if inverse else num_inv

@@ -619,44 +619,116 @@ def test_root_kernels_are_on_the_sound_side(q, d):
         assert q <= p_pow <= 1.0 and (p_pow == 1.0 or excess >= (beta - 1.0) * d)
 
 
+def _recording(monkeypatch, name):
+    """The points at which ``bounds.<name>`` is evaluated from now on, one
+    flat array per call, in call order."""
+    fn, calls = getattr(B, name), []
+
+    def recorded(x, *params, **kw):
+        calls.append(np.array(x, dtype=float).reshape(-1))
+        return fn(x, *params, **kw)
+
+    monkeypatch.setattr(B, name, recorded)
+    return calls
+
+
 def test_kl_start_is_above_the_root_where_pinsker_is_tight(monkeypatch):
     # at q = 1/2 and tiny d, kl(p || q) at Pinsker's q + sqrt(d / 2) is d
     # within its rounding; a start below the root leaves the bracket
     # [start, 1], searched from p = 1 in 36 steps
-    kl_above = B._kl_above
-    calls = []
-
-    def counted(x, q):
-        calls.append(1)
-        return kl_above(x, q)
-
-    monkeypatch.setattr(B, "_kl_above", counted)
+    calls = _recording(monkeypatch, "_kl_above")
     p = float(B.kl_opt_core(0.5, 1e-20))
     assert dg.bernoulli_kl(p, 0.5) >= 1e-20
     assert len(calls) - 1 <= 10  # the first evaluates the start; q is not evaluated
 
 
+def _extreme_grid():
+    """(q, d) on 5,400 points: q log-spaced on [1e-300, 0.5] and 1 - q on
+    [3e-16, 0.5], times divergences log-spaced on [1e-30, 1e3]."""
+    q = np.concatenate([np.geomspace(1e-300, 0.5, 30), 1.0 - np.geomspace(3e-16, 0.5, 30)])
+    return tuple(v.ravel() for v in np.meshgrid(q, np.geomspace(1e-30, 1e3, 90)))
+
+
+# (q, d) where a kernel takes a path of its own: d = 0, inf and NaN; Q(E) = 0
+# and 1; KL saturated (d >= log(1/q)); power bounds that admit p = 1; the
+# rare lane of kl(q || p)'s log-ratio at (1e-17, 1); Pinsker tight (1/2, 1e-20);
+# and a point each where the KL, reverse-KL and beta = 1.5 power searches end
+# at a Newton point that leaves the value unchanged
+_EDGE_POINTS = [(0.3, 0.0), (1e-200, 0.0), (0.3, math.inf), (0.3, math.nan), (1e-200, math.nan),
+                (0.0, 0.5), (1.0, 0.5), (0.3, 2.0), (1e-5, 12.0), (0.3, 100.0), (1e-3, 1e4),
+                (1e-17, 1.0), (0.5, 1e-20), (8.591832359581749e-08, 1.0578765951584015e-08),
+                (0.3082719477488186, 9.207763515742612e-13), (0.2101355338824341, 8.881258766468771e-07)]
+
+# the root kernels and the competitors that report an optimal parameter, at
+# their (value, parameter); the small-q power relaxation at its (value, u0)
+_ONE_POINT_KERNELS = {
+    "kl": B.kl_opt_core,
+    "competitor_kl": B.comp_kl_core,
+    "reverse_kl_exact": B.reverse_kl_exact_core,
+    "competitor_reverse_kl": B.comp_reverse_kl_core,
+    **{f"{name}[beta={b:g}]": partial(core, beta=b)
+       for name, core in (("power_implicit", B.power_implicit_core),
+                          ("competitor_power", B.comp_power_core),
+                          ("power_small_q", B.power_small_q_core))
+       for b in (1.5, 2.0, 4.0)},
+}
+
+
 def test_root_kernels_agree_at_one_point_and_in_a_batch():
-    # one root-finder for every size: a kernel's value at one point, as 0-d
-    # inputs, is its value in a 10k-element batch, bit for bit
+    # the input shape picks the path: a batch is searched in blocks, one
+    # point (0-d inputs) by the root-finder's one-element path, with no
+    # reductions in the rare-lane checks.  A kernel's values at one point
+    # are its values in a batch, bit for bit, at 40 random points, at 500
+    # points of the extreme grid and at the edge points; invert_binary_kl
+    # is the reverse-KL kernel's
     rng = np.random.default_rng(13)
     n = 10_000
-    q = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, n // 2), rng.uniform(0.0, 1.0, n // 2)])
-    d = 10.0 ** rng.uniform(-25.0, 2.0, n)
-    kernels = {
-        "kl": lambda q, d: B.kl_opt_core(q, d),
-        "reverse_kl_exact": B.reverse_kl_exact_core,
-        **{f"power_implicit[beta={b:g}]": partial(B.power_implicit_core, beta=b)
-           for b in (1.5, 2.0, 4.0)},
-    }
+    grid_q, grid_d = _extreme_grid()
+    pick = rng.choice(grid_q.size, 500, replace=False)
+    edge_q, edge_d = np.array(_EDGE_POINTS).T
+    q = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, n // 2), rng.uniform(0.0, 1.0, n // 2),
+                        grid_q[pick], edge_q])
+    d = np.concatenate([10.0 ** rng.uniform(-25.0, 2.0, n), grid_d[pick], edge_d])
     points = np.concatenate([rng.choice(n // 2, 20, replace=False),
-                             rng.choice(np.arange(n // 2, n), 20, replace=False)])
-    for name, core in kernels.items():
-        batch = np.asarray(core(q, d))
-        assert batch.shape == (n,)
-        for i in points:
-            one = np.asarray(core(np.asarray(q[i]), np.asarray(d[i])))
-            assert one.shape == () and one.tobytes() == batch[i].tobytes(), (name, q[i], d[i])
+                             rng.choice(np.arange(n // 2, n), 20, replace=False),
+                             np.arange(n, q.size)])
+    with np.errstate(all="ignore"):
+        for name, core in _ONE_POINT_KERNELS.items():
+            batch = core(q, d)
+            batch = batch if isinstance(batch, tuple) else (batch,)
+            assert all(np.shape(v) == q.shape for v in batch), name
+            for i in points:
+                one = core(np.asarray(q[i]), np.asarray(d[i]))
+                for got, want in zip(one if isinstance(one, tuple) else (one,), batch):
+                    got = np.asarray(got)
+                    assert got.shape == () and got.tobytes() == want[i].tobytes(), (name, q[i], d[i])
+            if name == "reverse_kl_exact":
+                for i in points[(q[points] > 0.0) & (q[points] < 1.0) & ~np.isnan(d[points])]:
+                    assert float.hex(B.invert_binary_kl(q[i], d[i])) == float.hex(batch[0][i])
+
+
+@pytest.mark.parametrize("kernel", ["kl", "reverse_kl_exact", "power_implicit[beta=1.5]",
+                                    "power_implicit[beta=2]", "power_implicit[beta=4]"])
+def test_one_point_evaluates_as_a_one_element_batch(monkeypatch, kernel):
+    # at 0-d inputs each searched kernel evaluates its constraint at the
+    # same points, as many times, as on a one-element batch: the start, the
+    # open bracket end, each step and the beta = 2 check, in the same order
+    core = _ONE_POINT_KERNELS[kernel]
+    calls = [_recording(monkeypatch, name) for name in ("_kl_above", "_power_excess", "_kl_below")]
+    grid_q, grid_d = _extreme_grid()
+    pick = np.random.default_rng(17).choice(grid_q.size, 100, replace=False)
+    evaluated = 0
+    for q, d in [*_EDGE_POINTS, *zip(grid_q[pick], grid_d[pick])]:
+        seen = []
+        for shape in ((), (1,)):
+            for c in calls:
+                c.clear()
+            with np.errstate(all="ignore"):
+                core(np.reshape(q, shape), np.reshape(d, shape))
+            seen.append([[x.tobytes() for x in c] for c in calls])
+        assert seen[0] == seen[1], (q, d)
+        evaluated += sum(map(len, seen[0]))
+    assert evaluated >= len(pick)
 
 
 def _reference_root(fn, lo, start, hi, target, *args):
@@ -675,13 +747,11 @@ def _reference_root(fn, lo, start, hi, target, *args):
 
 def test_root_kernels_on_an_extreme_grid():
     # each sharp inversion against a bisection of its own constraint, in
-    # ulps of the value, on 5,400 points: q log-spaced on [1e-300, 0.5] and
-    # 1 - q on [3e-16, 0.5], times divergences log-spaced on [1e-30, 1e3].
-    # KL and reverse KL are within 4 ulp either way; the power bound is at
-    # most 5 below and 8 above (883 / 406 / 189 above for beta = 1.5 / 2 / 4
-    # while its constraint summed (p/q)^b as exp(b log(p/q)) at any p)
-    q = np.concatenate([np.geomspace(1e-300, 0.5, 30), 1.0 - np.geomspace(3e-16, 0.5, 30)])
-    q, d = (v.ravel() for v in np.meshgrid(q, np.geomspace(1e-30, 1e3, 90)))
+    # ulps of the value, on the 5,400 points of _extreme_grid.  KL and
+    # reverse KL are within 4 ulp either way; the power bound is at most 5
+    # below and 8 above (883 / 406 / 189 above for beta = 1.5 / 2 / 4 while
+    # its constraint summed (p/q)^b as exp(b log(p/q)) at any p)
+    q, d = _extreme_grid()
     with np.errstate(all="ignore"):
         saturated = d >= -np.log(q)
         kl = _reference_root(B._kl_above, q, None, np.where(saturated, q, 1.0), d, q)
@@ -857,18 +927,31 @@ def _mixed(x, kind):
     """kind 0: x^3, convex, so every Newton point from above is above the
     bracket; kind 1: sqrt(x), concave, where Newton points fall at or below
     the bracket and secant and halving steps take over; kind 2: x with a
-    NaN slope, searched by halving."""
+    NaN slope, searched by halving.  The cube is np.power's: Python's ** on
+    a float64 scalar is the C library's pow, an ulp off it at some points."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        value = np.where(kind == 0, x**3, np.where(kind == 1, np.sqrt(x), x))
+        value = np.where(kind == 0, np.power(x, 3), np.where(kind == 1, np.sqrt(x), x))
         slope = np.where(kind == 0, 3.0 * x * x, np.where(kind == 1, 0.5 / np.sqrt(x), np.nan))
     return value, slope
+
+
+def _one_element_batch(fn, *inputs):
+    """increasing_root on one-element arrays, with fn given 0-d arrays: the
+    array path at one point."""
+
+    def at_one(x, *params):
+        return fn(x.reshape(()), *(p.reshape(()) for p in params))
+
+    return increasing_root(at_one, *(np.reshape(v, 1) for v in inputs))[0]
 
 
 def test_root_finder_steps_do_not_depend_on_the_batch():
     # on steps where every Newton point is above its bracket the root-finder
     # skips the fallback; a batch that mixes pure-Newton elements with ones
     # that need the secant or halving fallback gives each element the root
-    # it gets when searched alone, bit for bit, within 2 ulp of the exact root
+    # it gets when searched alone (the one-element path) and in a batch of
+    # one, bit for bit, within 2 ulp of the exact root; alone and in a batch
+    # of one it evaluates the same points
     rng = np.random.default_rng(5)
     n = 60
     kind = np.repeat([0.0, 1.0, 2.0], n // 3)
@@ -878,10 +961,52 @@ def test_root_finder_steps_do_not_depend_on_the_batch():
     start = np.where(rng.uniform(size=n) < 0.5, hi, root * rng.uniform(0.2, 1.0, n))
     lo = np.zeros(n)
     batch = increasing_root(_mixed, lo, start, hi, target, kind)
-    alone = [increasing_root(_mixed, lo[i], start[i], hi[i], target[i], kind[i]) for i in range(n)]
-    assert batch.tobytes() == np.array(alone).tobytes()
+
+    def traced(root, i):  # (root, the points evaluated)
+        points = []
+
+        def fn(x, k):
+            points.append(float(x))
+            return _mixed(x, k)
+
+        return float(root(fn, lo[i], start[i], hi[i], target[i], kind[i])), points
+
+    alone = [traced(increasing_root, i) for i in range(n)]
+    assert alone == [traced(_one_element_batch, i) for i in range(n)]
+    assert batch.tobytes() == np.array([r for r, _ in alone]).tobytes()
     assert np.all(_mixed(batch, kind)[0] >= target)
     assert np.all(np.abs(batch - root) <= 2.0 * np.spacing(root))
+
+
+def test_scalar_callers_of_the_root_finder_agree_with_a_batch_of_one(monkeypatch):
+    # the searches outside bounds call the root-finder at shape (): the
+    # t* of the averaged-MI bound, and a custom gauge's inverse and
+    # Luxemburg norm (pure halving, with no slope).  Each gives the bits of
+    # a one-element array call, as does a halving search cut at ROOT_STEPS;
+    # so does a gauge written with Python's ** (on a float64 scalar that is
+    # the C library's pow, an ulp off numpy's at some of these points)
+    from divgauge import genbounds as G, orlicz as O
+
+    def arr(t):
+        return np.asarray(t, dtype=float)
+
+    gauges = [O.custom_orlicz(lambda t: arr(t) ** 2 / 2.0, name="half-square"),
+              O.custom_orlicz(lambda t: (1.0 + arr(t)) * np.log1p(arr(t)) - arr(t), name="xlogx"),
+              O.custom_orlicz(lambda t: t ** 3.3 / 3.3, name="power(3.3) by **", validate=False)]
+    values, weights = np.array([1e-14, 0.3, 2.5, 40.0]), np.array([0.1, 0.2, 0.3, 0.4])
+
+    def results(root):
+        with np.errstate(all="ignore"):
+            return ([G._tstar(mi) for mi in (0.0, 0.1, 3.0, 1e3)]
+                    + [spec.inverse(s) for spec in gauges for s in np.geomspace(1e-9, 1e6, 200)]
+                    + [O.luxemburg_norm_values(values, weights, spec) for spec in gauges]
+                    + [float(root(_mixed, 0.0, 1e300, 1e300, 1.0, 2.0))])
+
+    alone = results(increasing_root)
+    assert alone[-1] > 1e260  # the cut search: 100 halvings from 1e300
+    for module in (G, O):
+        monkeypatch.setattr(module, "increasing_root", _one_element_batch)
+    assert list(map(float.hex, results(_one_element_batch))) == list(map(float.hex, alone))
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 4.0, 50.0])
