@@ -1,8 +1,8 @@
 """Deterministic numeric primitives shared across modules.
 
-The scalar minimizers (the Young-Fenchel search, numeric conjugates and
-custom-gauge Amemiya norms) refine a bracket by golden-section: a coarse
-grid locates it on a fixed log range, or doubling steps on the whole line.
+The scalar minimizers (numeric conjugates and custom-gauge Amemiya norms)
+refine a bracket by golden-section, which a coarse grid locates on a fixed
+log range.
 Every root the package searches for comes from one root-finder,
 :func:`increasing_root`, for a nondecreasing function on a range [lo, hi]
 searched from a start the caller derives; scalar roots are its calls at
@@ -45,11 +45,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 LOG_BRACKET_LO = 1e-12
 LOG_BRACKET_HI = 1e12
 
-# settings of the searches (golden_min, min_convex_line, increasing_root)
+# settings of the searches (golden_min, increasing_root)
 REL_TOL = 1e-10  # golden-section stops at a bracket this wide, relative
 MAX_ITER = 200  # golden-section steps
 GRID = 33  # coarse grid points of golden_min
-MAX_EXPAND = 200  # bracket doublings of min_convex_line
 ROOT_STEPS = 100  # cap on the Newton or halving steps of increasing_root
 ROOT_BLOCK = 1 << 14  # elements increasing_root searches at a time, bounding its memory
 _ULP = 2.0**-52  # |x| times this is between 1 and 2 ulp of x
@@ -65,28 +64,6 @@ def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
-
-
-def _golden_section(safe: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Golden-section refinement of the bracket [a, b]; returns the better
-    of the two final probes as (x, value)."""
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = safe(x1), safe(x2)
-    for _ in range(MAX_ITER):
-        if (b - a) <= REL_TOL * max(abs(a), abs(b), 1.0):
-            break
-        if f1 <= f2:
-            b = x2
-            x2, f2 = x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = safe(x1)
-        else:
-            a = x1
-            x1, f1 = x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = safe(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def golden_min(
@@ -106,9 +83,23 @@ def golden_min(
     xs = [a + (b - a) * i / (GRID - 1) for i in range(GRID)]
     fs = [safe(x) for x in xs]
     i = min(range(GRID), key=fs.__getitem__)
-    a2 = xs[max(i - 1, 0)]
-    b2 = xs[min(i + 1, GRID - 1)]
-    xbest, fbest = _golden_section(safe, a2, b2)
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, GRID - 1)]
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f1, f2 = safe(x1), safe(x2)
+    for _ in range(MAX_ITER):  # golden-section refinement of [a, b]
+        if (b - a) <= REL_TOL * max(abs(a), abs(b), 1.0):
+            break
+        if f1 <= f2:
+            b = x2
+            x2, f2 = x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = safe(x1)
+        else:
+            a = x1
+            x1, f1 = x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = safe(x2)
+    xbest, fbest = (x1, f1) if f1 <= f2 else (x2, f2)
     if fs[i] < fbest:
         xbest, fbest = xs[i], fs[i]
     return math.exp(xbest), fbest
@@ -123,33 +114,6 @@ def numeric_conjugate(f: Callable[[float], float], u: float) -> float:
     """
     t_star, neg = golden_min(lambda t: -(u * t - float(f(t))))
     return math.inf if t_star > 0.999 * LOG_BRACKET_HI else -neg
-
-
-def min_convex_line(
-    fn: Callable[[float], float], x0: float = 0.0, step: float = 1.0
-) -> tuple[float, float]:
-    """Minimize a convex function on the whole real line.
-
-    Brackets the minimum by doubling steps away from x0, then golden-sections.
-    Returns (argmin, value).
-    """
-
-    def safe(x: float) -> float:
-        v = fn(x)
-        return v if v == v else math.inf
-
-    a, m, b = x0 - step, x0, x0 + step
-    fa, fm, fb = safe(a), safe(m), safe(b)
-    for _ in range(MAX_EXPAND):
-        if fa < fm:
-            a, m, b = a - 2.0 * (m - a), a, m
-            fa, fm, fb = safe(a), fa, fm
-        elif fb < fm:
-            a, m, b = m, b, b + 2.0 * (b - m)
-            fa, fm, fb = fm, fb, safe(b)
-        else:
-            break
-    return _golden_section(safe, a, b)
 
 
 def increasing_root(fn: Callable[..., tuple], lo, start, hi, target, *args) -> np.ndarray:

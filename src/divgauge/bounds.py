@@ -37,9 +37,10 @@ Conventions
   The parameter is computed only by the entry points that report it
   (``bound_kl``, ``competitor_bound`` and the ``comp_*_core`` optima);
   the kernels the sweep runs return the bound alone.
-* The scalar Young-Fenchel search is deterministic (no RNG): golden-section
-  over the gap u - v on the log bracket [1e-5, 1e12], with v by a line
-  search over the whole real line.
+* The Young-Fenchel bound optimized over (u, v) is the sharp inversion
+  sup{p >= q : q f(p/q) + (1-q) f((1-p)/(1-q)) <= D_f}, so it takes no
+  search of its own: the table's core for the chi-square, KL and power
+  generators, and :func:`f_sharp_core` for a callable one.
 * Raw values may exceed 1 or be +inf; ``BoundResult.value`` clips to [0, 1]
   for reporting.  Dominance comparisons always use raw values.
 """
@@ -54,13 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import (
-    LOG_BRACKET_HI,
-    golden_min,
-    increasing_root,
-    min_convex_line,
-    numeric_conjugate,
-)
+from ._optim import increasing_root, numeric_conjugate
 from .dist import AbsContPair, EventMask, JointFinite, event_probability
 from .divergences import (
     CHI2,
@@ -370,8 +365,9 @@ def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
         if c <= 0:
             raise RangeError("need c > 0")
         return BoundResult("kl", float(kl_fixed_core(q, kl, c)), {"c": float(c)})
-    raw, c_star = comp_kl_core(q, kl)
-    closed = float(kl_closed_core(q, kl))
+    v = EventView(q)
+    raw, c_star = comp_kl_core(v, kl)
+    closed = float(kl_closed_core(v, kl))
     return BoundResult(
         "kl",
         float(raw),
@@ -437,17 +433,25 @@ def _power_excess(p, q, beta):
     near p = q; from there on it is q (p/q)^b - q, a power accurate to a few
     ulp, where exp(b log(p/q)) would multiply the rounding of the log by
     b log(p/q) (some 1,400 at q = 1e-300).  Where (p/q)^b overflows but
-    q (p/q)^b need not, it is (p / q^(1-1/b))^b."""
-    up = np.log1p((p - q) / q)
+    q (p/q)^b need not, it is (p / q^(1-1/b))^b.  One element (shape ``()``)
+    forms only the branch it takes."""
     down = np.log1p((q - p) / (1.0 - q))
     ratio = p / q
-    far = q * np.power(ratio, beta)
-    overflow = np.isinf(far)
-    if (overflow if overflow.ndim == 0 else overflow.any()):  # a 0-d call reads its element
-        far = np.where(far < np.inf, far, np.power(p / np.power(q, 1.0 - 1.0 / beta), beta))
     near = ratio < 2.0
-    value = np.where(near, q * np.expm1(beta * up), far - q) + (1.0 - q) * np.expm1(beta * down)
-    rise = np.where(near, np.exp((beta - 1.0) * up), far / p)
+    one = np.ndim(near) == 0
+    if not one or near:
+        up = np.log1p((p - q) / q)
+        first, rise = q * np.expm1(beta * up), np.exp((beta - 1.0) * up)
+    if not one or not near:
+        far = q * np.power(ratio, beta)
+        overflow = np.isinf(far)
+        if (overflow if one else overflow.any()):
+            far = np.where(far < np.inf, far, np.power(p / np.power(q, 1.0 - 1.0 / beta), beta))
+        if one:
+            first, rise = far - q, far / p
+        else:
+            first, rise = np.where(near, first, far - q), np.where(near, rise, far / p)
+    value = first + (1.0 - q) * np.expm1(beta * down)
     return value, beta * (rise - np.exp((beta - 1.0) * down))
 
 
@@ -609,10 +613,12 @@ def bound_power_beta(
 
 @dataclass(frozen=True)
 class ConjugateSpec:
-    """A generator's convex conjugate, for the Young-Fenchel bound."""
+    """A generator's convex conjugate, for the Young-Fenchel bound, and the
+    generator it is of (a DivergenceKind, or a callable f with f(1) = 0)."""
 
     name: str
     fstar: Callable[[float], float]
+    generator: DivergenceKind | Callable | None = None
 
 
 def _exp_safe(x: float) -> float:
@@ -633,18 +639,56 @@ def _power_conjugate(beta: float) -> Callable[[float], float]:
 
 
 def conjugate_spec_for(f) -> ConjugateSpec:
-    """Closed conjugates for the chi2 / KL / power generators; numeric
-    conjugation (:func:`numeric_conjugate`) for a user-supplied callable."""
+    """Closed conjugates for the chi2 / KL / power generators, numeric ones
+    (:func:`numeric_conjugate`) for a callable; the spec records f."""
     if isinstance(f, DivergenceKind):
         if f.name == "chi2":
             # conjugate of the affine-normalized generator (t - 1)^2
-            return ConjugateSpec("chi2", lambda u: u + 0.25 * u * u)
+            return ConjugateSpec("chi2", lambda u: u + 0.25 * u * u, f)
         if f.name == "kl":
-            return ConjugateSpec("kl", lambda u: _exp_safe(u - 1.0))
+            return ConjugateSpec("kl", lambda u: _exp_safe(u - 1.0), f)
         if f.name == "power":
-            return ConjugateSpec(f"power({f.param:g})", _power_conjugate(f.param))
+            return ConjugateSpec(f"power({f.param:g})", _power_conjugate(f.param), f)
         raise ValidationError(f"no built-in conjugate for kind {f}")
-    return ConjugateSpec(getattr(f, "__name__", "custom"), partial(numeric_conjugate, f))
+    return ConjugateSpec(getattr(f, "__name__", "custom"), partial(numeric_conjugate, f), f)
+
+
+def f_sharp_core(q, d, f):
+    """sup{p >= q : q f(p/q) + (1-q) f((1-p)/(1-q)) <= d} for a convex f with
+    f(1) = 0, searched down from 1 with the slope from :func:`_relative_slope`:
+    q at d = 0, 1 where the constraint admits p = 1.  f is called on arrays
+    (float64 scalars at one point) of t in (0, 1/q] and near them.  At p = 1
+    it reads f(0) as f(1e-300), so a generator written for t > 0 serves, and
+    takes no slope, so the search halves from there."""
+    v = _view(q)
+
+    def constraint(p, q):
+        up, down = p / q, (1.0 - p) / (1.0 - q)
+        slope = np.where(down > 0.0, _relative_slope(f, up) - _relative_slope(f, down), np.nan)
+        return q * f(up) + (1.0 - q) * f(np.maximum(down, 1e-300)), slope
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = _search(constraint, v, np.asarray(d) == 0.0, 1.0, d, lambda q, d: 1.0)
+    return _override(v, p)
+
+
+def _fenchel_optimum(q: float, d: float, g) -> tuple[float, float, float]:
+    """(p*, u, v) for generator g: the sharp root (the table's core for the
+    chi2, KL and power kinds, :func:`f_sharp_core` for a callable), f' at p*/q
+    and (1-p*)/(1-q).  A kind's f' is closed, f'(0) its limit; chi2's conjugate
+    is of (t - 1)^2, with slope 2t - 2 at any t (its bound may exceed 1)."""
+    if not isinstance(g, DivergenceKind):
+        p, slope = float(f_sharp_core(q, d, g)), partial(_relative_slope, g)
+    elif g.name == "chi2":
+        p, slope = float(chi2_core(q, d)), lambda t: 2.0 * t - 2.0  # noqa: E731
+    elif g.name in ("kl", "power"):
+        p = float(kl_opt_core(q, d) if g.name == "kl" else power_implicit_core(q, d, g.param))
+        zero = -math.inf if g.name == "kl" else 0.0
+        slope = lambda t: generator_derivative(g, t) if t > 0.0 else zero  # noqa: E731
+    else:
+        raise ValidationError(f"no built-in conjugate for kind {g}")
+    with np.errstate(over="ignore"):  # a slope past the float range is inf
+        return p, *(float(slope(np.float64(t))) for t in (p / q, (1.0 - p) / (1.0 - q)))
 
 
 def bound_young_fenchel(
@@ -656,14 +700,13 @@ def bound_young_fenchel(
 ) -> BoundResult:
     """P(E) <= (D_f - v + q f*(u) + (1-q) f*(v)) / (u - v) for any u > v.
 
-    With (u, v) omitted, optimizes them by a nested search: golden-section
-    over the gap w = u - v on the log bracket [1e-5, 1e12] (below 1e-5 the
-    numerator cancels catastrophically and roundoff could report values
-    under the true infimum), and for each gap a line search over v on the
-    whole real line (the objective is convex in v).  For the chi2, KL and
-    power generators this reproduces the sharp bounds ``bound_chi2``,
-    ``bound_kl`` and ``bound_power_beta`` (implicit) to roundoff wherever
-    they are below 1.
+    With (u, v) omitted, returns the bound optimized over them, the sharp
+    inversion p* = sup{p >= q : q f(p/q) + (1-q) f((1-p)/(1-q)) <= D_f}:
+    at u = f'(p*/q), v = f'((1-p*)/(1-q)), which the result reports, Fenchel
+    equality makes the numerator D_f - d_f(p* || q) + p* (u - v).  For the
+    chi2, KL and power generators p* is ``bound_chi2``, ``bound_kl`` and
+    ``bound_power_beta`` (implicit); a callable's is :func:`f_sharp_core`.
+    A spec without a generator needs (u, v).
     """
     q = _check_q(q)
     df = _check_div(df, "D_f")
@@ -672,38 +715,20 @@ def bound_young_fenchel(
     deg = _degenerate("young_fenchel", q, {"f": fspec.name})
     if deg:
         return deg
-
-    def value(uu: float, vv: float) -> float:
-        if not uu > vv:
-            return math.inf
-        fu, fv = fspec.fstar(uu), fspec.fstar(vv)
-        if not (math.isfinite(fu) and math.isfinite(fv)):
-            return math.inf
-        return (df - vv + q * fu + (1.0 - q) * fv) / (uu - vv)
-
-    if u is not None and v is not None:
-        if not u > v:
-            raise RangeError("need u > v")
-        fu, fv = fspec.fstar(u), fspec.fstar(v)
-        if not (math.isfinite(fu) and math.isfinite(fv)):
-            raise RangeError("conjugate not finite at the requested (u, v)")
-        return BoundResult(
-            "young_fenchel", value(u, v), {"u": float(u), "v": float(v), "f": fspec.name}
-        )
-    if (u is None) != (v is None):
+    if u is None and v is None:
+        if fspec.generator is None:
+            raise ValidationError(f"conjugate {fspec.name!r} has no generator: give u and v")
+        p, u, v = _fenchel_optimum(q, df, fspec.generator)
+        return BoundResult("young_fenchel", p, {"u": u, "v": v, "f": fspec.name})
+    if u is None or v is None:
         raise ValidationError("provide both u and v, or neither")
-
-    best_v: dict[float, float] = {}
-
-    def gap_objective(w: float) -> float:
-        best_v[w], val = min_convex_line(lambda x: value(x + w, x), x0=0.0, step=max(w, 1.0))
-        return val
-
-    w, val = golden_min(gap_objective, 1e-5, LOG_BRACKET_HI)
-    vb = best_v[w]
-    return BoundResult(
-        "young_fenchel", float(val), {"u": float(vb + w), "v": float(vb), "f": fspec.name}
-    )
+    if not u > v:
+        raise RangeError("need u > v")
+    fu, fv = fspec.fstar(u), fspec.fstar(v)
+    if not (math.isfinite(fu) and math.isfinite(fv)):
+        raise RangeError("conjugate not finite at the requested (u, v)")
+    raw = (df - v + q * fu + (1.0 - q) * fv) / (u - v)
+    return BoundResult("young_fenchel", raw, {"u": float(u), "v": float(v), "f": fspec.name})
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +740,14 @@ def _richardson_derivative(f: Callable[[float], float], t: float, h: float = 1e-
     d1 = (f(t + h) - f(t - h)) / (2.0 * h)
     d2 = (f(t + 0.5 * h) - f(t - 0.5 * h)) / h
     return (4.0 * d2 - d1) / 3.0
+
+
+def _relative_slope(f: Callable, t):
+    """The Richardson derivative at t, at least 1e-300, with the step
+    1e-6 max(t, 1), at most t/2: its rounding stays small against the slope
+    where t is large, and f is read at positive points only."""
+    t = np.maximum(t, 1e-300)
+    return _richardson_derivative(f, t, np.minimum(1e-6 * np.maximum(t, 1.0), 0.5 * t))
 
 
 def f_slope_gap(

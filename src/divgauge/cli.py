@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation/parse error, 3 verification violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -566,9 +567,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)  # main's, built on its first call, not at import
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DivgaugeError as exc:

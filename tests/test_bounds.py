@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import divgauge as dg
 from divgauge import bounds as B
 from divgauge.dist import EventMask, event_mask_matrix
-from divgauge.divergences import bernoulli_kl_core
+from divgauge.divergences import bernoulli_kl_core, generator_values
 from divgauge.errors import RangeError, ValidationError
 from divgauge._optim import golden_min, increasing_root
 from divgauge.verify import SLACK_TOL
@@ -362,7 +362,64 @@ def test_young_fenchel_reproduces_chi2_bound():
         assert got == pytest.approx(target, abs=1e-9)
 
 
+def _min_convex_line(fn, x0=0.0, step=1.0):
+    """Minimize a convex function on the whole real line: bracket the
+    minimum by doubling steps away from x0 (at most 200), then refine the
+    bracket by golden-section.  Returns (argmin, value)."""
+
+    def safe(x):
+        v = fn(x)
+        return v if v == v else math.inf
+
+    a, m, b = x0 - step, x0, x0 + step
+    fa, fm, fb = safe(a), safe(m), safe(b)
+    for _ in range(200):
+        if fa < fm:
+            a, m, b = a - 2.0 * (m - a), a, m
+            fa, fm, fb = safe(a), fa, fm
+        elif fb < fm:
+            a, m, b = m, b, b + 2.0 * (b - m)
+            fa, fm, fb = fm, fb, safe(b)
+        else:
+            break
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - shrink * (b - a), a + shrink * (b - a)
+    f1, f2 = safe(x1), safe(x2)
+    for _ in range(200):
+        if (b - a) <= 1e-10 * max(abs(a), abs(b), 1.0):
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - shrink * (b - a)
+            f1 = safe(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + shrink * (b - a)
+            f2 = safe(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
+def _nested_young_fenchel(q, d, spec):
+    """The Young-Fenchel bound minimized over (u, v) by a nested search, the
+    oracle for the sharp root: golden-section over the gap w = u - v on the
+    log bracket [1e-5, 1e12] (below 1e-5 the numerator cancels), and for each
+    gap a line search over v on the whole real line (the objective is convex
+    in v)."""
+
+    def value(u, v):
+        fu, fv = spec.fstar(u), spec.fstar(v)
+        if not (u > v and math.isfinite(fu) and math.isfinite(fv)):
+            return math.inf
+        return (d - v + q * fu + (1.0 - q) * fv) / (u - v)
+
+    _, val = golden_min(
+        lambda w: _min_convex_line(lambda x: value(x + w, x), step=max(w, 1.0))[1], 1e-5, 1e12)
+    return val
+
+
 def test_young_fenchel_matches_sharp_bounds():
+    """The Young-Fenchel optimum is the sharp inversion: the nested search
+    over (u, v) finds the sharp bounds, which bound_young_fenchel returns."""
     rng = np.random.default_rng(31)
     sharp = {
         dg.KL: dg.bound_kl,
@@ -374,12 +431,102 @@ def test_young_fenchel_matches_sharp_bounds():
         for kind, bound in sharp.items():
             target = bound(q, d).raw
             if target < 1.0:
+                spec = dg.conjugate_spec_for(kind)
+                assert _nested_young_fenchel(q, d, spec) == pytest.approx(target, abs=1e-12)
                 assert dg.bound_young_fenchel(q, d, kind).raw == pytest.approx(target, abs=1e-12)
+    square = lambda t: (t - 1.0) ** 2  # noqa: E731
     for q, d in ((0.1, 0.2), (0.4, 0.05), (0.7, 0.1)):
         target = dg.bound_chi2(q, d).raw
         assert target < 1.0
-        got = dg.bound_young_fenchel(q, d, lambda t: (t - 1.0) ** 2).raw
-        assert got == pytest.approx(target, abs=1e-9)
+        assert _nested_young_fenchel(q, d, dg.conjugate_spec_for(square)) == pytest.approx(
+            target, abs=1e-9)
+        assert dg.bound_young_fenchel(q, d, square).raw == pytest.approx(target, abs=1e-9)
+
+
+@pytest.mark.parametrize("generator", [dg.KL, dg.CHI2, dg.power_kind(1.5), dg.power_kind(4.0),
+                                       lambda t: (t - 1.0) ** 2])
+def test_young_fenchel_reports_the_optimal_pair(generator):
+    """Fenchel equality: the reported (u, v), given back to the bound, give
+    the optimum again.  The fixed-(u, v) formula sums terms larger than its
+    value, so the rounding allowed is 4 ulp of the sum of their magnitudes
+    over u - v."""
+    spec = dg.conjugate_spec_for(generator)
+    rng = np.random.default_rng(2202)
+    checked = 0
+    for q, d in zip(rng.uniform(0.02, 0.98, 40), rng.exponential(0.4, 40)):
+        res = dg.bound_young_fenchel(q, d, generator)
+        if not res.raw < 1.0:
+            continue
+        u, v = res.free_params["u"], res.free_params["v"]
+        again = dg.bound_young_fenchel(q, d, spec, u=u, v=v).raw
+        size = (d + abs(v) + q * abs(spec.fstar(u)) + (1.0 - q) * abs(spec.fstar(v))) / (u - v)
+        assert abs(again - res.raw) <= 4 * math.ulp(max(size, res.raw)), (q, d)
+        checked += 1
+    assert checked >= 20
+
+
+_SHARP_CORES = [
+    (dg.KL, B.kl_opt_core),
+    (dg.CHI2, B.chi2_core),
+    (dg.SQUARED_HELLINGER, B.hellinger_core),
+    (dg.REVERSE_CHI2, B.reverse_chi2_core),
+    (dg.REVERSE_KL, B.reverse_kl_exact_core),
+    (dg.VINCZE_LECAM, B.vincze_core),
+    (dg.power_kind(1.5), partial(B.power_implicit_core, beta=1.5)),
+    (dg.power_kind(4.0), partial(B.power_implicit_core, beta=4.0)),
+]
+
+
+@pytest.mark.parametrize("kind, core", _SHARP_CORES, ids=[str(k) for k, _ in _SHARP_CORES])
+def test_sharp_cores_are_the_inversion_of_their_generator(kind, core):
+    """Each hand-written sharp core is f_sharp_core of the generator the
+    sweep computes its divergence with, at divergences of p* > q."""
+    rng = np.random.default_rng(2203)
+    q = np.exp(rng.uniform(math.log(1e-6), math.log(0.9), 200))
+    p = q + (1.0 - q) * rng.uniform(0.0, 1.0, 200)
+    d = np.array([dg.binary_f_divergence(a, b, kind) for a, b in zip(p, q)])
+    want = core(q, d)
+    got = B.f_sharp_core(q, d, partial(generator_values, kind))
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_f_sharp_core_at_the_ends():
+    square = lambda t: (t - 1.0) ** 2  # noqa: E731
+    q = np.array([0.0, 0.3, 0.3, 0.3, 0.3, 1.0])
+    d = np.array([0.5, 0.0, np.inf, 1e6, np.nan, 0.5])
+    got = B.f_sharp_core(q, d, square)
+    assert got[:4].tolist() == [0.0, 0.3, 1.0, 1.0] and np.isnan(got[4]) and got[5] == 1.0
+    assert B.f_sharp_core(0.3, 0.5, square) == B.f_sharp_core(np.array([0.3]), 0.5, square)[0]
+
+
+def test_young_fenchel_reports_a_callables_slopes():
+    """The slopes of (t - 1)^2 at p*/q, large at small q, and (1-p*)/(1-q)."""
+    for q, d in ((1e-6, 0.5), (1e-3, 2.0), (0.3, 0.1)):
+        res = dg.bound_young_fenchel(q, d, lambda t: (t - 1.0) ** 2)
+        p, u, v = res.raw, res.free_params["u"], res.free_params["v"]
+        assert u == pytest.approx(2.0 * (p / q - 1.0), rel=1e-9)
+        assert v == pytest.approx(2.0 * ((1.0 - p) / (1.0 - q) - 1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("generator, sharp", [
+    (lambda t: t * math.log(t), dg.bound_kl),
+    (lambda t: -math.log(t), partial(dg.bound_reverse_kl, mode="exact")),
+])
+def test_young_fenchel_takes_a_generator_undefined_at_zero(generator, sharp):
+    """t log t and -log t written with the math module raise at t = 0."""
+    for q, d in ((0.2, 0.3), (0.2, 3.0), (0.01, 1.0), (0.9, 0.05)):
+        got = dg.bound_young_fenchel(q, d, generator).raw
+        assert got == pytest.approx(sharp(q, d).raw, rel=1e-12), (q, d)
+
+
+def test_young_fenchel_reports_the_slopes_at_the_ends():
+    res = dg.bound_young_fenchel(0.5, 5.0, dg.KL)  # KL saturates: p* = 1
+    assert res.raw == 1.0
+    assert res.free_params["u"] == math.log(2.0) + 1.0 and res.free_params["v"] == -math.inf
+    res = dg.bound_young_fenchel(0.5, 5.0, dg.CHI2)  # its raw value exceeds 1
+    assert res.value == 1.0 and res.free_params["u"] > res.free_params["v"]
+    res = dg.bound_young_fenchel(5e-324, 0.5, dg.power_kind(50.0))  # f'(p*/q) overflows
+    assert res.raw < 1e-290 and res.free_params["u"] == math.inf
 
 
 def test_young_fenchel_fixed_uv_example():
@@ -409,6 +556,10 @@ def test_young_fenchel_argument_validation():
         dg.bound_young_fenchel(0.3, 0.1, dg.CHI2, u=1.0, v=1.0)
     with pytest.raises(ValidationError):
         dg.bound_young_fenchel(0.3, 0.1, dg.CHI2, u=1.0)
+    by_hand = dg.ConjugateSpec("chi2 by hand", lambda u: u + 0.25 * u * u)  # no generator
+    with pytest.raises(ValidationError):
+        dg.bound_young_fenchel(0.25, 0.5, by_hand)
+    assert dg.bound_young_fenchel(0.25, 0.5, by_hand, u=2.0, v=0.0).raw == pytest.approx(0.625)
 
 
 def test_generic_conjugate_pairs_with_builtin():

@@ -12,6 +12,7 @@ To record the files again after an intended output change:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -128,6 +129,29 @@ def test_cli_output_matches_golden(name, tmp_path):
     want = (GOLDEN / f"{name}.txt").read_bytes()
     got = render(CASES[name], tmp_path).encode("utf-8")
     assert got == want
+
+
+def test_main_reuses_its_parser_without_carrying_state(tmp_path, monkeypatch):
+    """One process: a parse error, a command error, then one success of each
+    command, all through the one parser main builds on its first call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.main(["bound", "--name", "kl", "--q", "0.1"])  # --div missing
+    assert exc.value.code == 2 and "required: --div" in err.getvalue()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for name in ("bound_unknown", "bound_csv", "bound_kl", "div_chi2", "compare_json",
+                 "verify_all", "genbound_div_file", "experiment_gibbs", "mi_gap"):
+        want = (GOLDEN / f"{name}.txt").read_bytes()
+        assert render(CASES[name], tmp_path).encode("utf-8") == want, name
+    assert not built  # no call built a parser
+    assert cli.build_parser() is not cli._parser()
 
 
 if __name__ == "__main__":
