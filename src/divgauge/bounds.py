@@ -34,9 +34,10 @@ Conventions
   (:func:`_logit_gap`): c* = z (KL), 1 / expm1(2z) (reverse chi-square,
   Vincze-Le Cam), 1 / expm1(z) (reverse KL), s* = -1 / expm1((beta-1) z)
   (power).  So each returns q at divergence 0 and 1 at divergence +inf.
-  The parameter is computed only by the entry points that report it
-  (``bound_kl``, ``competitor_bound`` and the ``comp_*_core`` optima);
-  the kernels the sweep runs return the bound alone.
+  Each competitor's table entry declares its family and this optimum
+  (:class:`FreeParam`), read only by the entry points that report the
+  parameter (``bound_kl`` and ``competitor_bound``, through
+  :func:`competitor_optimum`); the kernels the sweep runs return the bound.
 * The Young-Fenchel bound optimized over (u, v) is the sharp inversion
   sup{p >= q : q f(p/q) + (1-q) f((1-p)/(1-q)) <= D_f}, so it takes no
   search of its own: the table's core for the chi-square, KL and power
@@ -311,15 +312,6 @@ def kl_opt_core(q, d):
     return _override(v, p)
 
 
-def comp_kl_core(q, d):
-    """The family at its optimum, (raw, c*): :func:`kl_opt_core`, attained at
-    c* = z, the logit gap (inf where the bound is 1)."""
-    v = _view(q)
-    p = kl_opt_core(v, d)
-    with np.errstate(divide="ignore"):
-        return p, _logit_gap(p, v.qs)
-
-
 def _kl_start(q, d):
     """The smaller of two points above the root, capped at the predecessor
     of 1.0, where the slope is still finite.  One is q plus Pinsker's gap
@@ -366,7 +358,7 @@ def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
             raise RangeError("need c > 0")
         return BoundResult("kl", float(kl_fixed_core(q, kl, c)), {"c": float(c)})
     v = EventView(q)
-    raw, c_star = comp_kl_core(v, kl)
+    raw, c_star = competitor_optimum("kl", v, kl)
     closed = float(kl_closed_core(v, kl))
     return BoundResult(
         "kl",
@@ -736,7 +728,7 @@ def bound_young_fenchel(
 # ---------------------------------------------------------------------------
 
 
-def _richardson_derivative(f: Callable[[float], float], t: float, h: float = 1e-6) -> float:
+def _richardson_derivative(f: Callable[[float], float], t: float, h: float) -> float:
     d1 = (f(t + h) - f(t - h)) / (2.0 * h)
     d2 = (f(t + 0.5 * h) - f(t - 0.5 * h)) / h
     return (4.0 * d2 - d1) / 3.0
@@ -762,7 +754,7 @@ def f_slope_gap(
         fprime = lambda t: generator_derivative(f, t)  # noqa: E731
         fval = lambda t: float(generator_values(f, np.asarray(t, dtype=float)))  # noqa: E731
     else:
-        fprime = lambda t: _richardson_derivative(f, t)  # noqa: E731
+        fprime = lambda t: float(_relative_slope(f, t))  # noqa: E731
         fval = lambda t: float(f(t))  # noqa: E731
     gamma_eff = gamma
     if lipschitz is not None:
@@ -995,72 +987,40 @@ def comp_sq_hellinger_core(q, h2, c=None):
     return _override(v, raw), valid
 
 
-def _inverse_expm1(q, p, k):
-    """1 / expm1(k z) at the logit gap z of p over q: inf at p = q, 0 at p = 1."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return 1.0 / np.expm1(k * _logit_gap(p, _view(q).qs))
+def _inverse_expm1(v: EventView, p, d, k=1.0):
+    """1 / expm1(k z) at the logit gap z of p over q: inf at p = q, 0 at p = 1
+    (d is not read)."""
+    return 1.0 / np.expm1(k * _logit_gap(p, v.qs))
 
 
 def comp_reverse_chi2_ac(q, r, c):
     """The reverse chi-square competitor family
     1 + c - (q sqrt(c) + (1-q) sqrt(1+c))^2 / (1 + r) at a fixed c > 0,
     evaluated at u = 1 - tanh t for c = sinh^2 t, where 1 + c = 1 / (u (2 - u))
-    and nothing cancels as c -> inf."""
+    and nothing cancels as c -> inf.  Its optimum is :func:`reverse_chi2_core`,
+    attained at tanh t* = e^(-z), c* = sinh^2 t* = 1 / expm1(2z)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         u = 1.0 / ((1.0 + c) * (1.0 + np.sqrt(1.0 / (1.0 + 1.0 / c))))
         raw = (r + q * u * (2.0 - q * u)) / ((1.0 + r) * u * (2.0 - u))
         return np.where(np.isinf(r), 1.0 + c, raw)
 
 
-def comp_reverse_chi2_core(q, r):
-    """The family at its optimum, (raw, c*): :func:`reverse_chi2_core`,
-    attained at tanh t* = e^(-z), c* = sinh^2 t* = 1 / expm1(2z)."""
-    v = _view(q)
-    p = reverse_chi2_core(v, r)
-    return p, _inverse_expm1(v, p, 2.0)
-
-
 def comp_reverse_kl_ac(q, d, c):
     """The reverse-KL competitor family 1 + c - c^q (1+c)^(1-q) e^(-d) at a
-    fixed c > 0, evaluated at z = log(1 + 1/c) as (1 - e^(-qz-d)) / (1 - e^(-z))."""
+    fixed c > 0, evaluated at z = log(1 + 1/c) as (1 - e^(-qz-d)) / (1 - e^(-z)).
+    Its optimum is :func:`reverse_kl_exact_core`, attained at
+    log(1 + 1/c*) = z, c* = 1 / expm1(z)."""
     z = np.log1p(1.0 / c)
     with np.errstate(invalid="ignore"):
         return np.expm1(-q * z - d) / np.expm1(-z)
 
 
-def comp_reverse_kl_core(q, d):
-    """The family at its optimum, (raw, c*): :func:`reverse_kl_exact_core`,
-    attained at log(1 + 1/c*) = z, c* = 1 / expm1(z)."""
-    v = _view(q)
-    p = reverse_kl_exact_core(v, d)
-    return p, _inverse_expm1(v, p, 1.0)
-
-
 def comp_vincze_ac(q, vc, c):
     """The Vincze-Le Cam competitor family
     2(1 + c) - q - 4 (q sqrt(c) + (1-q) sqrt(1+c))^2 / (vc + 2) at a fixed
-    c > 0: twice the reverse chi-square family at r = vc / 2, minus q."""
+    c > 0: twice the reverse chi-square family at r = vc / 2, minus q.  Its
+    optimum is :func:`vincze_core`, attained at that family's c* at vc / 2."""
     return 2.0 * comp_reverse_chi2_ac(q, 0.5 * np.asarray(vc, dtype=float), c) - q
-
-
-def comp_vincze_core(q, vc):
-    """The family at its optimum, (raw, c*): :func:`vincze_core`, attained
-    at the reverse chi-square family's c* at r = vc / 2."""
-    v = _view(q)
-    half, c_star = comp_reverse_chi2_core(v, 0.5 * np.asarray(vc, dtype=float))
-    return 2.0 * half - v.q, c_star
-
-
-def comp_power_core(q, h_beta, beta):
-    """Competitor with a free shift s, at its optimum, (raw, s*).  With
-    rho = s / (s - 1), the stationarity condition written in
-    Y = q + (1-q) rho^(1/(beta-1)) is the implicit power constraint at
-    p = q / Y, where the family's value is p: the optimum is
-    :func:`power_implicit_core`, attained at rho* = e^(-(beta-1) z), so
-    s* = -1 / expm1((beta-1) z), -inf at H_beta = 0 and 1 where p* = 1."""
-    v = _view(q)
-    p = power_implicit_core(v, h_beta, beta)
-    return p, np.where(p >= 1.0, 1.0, -_inverse_expm1(v, p, beta - 1.0))
 
 
 def comp_power_fixed(q, h_beta, beta, s):
@@ -1070,7 +1030,10 @@ def comp_power_fixed(q, h_beta, beta, s):
     reads (e^A - rho) / (1 - rho), A = log amp + log(q + (1-q) rho^qb) / qb,
     evaluated as -s expm1(D) with D = A + z, which does not cancel where
     e^A is close to rho: D = log amp + log(1 + q (e^(qb z) - 1)) / qb, the
-    log from log1p and expm1, or from logaddexp where e^(qb z) overflows."""
+    log from log1p and expm1, or from logaddexp where e^(qb z) overflows.
+    Stationary in s, it is p = q / (q + (1-q) rho^(1/(beta-1))), the root of
+    the implicit power constraint: its optimum is :func:`power_implicit_core`,
+    at s* = -1 / expm1((beta-1) z), -inf at H_beta = 0 and 1 where p* = 1."""
     v = _view(q)
     qs, log_q = v.qs, v.log_q
     s = np.asarray(s, dtype=float)
@@ -1084,13 +1047,30 @@ def comp_power_fixed(q, h_beta, beta, s):
         return np.where(s < 0.0, below, linear)
 
 
-# each competitor family with a free c > 0, at a fixed c and at its optimum
-_C_FAMILIES = {
-    "kl": (kl_fixed_core, comp_kl_core),
-    "reverse_chi2": (comp_reverse_chi2_ac, comp_reverse_chi2_core),
-    "reverse_kl": (comp_reverse_kl_ac, comp_reverse_kl_core),
-    "vincze_lecam": (comp_vincze_ac, comp_vincze_core),
-}
+@dataclass(frozen=True)
+class FreeParam:
+    """A competitor's free parameter: its ``name``, the ``family`` at a fixed
+    value, family(q, d, **params, name=value), and the ``optimum`` value as a
+    function of our bound p*, optimum(view, p*, d, **params), or None."""
+
+    name: str
+    family: Callable
+    optimum: Callable | None = None
+
+
+def competitor_optimum(row: str, q, d, **params):
+    """The competitor of a dominance row at its optimum, (raw, parameter):
+    its table entry's core (for a checked entry the pair (raw, valid)) and
+    the optimal parameter its declaration reads off that value, our bound p*
+    (None where it declares none)."""
+    comp = DOMINANCE_ROWS[row].competitor
+    v = _view(q)
+    out = comp.core(v, d, **params)
+    optimum = comp.free.optimum if comp.free else None
+    if optimum is None:
+        return out, None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return out, optimum(v, out, d, **params)
 
 
 def competitor_bound(
@@ -1106,35 +1086,40 @@ def competitor_bound(
 
     ``div`` is the divergence value matching the row (KL(P||Q), chi^2(P||Q),
     power-beta, squared Hellinger, chi^2(Q||P), D(Q||P), or Vincze-Le Cam).
-    Free parameters are optimized when not supplied.
+    The row's table entry gives the params it takes: beta for the power row,
+    and the free parameter it declares (c, or s for power), optimized when
+    not supplied.  Any other argument raises ValidationError.
     """
     if row not in DOMINANCE_ROWS:
         raise ValidationError(f"unknown competitor row {row!r}")
+    comp = DOMINANCE_ROWS[row].competitor
+    free = comp.free
+    given = {k: x for k, x in (("c", c), ("s", s), ("beta", beta)) if x is not None}
+    extra = given.keys() - {*comp.grid[0], *([free.name] if free else [])}
+    if extra:
+        raise ValidationError(f"the {row} row takes no {' or '.join(sorted(extra))}")
     if c is not None and c <= 0:
         raise RangeError("need c > 0")
     q = _check_q(q)
     div = _check_div(div)
-    name = f"competitor_{row}"
-    deg = _degenerate(name, q, {})
+    deg = _degenerate(comp.id, q, {})
     if deg:
         return deg
-    if row == "chi2":
-        return BoundResult(name, float(chi2_core(q, div)), {})
-    if row == "squared_hellinger":
-        if div > 2.0:
-            raise RangeError("squared Hellinger distance must lie in [0, 2]")
-        raw, valid = comp_sq_hellinger_core(q, div, c)
-        params = {} if c is None else {"c": float(c)}
-        return BoundResult(name, float(raw), params, preconditions_met=bool(valid))
-    if row == "power":
+    if comp.kind is SQUARED_HELLINGER and div > 2.0:
+        raise RangeError("squared Hellinger distance must lie in [0, 2]")
+    case = {}
+    if "beta" in comp.grid[0]:
         if beta is None:
-            raise RangeError("power row needs beta")
-        beta = _check_beta(beta)
-        raw, s = comp_power_core(q, div, beta) if s is None else (comp_power_fixed(q, div, beta, s), s)
-        return BoundResult(name, float(raw), {"beta": beta, "s": float(s)})
-    fixed, optimum = _C_FAMILIES[row]
-    raw, c = optimum(np.asarray(q), div) if c is None else (fixed(q, div, c), c)
-    return BoundResult(name, float(raw), {"c": float(c)})
+            raise RangeError(f"{row} row needs beta")
+        case["beta"] = _check_beta(beta)
+    value = given.get(free.name) if free else None
+    if value is None:
+        out, value = competitor_optimum(row, q, div, **case)
+    else:
+        out = free.family(q, div, **case, **{free.name: value})
+    raw, valid = out if comp.checked else (out, True)
+    params = case if value is None else {**case, free.name: float(value)}
+    return BoundResult(comp.id, float(raw), params, preconditions_met=bool(valid))
 
 
 # ---------------------------------------------------------------------------
@@ -1159,9 +1144,10 @@ class Bound:
     divergence, itself a Bound, with the ``claim`` of the comparison
     ("same", "ours" or "incomparable") and the params of its dominance
     row.  A competitor whose optimum is our bound ("same") names our core,
-    so the two share one evaluation per batch.  ``scalar`` is the
-    `divgauge bound` entry point, called as scalar(q, div, **options) with
-    the command-line options named in ``scalar_args``.
+    so the two share one evaluation per batch; one with a free parameter
+    declares it in ``free``.  ``scalar`` is the `divgauge bound` entry
+    point, called as scalar(q, div, **options) with the command-line
+    options named in ``scalar_args``.
     """
 
     id: str
@@ -1173,6 +1159,7 @@ class Bound:
     competitor: Bound | None = None
     claim: str | None = None
     row_params: dict = field(default_factory=dict)
+    free: FreeParam | None = None
     scalar: Callable[..., BoundResult] | None = None
     scalar_args: tuple[str, ...] = ()
 
@@ -1236,7 +1223,8 @@ _TABLE = (
           scalar=bound_egamma, scalar_args=("gamma",)),
     Bound("strong_converse", None, egamma_core, _HS_GRID, stat=_tail_masses),
     Bound("kl", KL, kl_opt_core, scalar=bound_kl, scalar_args=("c",), claim="same",
-          competitor=Bound("competitor_kl", KL, kl_opt_core)),
+          competitor=Bound("competitor_kl", KL, kl_opt_core, free=FreeParam(
+              "c", kl_fixed_core, lambda v, p, d: _logit_gap(p, v.qs)))),
     Bound("kl_closed", KL, kl_closed_core),
     Bound("chi2", CHI2, chi2_core, scalar=bound_chi2, claim="same",
           competitor=Bound("competitor_chi2", CHI2, chi2_core)),
@@ -1247,23 +1235,31 @@ _TABLE = (
     Bound("power_small_q", power_kind, power_small_q_core, _BETA_GRID,
           scalar=partial(bound_power_beta, mode="small_q"), scalar_args=_POWER_ARGS,
           claim="incomparable", row_params={"beta": 2.0},
-          competitor=Bound("competitor_power", power_kind, power_implicit_core, _BETA_GRID)),
+          competitor=Bound("competitor_power", power_kind, power_implicit_core, _BETA_GRID,
+                           free=FreeParam("s", comp_power_fixed, lambda v, p, d, beta: np.where(
+                               p >= 1.0, 1.0, -_inverse_expm1(v, p, d, beta - 1.0))))),
     Bound("hellinger", SQUARED_HELLINGER, hellinger_core, scalar=bound_hellinger, claim="ours",
           competitor=Bound("competitor_squared_hellinger", SQUARED_HELLINGER,
-                           comp_sq_hellinger_core, checked=True)),
+                           comp_sq_hellinger_core, checked=True,
+                           free=FreeParam("c", comp_sq_hellinger_core))),
     Bound("f_from_egamma", _f_kind, _f_hs_case, _F_GRID, checked=True),
     Bound("orlicz", None, _orlicz_case, _grid(kappa=(1.5, 2.0, 4.0), gamma=(0.0, 1.0, 2.0)),
           stat=_amemiya_norms),
     Bound("reverse_chi2", REVERSE_CHI2, reverse_chi2_core, scalar=bound_reverse_chi2,
           claim="same",
-          competitor=Bound("competitor_reverse_chi2", REVERSE_CHI2, reverse_chi2_core)),
+          competitor=Bound("competitor_reverse_chi2", REVERSE_CHI2, reverse_chi2_core,
+                           free=FreeParam("c", comp_reverse_chi2_ac,
+                                          partial(_inverse_expm1, k=2.0)))),
     Bound("reverse_kl_exact", REVERSE_KL, reverse_kl_exact_core,
           scalar=partial(bound_reverse_kl, mode="exact"), claim="same",
-          competitor=Bound("competitor_reverse_kl", REVERSE_KL, reverse_kl_exact_core)),
+          competitor=Bound("competitor_reverse_kl", REVERSE_KL, reverse_kl_exact_core,
+                           free=FreeParam("c", comp_reverse_kl_ac, _inverse_expm1))),
     Bound("reverse_kl_explicit", REVERSE_KL, reverse_kl_explicit_core,
           scalar=partial(bound_reverse_kl, mode="explicit")),
     Bound("vincze_lecam", VINCZE_LECAM, vincze_core, scalar=bound_vincze_lecam, claim="same",
-          competitor=Bound("competitor_vincze_lecam", VINCZE_LECAM, vincze_core)),
+          competitor=Bound("competitor_vincze_lecam", VINCZE_LECAM, vincze_core,
+                           free=FreeParam("c", comp_vincze_ac, lambda v, p, d: _inverse_expm1(
+                               v, reverse_chi2_core(v, np.multiply(0.5, d)), d, 2.0)))),
 )
 BOUNDS: dict[str, Bound] = {
     b.id: b for ours in _TABLE for b in (ours, ours.competitor) if b is not None

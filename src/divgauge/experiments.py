@@ -11,15 +11,15 @@ through its type, its letter counts T.  So the enumeration runs over the
 C(n+m-1, m-1) types, each weighted by its multinomial mass: I(S;W) =
 I(T;W), and the same holds for every f-divergence of (P_SW, P_S x P_W), for
 Sibson's I_alpha and maximal leakage, and for the tail of gen(S, W).  The
-dataset-level joint and gap table are derived on first read, from the
-per-type rows through each string's type index.
+dataset-level joint is derived on first read, from the per-type rows through
+each string's type index.
 
 The paired-sample (selector) variant gives the law of (W, Z-tilde, S) for
 the conditional-information bounds.  Its classes are a pair type (the
 letter counts of the pair-letters (Z-tilde_i, Z-tilde_{i+n})) with the type
 of the selected half: dP/dQ and the paired gap are constant on each, so
 E_gamma and the exact tail come from the class pair, and the per-atom pair
-and gap are derived on first read, from the half-type and pair-type rows.
+is derived on first read, from the half-type and pair-type rows.
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ class ExactTail:
 class GibbsRun:
     """Everything the exact enumeration of a Gibbs experiment produces.
 
-    The panel, the pair and the exact tail come from type_joint; joint and
-    gen_table, the same law per sample string, are derived on first read.
+    The panel, the pair and the exact tail come from type_joint; joint, the
+    same law per sample string, is derived on first read.
     """
 
     experiment: GibbsExperiment
@@ -179,7 +179,6 @@ class GibbsRun:
     _index: np.ndarray  # the type row of each of the m^n sample strings
     _weights: np.ndarray  # i.i.d. mass of one string of each type
     _post: np.ndarray  # types x k Gibbs posterior
-    _gen: np.ndarray  # types x k matrix of gen(t, w)
 
     @cached_property
     def pair(self) -> AbsContPair:
@@ -191,11 +190,6 @@ class GibbsRun:
         w, index = self._weights, self._index
         rows = (w / np.take(w, index).sum())[:, None] * self._post
         return JointFinite(np.take(rows, index, axis=0))
-
-    @cached_property
-    def gen_table(self) -> np.ndarray:
-        """The m^n x k matrix of gen(s, w)."""
-        return np.take(self._gen, self._index, axis=0)
 
     def divergence_panel(
         self,
@@ -236,7 +230,7 @@ def run_gibbs_experiment(exp: GibbsExperiment) -> GibbsRun:
     mass = np.bincount(index, minlength=len(types)) * weights  # multinomial
     type_joint = JointFinite(mass[:, None] / mass.sum() * post)
     tail = ExactTail(gen, type_joint.matrix)
-    return GibbsRun(exp, tail, type_joint, index, weights, post, gen)
+    return GibbsRun(exp, tail, type_joint, index, weights, post)
 
 
 @dataclass(frozen=True)
@@ -256,18 +250,15 @@ class SuperSampleExperiment(_Learner):
 class SuperSampleRun:
     """Everything the exact enumeration of a paired-sample experiment produces.
 
-    E_gamma and the exact tail come from class_pair; pair and gen_hat, the
-    same law per atom (selector, super-sample, hypothesis), are derived on
-    first read.
+    E_gamma and the exact tail come from class_pair; pair, the same law per
+    atom (selector, super-sample, hypothesis), is derived on first read.
     """
 
     experiment: SuperSampleExperiment
     exact_tail: ExactTail
     class_pair: AbsContPair  # the same pair over (pair type, selected type, w)
     _sel_type: np.ndarray  # 2^n x m^(2n) selected half type of each atom
-    _comp_type: np.ndarray  # 2^n x m^(2n) complement half type
     _post_h: np.ndarray  # half types x k Gibbs posterior
-    _gap: np.ndarray  # (selected type * half types + complement type) x k gap
     _scale: np.ndarray  # 1 x m^(2n) x k mass P(Ztilde) / 2^n, repeated over w
     _q_rows: np.ndarray  # 1 x m^(2n) x k mass P(Ztilde) P(w | Ztilde) / 2^n
 
@@ -278,12 +269,6 @@ class SuperSampleRun:
         p *= self._scale
         q = np.broadcast_to(self._q_rows, p.shape).ravel()  # a copy
         return AbsContPair(adopted_distribution(p.ravel()), adopted_distribution(q))
-
-    @cached_property
-    def gen_hat(self) -> np.ndarray:
-        """The per-atom paired generalization gap."""
-        rows = self._sel_type.astype(np.intp) * len(self._post_h) + self._comp_type
-        return np.take(self._gap, rows, axis=0).ravel()
 
     def conditional_hockey_stick(self, gamma: float) -> float:
         """Exact E_gamma(P_{WZS} || P_{W|Z} P_{ZS})."""
@@ -299,9 +284,9 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
     selector average P(w | Ztilde) only through tau, and the gap is
     emp(total(tau) - t) - emp(t); so every f-divergence and the tail are
     those of the class pair, whose masses are exact atom counts per class.
-    The per-atom pair and gap, over m^(2n) * 2^n * k atoms (capped at 2e7:
-    n <= 7 at m = k = 2), are derived on first read from the same half-type
-    and pair-type rows.
+    The per-atom pair, over m^(2n) * 2^n * k atoms (capped at 2e7: n <= 7
+    at m = k = 2), is derived on first read from the same half-type and
+    pair-type rows.
     """
     m, k, n = exp.m, exp.k, exp.n
     n_s = 2**n
@@ -318,7 +303,6 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
     half_types, half_index = _type_index(m, n)
     n_h = len(half_types)
     sel_type = half_index[selected]  # (2^n, m^(2n))
-    comp_type = half_index[i_first + i_second - selected]
     # the pair type of a super-sample is its sorted pair-letters (x_i, y_i)
     pair_key = np.sort(first * m + second, axis=1) @ place**2
     _, rep, tau = np.unique(pair_key, return_index=True, return_inverse=True)
@@ -330,7 +314,8 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
     # the super-samples of one pair type share their letter counts and, over
     # the 2^n selectors, their selected and complement types; one of each
     # pair type gives the class rows
-    sel_rep, comp_rep = sel_type[:, rep].astype(np.intp), comp_type[:, rep]
+    sel_rep = sel_type[:, rep].astype(np.intp)
+    comp_rep = half_index[i_first[rep] + i_second[rep] - selected[:, rep]]
     totals = half_types[half_index[i_first[rep]]] + half_types[half_index[i_second[rep]]]
     weights = _iid_weights(totals, exp.p_z)  # of one super-sample of each pair type
     w_given_tau = np.take(post_h, sel_rep, axis=0).mean(axis=0)  # P(w | Ztilde)
@@ -350,5 +335,5 @@ def run_supersample_experiment(exp: SuperSampleExperiment) -> SuperSampleRun:
 
     # repeated over w: its product with the posterior rows runs along one axis
     scale = np.repeat((pz / total)[None, :, None] / n_s, k, axis=2)
-    return SuperSampleRun(exp, tail, class_pair, sel_type, comp_type, post_h, gap,
-                          scale, scale * w_given_tau[tau])
+    return SuperSampleRun(exp, tail, class_pair, sel_type, post_h, scale,
+                          scale * w_given_tau[tau])

@@ -148,14 +148,18 @@ def gen_tail_bounds(
     return GenTailResult(eta, theta, branches)
 
 
+def _leakage_tail(theta: float, frac: float, info: float) -> float:
+    """(theta e^info)^frac as theta^frac exp(frac info): the order-alpha tail
+    bound at frac = (alpha - 1) / alpha, the maximal-leakage one at frac = 1."""
+    return float(theta**frac * math.exp(frac * info))
+
+
 def gen_tail_ml(setting: SubGaussianSetting, eta: float, leakage: float) -> BoundResult:
     """P(|gen| >= eta) <= 2 exp(L(S -> W) - n eta^2 / (2 sigma^2))."""
     if leakage < 0:
         raise RangeError("maximal leakage must be nonnegative")
     theta = setting.theta(eta)
-    return BoundResult(
-        "gen_maximal_leakage", float(theta * math.exp(leakage)), {"theta": theta}
-    )
+    return BoundResult("gen_maximal_leakage", _leakage_tail(theta, 1.0, leakage), {"theta": theta})
 
 
 def gen_tail_ml_chi2(setting: SubGaussianSetting, eta: float, leakage: float) -> BoundResult:
@@ -172,17 +176,17 @@ def gen_tail_alpha_mi(
 ) -> BoundResult:
     """theta^((a-1)/a) exp((a-1)/a * I_alpha): the order-alpha tail bound.
 
-    Recovers the maximal-leakage bound as alpha -> inf.
+    At alpha = inf the exponent is 1 and, with I_inf the maximal leakage,
+    this is the maximal-leakage bound :func:`gen_tail_ml`.
     """
     if alpha <= 1.0:
         raise RangeError("need alpha > 1")
     if i_alpha < 0:
         raise RangeError("I_alpha must be nonnegative")
     theta = setting.theta(eta)
-    frac = (alpha - 1.0) / alpha
-    raw = theta**frac * math.exp(frac * i_alpha)
+    frac = 1.0 if alpha == math.inf else (alpha - 1.0) / alpha
     return BoundResult(
-        "gen_alpha_mi", float(raw), {"alpha": alpha, "theta": theta}
+        "gen_alpha_mi", _leakage_tail(theta, frac, i_alpha), {"alpha": alpha, "theta": theta}
     )
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import divgauge as dg
-from divgauge import bounds, dist, divergences, genbounds
+from divgauge import bounds, dist, divergences, experiments, genbounds
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,6 +33,11 @@ def test_all_names_resolve_once():
         (dist.JointFinite, "conditional_s_given_w"),
         (genbounds.GenTailResult, "min_branch"),
         (bounds, "orlicz_indicator_core"),
+        *((bounds, f"comp_{row}_core") for row in ("kl", "reverse_chi2", "reverse_kl", "vincze",
+                                                   "power")),
+        (bounds, "_C_FAMILIES"),
+        (experiments.GibbsRun, "gen_table"),
+        (experiments.SuperSampleRun, "gen_hat"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):

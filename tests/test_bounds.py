@@ -615,6 +615,20 @@ def test_f_via_egamma_lipschitz_never_hurts():
         assert lip <= plain + 1e-12
 
 
+def test_f_slope_gap_of_a_callable_keeps_its_digits_at_large_gamma():
+    # the Richardson step grows with t: a fixed step of 1e-6 put the gap of
+    # (t - 1)^2 off by 4.0 at gamma = 1e5, and that of t log t by 1.7e-4
+    cases = ((lambda t: (t - 1.0) ** 2, lambda g: 2.0 * (g - 1.0)),
+             (lambda t: t * np.log(t), math.log))
+    for f, exact in cases:
+        # at t = 1 the step is still 1e-6
+        assert float(B._relative_slope(f, 1.0)) == B._richardson_derivative(f, 1.0, 1e-6)
+        for gamma in (1.5, 1e3, 1e5):
+            gap, gamma0 = B.f_slope_gap(f, gamma)
+            assert gamma0 == gamma
+            assert gap == pytest.approx(exact(gamma), rel=1e-9, abs=1e-9), (gamma, gap)
+
+
 def test_f_via_egamma_flat_generator_flagged():
     res = dg.bound_f_via_egamma(0.2, 0.5, lambda t: 0.0, 2.0)
     assert not res.preconditions_met
@@ -814,12 +828,12 @@ _EDGE_POINTS = [(0.3, 0.0), (1e-200, 0.0), (0.3, math.inf), (0.3, math.nan), (1e
 # their (value, parameter); the small-q power relaxation at its (value, u0)
 _ONE_POINT_KERNELS = {
     "kl": B.kl_opt_core,
-    "competitor_kl": B.comp_kl_core,
+    "competitor_kl": partial(B.competitor_optimum, "kl"),
     "reverse_kl_exact": B.reverse_kl_exact_core,
-    "competitor_reverse_kl": B.comp_reverse_kl_core,
+    "competitor_reverse_kl": partial(B.competitor_optimum, "reverse_kl"),
     **{f"{name}[beta={b:g}]": partial(core, beta=b)
        for name, core in (("power_implicit", B.power_implicit_core),
-                          ("competitor_power", B.comp_power_core),
+                          ("competitor_power", partial(B.competitor_optimum, "power")),
                           ("power_small_q", B.power_small_q_core))
        for b in (1.5, 2.0, 4.0)},
 }
@@ -1442,6 +1456,58 @@ def test_competitor_optima_at_extreme_inputs():
             if row == "kl":
                 for qv in q[d >= np.log(1.0 / q)]:
                     assert dg.bound_kl(float(qv), d).raw == 1.0
+
+
+def test_competitor_rejects_a_parameter_its_row_does_not_take():
+    # each of these used to return as if the argument were absent
+    for row, extra in (("chi2", {"c": 5.0}), ("kl", {"s": 0.5}),
+                       ("power", {"beta": 2.0, "c": 3.0}), ("reverse_kl", {"beta": 2.0})):
+        with pytest.raises(ValidationError):
+            dg.competitor_bound(row, 0.3, 0.2, **extra)
+
+
+_COMPETITOR_CASES = [(row, params) for row, ours in B.DOMINANCE_ROWS.items()
+                     for params in ours.competitor.grid]
+
+
+@pytest.mark.parametrize("row, params", _COMPETITOR_CASES, ids=[
+    row + "".join(f"[{k}={v:g}]" for k, v in params.items()) for row, params in _COMPETITOR_CASES])
+def test_every_competitor_row_reads_its_table_entry(row, params):
+    """At seeded points and the edge points: competitor_bound at the optimum
+    is the entry's core at one point, bit for bit; the reported parameter,
+    fed back to the declared family, gives the value again to 1e-12; and
+    an argument the row does not take raises."""
+    comp = B.DOMINANCE_ROWS[row].competitor
+    free = comp.free
+    rng = np.random.default_rng(23)
+    q = np.concatenate([10.0 ** rng.uniform(-300, 0, 40), rng.uniform(0, 1, 40)])
+    d = 10.0 ** rng.uniform(-25, 2, q.size)
+    points = [*zip(q, d), *((qv, dv) for qv, dv in _EDGE_POINTS if not math.isnan(dv))]
+    top = np.nextafter(1.0, 0.0)
+    for qv, dv in points:
+        qv, dv = float(qv), float(dv)
+        if comp.kind is dg.SQUARED_HELLINGER:
+            dv = min(dv, 2.0)
+        got = dg.competitor_bound(row, qv, dv, **params)
+        with np.errstate(all="ignore"):
+            want, valid = comp.evaluate(np.asarray(qv), np.asarray(dv), params)
+        assert float.hex(got.raw) == float.hex(float(want)), (qv, dv)
+        if not 0.0 < qv < 1.0:  # degenerate: no precondition, no parameter
+            continue
+        assert got.preconditions_met == (valid is None or bool(valid)), (qv, dv)
+        t = got.free_params.get(free.name) if free else None
+        # the parameter is read off p*, which has rounded to 1 or its
+        # predecessor at the top, where it is not defined
+        if t is None or not (math.isfinite(t) and t != 0.0 and got.raw < top):
+            continue
+        with np.errstate(all="ignore"):
+            at_t = float(free.family(qv, dv, **params, **{free.name: t}))
+        assert at_t == pytest.approx(got.raw, rel=1e-12, abs=0), (qv, dv, t)
+    takes = {*params, *([free.name] if free else [])}
+    for name, value in (("c", 0.5), ("s", -0.5), ("beta", 2.0)):
+        if name not in takes:
+            with pytest.raises(ValidationError):
+                dg.competitor_bound(row, 0.3, 0.2, **params, **{name: value})
 
 
 def test_competitor_unknown_row():

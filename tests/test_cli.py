@@ -224,6 +224,18 @@ def test_genbound_exact_tail_never_exceeds_min_bound(gibbs_file, tmp_path):
         assert row["exact_tail"] <= row["min"] + 1e-9
 
 
+def test_genbound_alpha_inf_row_is_the_leakage_bound(gibbs_file, tmp_path):
+    # Sibson's information of order inf is the maximal leakage, and so is its bound
+    code, payload = run_json(
+        ["genbound", "--sigma", "0.5", "--n", "5", "--eta-grid", "0.1:1.0:0.3",
+         "--experiment", gibbs_file, "--alpha", "inf", "--format", "json"],
+        tmp_path,
+    )
+    assert code == 0
+    for row in payload["rows"]:
+        assert row["alpha_mi"] == row["maximal_leakage"], row
+
+
 def test_genbound_div_file_input(tmp_path):
     div_file = tmp_path / "d.json"
     div_file.write_text(
@@ -305,8 +317,8 @@ def test_experiment_commands_build_no_string_level_field(gibbs_file, tmp_path, m
         assert run_json(argv, tmp_path)[0] == 0
     assert len(runs) == 3
     gibbs, supersample, genbound = (set(vars(run)) for run in runs)
-    assert not {"joint", "gen_table"} & (gibbs | genbound)
-    assert not {"pair", "gen_hat"} & supersample
+    assert "joint" not in gibbs | genbound
+    assert "pair" not in supersample
 
 
 @pytest.mark.parametrize("kind", ["gibbs", "supersample"])

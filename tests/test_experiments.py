@@ -73,33 +73,24 @@ def test_argmin_tie_break_is_lowest_index():
 
 
 def test_string_level_fields_are_built_on_first_read():
-    # the per-string and per-atom fields are derived on first read, each
-    # alone, and then kept
+    # the per-string joint and per-atom pair are derived on first read and
+    # then kept
     ss = SuperSampleExperiment(make_distribution([0.5, 0.5]), np.array([[0.0, 1.0], [0.8, 0.1]]),
                                2, 1.0)
-    runs = {("joint", "gen_table"): run_gibbs_experiment(small_gibbs(n=5)),
-            ("pair", "gen_hat"): run_supersample_experiment(ss)}
-    for (first, second), run in runs.items():
-        assert first not in vars(run) and second not in vars(run)
-        value = getattr(run, first)
-        assert vars(run)[first] is value and second not in vars(run)
-        value = getattr(run, second)
-        assert vars(run)[second] is value and getattr(run, second) is value
-
-
-def test_gen_table_matches_direct_enumeration():
-    exp = small_gibbs(n=2)
-    run = run_gibbs_experiment(exp)
-    # dataset index 1 decodes to (z_0, z_1) = (0, 1) in mixed radix
-    emp = (LOSSES[:, 0] + LOSSES[:, 1]) / 2
-    pop = LOSSES @ np.array([0.5, 0.5])
-    assert np.allclose(run.gen_table[1], pop - emp, atol=1e-12)
+    runs = {"joint": run_gibbs_experiment(small_gibbs(n=5)),
+            "pair": run_supersample_experiment(ss)}
+    for name, run in runs.items():
+        assert name not in vars(run)
+        value = getattr(run, name)
+        assert vars(run)[name] is value and getattr(run, name) is value
 
 
 def test_exact_tail_matches_direct_sum():
-    run = run_gibbs_experiment(small_gibbs(n=5))
-    g = np.abs(run.gen_table).ravel()
-    m = run.joint.matrix.ravel()
+    exp = small_gibbs(n=5)
+    run = run_gibbs_experiment(exp)
+    joint, gen_table = _string_enumeration(exp)
+    g = np.abs(gen_table).ravel()
+    m = joint.matrix.ravel()
     for eta in (0.05, 0.2, 0.5, 2.0):
         assert run.exact_tail(eta) == pytest.approx(float(m[g >= eta].sum()), abs=1e-12)
     assert run.exact_tail(0.0) == pytest.approx(1.0, abs=1e-12)
@@ -135,7 +126,9 @@ def test_gibbs_atom_cap():
 
 
 def test_supersample_paired_gap_hand_check():
-    # n = 1: gen_hat = loss(w, unselected) - loss(w, selected)
+    # n = 1: the gap is loss(w, unselected) - loss(w, selected), +-1 where
+    # the pair's letters differ (ztilde = (0, 1) or (1, 0), mass 1/2) and 0
+    # on equal halves; so P(|gap| >= eta) is 1/2 for 0 < eta <= 1
     exp = SuperSampleExperiment(
         p_z=make_distribution([0.5, 0.5]),
         loss_table=np.array([[0.0, 1.0]]),
@@ -143,14 +136,10 @@ def test_supersample_paired_gap_hand_check():
         temperature=0.0,
     )
     run = run_supersample_experiment(exp)
-    # atoms ordered (selector, ztilde, w); ztilde index decodes mixed-radix
-    gh = run.gen_hat.reshape(2, 4, 1)
-    # ztilde = (0, 1): selector 0 picks z=0 -> gap = loss(1) - loss(0) = 1
-    assert gh[0, 1, 0] == pytest.approx(1.0)
-    # selector 1 picks z=1 -> gap = -1
-    assert gh[1, 1, 0] == pytest.approx(-1.0)
-    # equal halves give zero gap
-    assert gh[0, 0, 0] == gh[1, 3, 0] == 0.0
+    assert run.exact_tail(0.0) == pytest.approx(1.0, abs=1e-15)
+    for eta in (1e-9, 0.5, 1.0):
+        assert run.exact_tail(eta) == pytest.approx(0.5, abs=1e-15)
+    assert run.exact_tail(1.0 + 1e-9) == 0.0
 
 
 def test_supersample_zero_temperature_has_zero_conditional_divergence():
@@ -247,7 +236,6 @@ def test_type_enumeration_matches_string_enumeration(m, temperature):
     run = run_gibbs_experiment(exp)
     joint, gen_table = _string_enumeration(exp)
     assert np.array_equal(run.joint.matrix, joint.matrix)
-    assert np.array_equal(run.gen_table, gen_table)
 
     pair = dg.product_pair(joint)
     want = {
@@ -279,9 +267,10 @@ def test_exact_tail_is_the_exact_sum_over_two_million_strings():
     exp = GibbsExperiment(make_distribution([0.4, 0.6]), np.array([[0.3, 0.7], [0.9, 0.2]]),
                           20, 0.5)
     run = run_gibbs_experiment(exp)
+    joint, gen_table = _string_enumeration(exp)
     eta = 0.02 * (exp.loss_range[1] - exp.loss_range[0])
-    masses = run.joint.matrix.ravel()
-    want = math.fsum(masses[np.abs(run.gen_table).ravel() >= eta])
+    masses = joint.matrix.ravel()
+    want = math.fsum(masses[np.abs(gen_table).ravel() >= eta])
     assert run.exact_tail(eta) == pytest.approx(want, abs=1e-13)
 
 
@@ -328,7 +317,6 @@ def test_class_enumeration_matches_supersample_strings(m, n, k, temperature):
     pair, gen_hat = _supersample_strings(exp)
     assert run.pair.size == m ** (2 * n) * 2**n * k
     assert np.array_equal(run.pair.p.probs, pair.p.probs)
-    assert np.array_equal(run.gen_hat, gen_hat)
     # the string side averages P(w | Ztilde) over the selectors one by one,
     # and each side's normalization puts its rounding remainder on its largest atom
     got_q, want_q = run.pair.q.probs, pair.q.probs
@@ -359,7 +347,9 @@ def test_supersample_exact_tail_is_the_exact_sum_over_four_million_atoms():
                                 np.array([[0.2, 0.9], [0.7, 0.0]]), 7, 2.0)
     run = run_supersample_experiment(exp)
     assert run.pair.size == 4**7 * 2**7 * 2
-    gaps, masses = np.abs(run.gen_hat), run.pair.p.probs
+    pair, gen_hat = _supersample_strings(exp)
+    assert np.array_equal(run.pair.p.probs, pair.p.probs)
+    gaps, masses = np.abs(gen_hat), pair.p.probs
     etas = np.linspace(0.02, 1.0, 50) * exp.bounded_loss_setting().span
     for i in (0, 24, 49):
         want = math.fsum(masses[gaps >= etas[i]])

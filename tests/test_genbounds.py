@@ -115,6 +115,19 @@ def test_gen_tail_alpha_mi_limits_to_leakage_bound():
         gen_tail_alpha_mi(SETTING, eta, 0.5, 1.0)
 
 
+def test_gen_tail_alpha_mi_at_infinity_is_the_leakage_bound():
+    # the exponent (alpha - 1) / alpha is 1 at alpha = inf, not (inf - 1) / inf = nan
+    for eta, leak in ((0.4, 0.6), (0.05, 0.0), (1.5, 3.0)):
+        ml = gen_tail_ml(SETTING, eta, leak).raw
+        assert float.hex(gen_tail_alpha_mi(SETTING, eta, leak, math.inf).raw) == float.hex(ml)
+    # finite orders keep theta^frac exp(frac I_alpha), bit for bit
+    theta = SETTING.theta(0.4)
+    for alpha in (1.5, 2.0, 4.0, 1e6):
+        frac = (alpha - 1.0) / alpha
+        want = theta**frac * math.exp(frac * 0.6)
+        assert float.hex(gen_tail_alpha_mi(SETTING, 0.4, 0.6, alpha).raw) == float.hex(want)
+
+
 def test_all_bounds_weakly_decrease_in_n():
     etas = (0.2, 0.5)
     for eta in etas:
