@@ -72,7 +72,8 @@ from .divergences import (
     hockey_stick_kind,
     power_kind,
 )
-from .errors import RangeError, ValidationError
+from .errors import (BETA, NONNEGATIVE, OPEN_UNIT, POSITIVE, REAL, UNIT, RangeError,
+                     ValidationError, check_range)
 from .orlicz import (
     OrliczSpec,
     amemiya_norm,
@@ -107,18 +108,11 @@ class BoundResult:
         return min(max(self.raw, 0.0), 1.0)
 
 
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not 0.0 <= q <= 1.0 or math.isnan(q):
-        raise RangeError(f"q = {q!r} must lie in [0, 1]")
-    return q
-
-
 def _check_div(d: float, what: str = "divergence") -> float:
+    """A divergence value as a float; one within 1e-12 below 0 (roundoff in
+    the sum that gave it) reads as 0."""
     d = float(d)
-    if math.isnan(d) or d < -1e-12:
-        raise RangeError(f"{what} must be nonnegative, got {d!r}")
-    return max(d, 0.0)  # forgive roundoff-level negatives
+    return check_range(0.0 if -1e-12 <= d < 0.0 else d, what, NONNEGATIVE)
 
 
 def _degenerate(name: str, q: float, params: dict) -> BoundResult | None:
@@ -214,7 +208,7 @@ def _search(fn, v: EventView, settled, hi, target, start, root=None):
 
 def _two_point(name: str, core, q: float, d: float, what: str, **params) -> BoundResult:
     """A bound at fixed params: check q and d, then evaluate core(q, d, **params)."""
-    q = _check_q(q)
+    q = check_range(q, "q", UNIT)
     d = _check_div(d, what)
     deg = _degenerate(name, q, params)
     if deg:
@@ -236,7 +230,8 @@ def egamma_core(q, e_gamma, gamma):
 
 def bound_egamma(q: float, e_gamma: float, gamma: float) -> BoundResult:
     """P(E) <= gamma Q(E) + E_gamma(P || Q), any real gamma."""
-    return _two_point("egamma", egamma_core, q, e_gamma, "E_gamma", gamma=float(gamma))
+    gamma = check_range(gamma, "gamma", REAL)
+    return _two_point("egamma", egamma_core, q, e_gamma, "E_gamma", gamma=gamma)
 
 
 def _tail_masses(r, p, q, gamma):
@@ -253,9 +248,10 @@ def likelihood_tail_mass(pair: AbsContPair, gamma: float) -> float:
 def bound_strong_converse(pair: AbsContPair, mask: EventMask, gamma: float) -> BoundResult:
     """P(E) <= gamma Q(E) + P(dP/dQ > gamma): counts only how often the
     ratio exceeds gamma, hence never beats :func:`bound_egamma`."""
+    gamma = check_range(gamma, "gamma", REAL)
     q = event_probability(pair.q, mask)
     tail = likelihood_tail_mass(pair, gamma)
-    params = {"gamma": float(gamma), "tail_mass": tail}
+    params = {"gamma": gamma, "tail_mass": tail}
     deg = _degenerate("strong_converse", q, params)
     if deg:
         return deg
@@ -348,15 +344,14 @@ def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
     also reports the closed specialization at c = log(1/q) under
     ``free_params['closed_c']``.
     """
-    q = _check_q(q)
+    q = check_range(q, "q", UNIT)
     kl = _check_div(kl, "KL")
     deg = _degenerate("kl", q, {})
     if deg:
         return deg
     if c is not None:
-        if c <= 0:
-            raise RangeError("need c > 0")
-        return BoundResult("kl", float(kl_fixed_core(q, kl, c)), {"c": float(c)})
+        c = check_range(c, "c", POSITIVE)
+        return BoundResult("kl", float(kl_fixed_core(q, kl, c)), {"c": c})
     v = EventView(q)
     raw, c_star = competitor_optimum("kl", v, kl)
     closed = float(kl_closed_core(v, kl))
@@ -370,6 +365,8 @@ def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
 # ---------------------------------------------------------------------------
 # squared Hellinger distance
 # ---------------------------------------------------------------------------
+
+_H2 = "[0, 2]"  # the range of the squared Hellinger distance
 
 
 def _hellinger_closed(q, h):
@@ -394,10 +391,8 @@ def hellinger_core(q, h2):
 
 def bound_hellinger(q: float, h2: float) -> BoundResult:
     """Invert 2(1 - sqrt(pq) - sqrt((1-p)(1-q))) <= H^2 for the largest p."""
-    q = _check_q(q)
-    h2 = float(h2)
-    if not 0.0 <= h2 <= 2.0:
-        raise RangeError("squared Hellinger distance must lie in [0, 2]")
+    q = check_range(q, "q", UNIT)
+    h2 = check_range(h2, "squared Hellinger distance", _H2)
     informative = (1.0 - 0.5 * h2) >= math.sqrt(q) if 0.0 < q < 1.0 else True
     deg = _degenerate("hellinger", q, {})
     if deg:
@@ -409,13 +404,6 @@ def bound_hellinger(q: float, h2: float) -> BoundResult:
 # ---------------------------------------------------------------------------
 # power-beta divergence (three modes)
 # ---------------------------------------------------------------------------
-
-
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not 1.0 < beta <= 50.0:
-        raise RangeError("beta must lie in (1, 50]")
-    return beta
 
 
 def _power_excess(p, q, beta):
@@ -577,8 +565,8 @@ def bound_power_beta(
     """
     if mode not in ("implicit", "qmax", "small_q"):
         raise ValidationError(f"unknown power mode {mode!r}")
-    q = _check_q(q)
-    beta = _check_beta(beta)
+    q = check_range(q, "q", UNIT)
+    beta = check_range(beta, "beta", BETA)
     h_beta = _check_div(h_beta, "power divergence")
     params: dict = {"beta": beta}
     name = f"power_{mode}"
@@ -700,7 +688,7 @@ def bound_young_fenchel(
     ``bound_power_beta`` (implicit); a callable's is :func:`f_sharp_core`.
     A spec without a generator needs (u, v).
     """
-    q = _check_q(q)
+    q = check_range(q, "q", UNIT)
     df = _check_div(df, "D_f")
     if not isinstance(fspec, ConjugateSpec):
         fspec = conjugate_spec_for(fspec)
@@ -775,20 +763,18 @@ def bound_f_via_egamma(
     With a Lipschitz constant L for f' on [gamma, inf), the denominator
     improves to f'(gamma0) - f'(1) (see :func:`f_slope_gap`).
     """
-    q = _check_q(q)
+    q = check_range(q, "q", UNIT)
     df = _check_div(df, "D_f")
-    gamma = float(gamma)
-    if gamma <= 1.0:
-        raise RangeError("need gamma > 1")
-    if lipschitz is not None and lipschitz <= 0:
-        raise RangeError("Lipschitz constant must be positive")
+    gamma = check_range(gamma, "gamma", "(1, inf]")
+    if lipschitz is not None:
+        lipschitz = check_range(lipschitz, "lipschitz", "(0, inf]")
 
     fname = str(f) if isinstance(f, DivergenceKind) else getattr(f, "__name__", "custom")
     params: dict = {"gamma": gamma, "f": fname}
     gap, gamma_eff = f_slope_gap(f, gamma, lipschitz)
     if lipschitz is not None:
         params["gamma0"] = gamma_eff
-        params["lipschitz"] = float(lipschitz)
+        params["lipschitz"] = lipschitz
     params["slope_gap"] = gap
     deg = _degenerate("f_from_egamma", q, params)
     if deg:
@@ -873,9 +859,7 @@ def reverse_kl_explicit_core(q, d):
 def invert_binary_kl(q: float, d: float) -> float:
     """The unique p in [q, 1) solving kl(q, p) = d: :func:`reverse_kl_exact_core`
     at one point, so kl(q, p) >= d unless p is the predecessor of 1.0."""
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise RangeError("need q in (0, 1)")
+    q = check_range(q, "q", OPEN_UNIT)
     return float(reverse_kl_exact_core(q, _check_div(d)))
 
 
@@ -913,9 +897,10 @@ def bound_orlicz(
     pair: AbsContPair, mask: EventMask, gamma: float, spec: OrliczSpec
 ) -> BoundResult:
     """P(E) <= gamma Q(E) + ||1_E||_psi^Q * ||[dP/dQ - gamma]_+||_{psi*}^{A,Q}."""
+    gamma = check_range(gamma, "gamma", REAL)
     q = event_probability(pair.q, mask)
     am = amemiya_norm(pair, gamma, spec)
-    params = {"gamma": float(gamma), "amemiya": am, "gauge": spec.name}
+    params = {"gamma": gamma, "amemiya": am, "gauge": spec.name}
     if q == 0.0:
         return BoundResult("orlicz", 0.0, params, notes=("degenerate: Q(E)=0",))
     return BoundResult("orlicz", float(orlicz_core(q, am, gamma, spec)), params)
@@ -936,6 +921,7 @@ def bound_orlicz_joint(
     """
     if psi.kappa is None or phi.kappa is None:
         raise ValidationError("the joint bound supports power-family gauges only")
+    gamma = check_range(gamma, "gamma", REAL)
     n_s, n_w = joint.shape
     if len(mask) != n_s * n_w:
         raise RangeError(f"mask length {len(mask)} != {n_s * n_w}")
@@ -960,7 +946,7 @@ def bound_orlicz_joint(
     q_prod = float(prod[bits].sum())
     raw = gamma * q_prod + outer_ind * outer_am
     params = {
-        "gamma": float(gamma),
+        "gamma": gamma,
         "outer_indicator_norm": outer_ind,
         "outer_amemiya_norm": outer_am,
         "q_product": q_prod,
@@ -1050,12 +1036,14 @@ def comp_power_fixed(q, h_beta, beta, s):
 @dataclass(frozen=True)
 class FreeParam:
     """A competitor's free parameter: its ``name``, the ``family`` at a fixed
-    value, family(q, d, **params, name=value), and the ``optimum`` value as a
-    function of our bound p*, optimum(view, p*, d, **params), or None."""
+    value, family(q, d, **params, name=value), the ``optimum`` value as a
+    function of our bound p*, optimum(view, p*, d, **params), or None, and
+    the ``interval`` a given value must lie in."""
 
     name: str
     family: Callable
     optimum: Callable | None = None
+    interval: str = POSITIVE
 
 
 def competitor_optimum(row: str, q, d, **params):
@@ -1098,21 +1086,17 @@ def competitor_bound(
     extra = given.keys() - {*comp.grid[0], *([free.name] if free else [])}
     if extra:
         raise ValidationError(f"the {row} row takes no {' or '.join(sorted(extra))}")
-    if c is not None and c <= 0:
-        raise RangeError("need c > 0")
-    q = _check_q(q)
+    value = given.get(free.name) if free else None
+    if value is not None:
+        value = check_range(value, free.name, free.interval)
+    q = check_range(q, "q", UNIT)
     div = _check_div(div)
     deg = _degenerate(comp.id, q, {})
     if deg:
         return deg
-    if comp.kind is SQUARED_HELLINGER and div > 2.0:
-        raise RangeError("squared Hellinger distance must lie in [0, 2]")
-    case = {}
-    if "beta" in comp.grid[0]:
-        if beta is None:
-            raise RangeError(f"{row} row needs beta")
-        case["beta"] = _check_beta(beta)
-    value = given.get(free.name) if free else None
+    if comp.kind is SQUARED_HELLINGER:
+        check_range(div, "squared Hellinger distance", _H2)
+    case = {"beta": check_range(beta, "beta", BETA)} if "beta" in comp.grid[0] else {}
     if value is None:
         out, value = competitor_optimum(row, q, div, **case)
     else:
@@ -1237,7 +1221,7 @@ _TABLE = (
           claim="incomparable", row_params={"beta": 2.0},
           competitor=Bound("competitor_power", power_kind, power_implicit_core, _BETA_GRID,
                            free=FreeParam("s", comp_power_fixed, lambda v, p, d, beta: np.where(
-                               p >= 1.0, 1.0, -_inverse_expm1(v, p, d, beta - 1.0))))),
+                               p >= 1.0, 1.0, -_inverse_expm1(v, p, d, beta - 1.0)), REAL))),
     Bound("hellinger", SQUARED_HELLINGER, hellinger_core, scalar=bound_hellinger, claim="ours",
           competitor=Bound("competitor_squared_hellinger", SQUARED_HELLINGER,
                            comp_sq_hellinger_core, checked=True,

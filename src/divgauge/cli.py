@@ -150,21 +150,14 @@ def _resolve_seed(args) -> int:
     return int(env) if env else 0
 
 
-# the kinds with an order parameter: its option and the kind factory
-_PARAM_KINDS = {
-    "power": ("beta", dv.power_kind),
-    "hockey_stick": ("gamma", dv.hockey_stick_kind),
-    "renyi": ("alpha", dv.renyi_kind),
-}
-
-
 def _kind_from_args(args) -> dv.DivergenceKind:
-    if args.kind not in _PARAM_KINDS:
+    """The kind of --kind, with its order from the option of that name."""
+    if args.kind not in dv.ORDER_PARAMS:
         return dv.DivergenceKind(args.kind)
-    option, factory = _PARAM_KINDS[args.kind]
+    option = dv.ORDER_PARAMS[args.kind][0]
     if getattr(args, option) is None:
         raise ValidationError(f"--kind {args.kind} needs --{option}")
-    return factory(getattr(args, option))
+    return dv.DivergenceKind(args.kind, getattr(args, option))
 
 
 _JOINT_KINDS = ("sibson", "maximal_leakage", "mutual_information")

@@ -207,10 +207,6 @@ class EventMask:
     def __len__(self) -> int:
         return int(self.bits.size)
 
-    @property
-    def count(self) -> int:
-        return int(self.bits.sum())
-
     def to_int(self) -> int:
         return int((self.bits * (1 << np.arange(len(self), dtype=object))).sum())
 

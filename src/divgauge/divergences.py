@@ -20,12 +20,8 @@ import numpy as np
 
 from ._optim import logsumexp
 from .dist import AbsContPair, JointFinite, product_pair
-from .errors import (
-    BoundaryError,
-    DegenerateMarginalError,
-    RangeError,
-    ValidationError,
-)
+from .errors import (BETA, NONNEGATIVE, OPEN_UNIT, REAL, RENYI_ORDER, SIBSON_ORDER, UNIT,
+                     BoundaryError, DegenerateMarginalError, ValidationError, check_range)
 
 # Every f-divergence kind, declared once: its generator f on arrays of t >= 0
 # (with f(0) = lim f, +inf where that diverges) and the closed-form f'(t) for
@@ -69,6 +65,10 @@ _GENERATORS = {
     ),
 }
 
+# the kinds with an order parameter: its name and interval
+ORDER_PARAMS = {"power": ("beta", BETA), "renyi": ("alpha", RENYI_ORDER),
+                "hockey_stick": ("gamma", REAL)}
+
 
 @dataclass(frozen=True)
 class DivergenceKind:
@@ -80,15 +80,8 @@ class DivergenceKind:
     def __post_init__(self) -> None:
         if self.name not in _GENERATORS and self.name != "renyi":
             raise ValidationError(f"unknown divergence kind {self.name!r}")
-        if self.name == "power":
-            if self.param is None or not 1.0 < self.param <= 50.0:
-                raise RangeError("power kind requires beta in (1, 50]")
-        elif self.name == "renyi":
-            if self.param is None or self.param <= 0 or self.param == 1.0:
-                raise RangeError("renyi kind requires alpha in (0, inf) \\ {1}")
-        elif self.name == "hockey_stick":
-            if self.param is None or not math.isfinite(self.param):
-                raise RangeError("hockey_stick kind requires a finite gamma")
+        if self.name in ORDER_PARAMS:
+            check_range(self.param, *ORDER_PARAMS[self.name])
         elif self.param is not None:
             raise ValidationError(f"kind {self.name!r} takes no parameter")
 
@@ -133,8 +126,7 @@ def generator_values(kind: DivergenceKind, t) -> np.ndarray:
 
 def generator_derivative(kind: DivergenceKind, t: float) -> float:
     """Closed-form f'(t) for t > 0 (subgradient 0 at the TV kink)."""
-    if t <= 0:
-        raise RangeError("generator derivative needs t > 0")
+    check_range(t, "t", "(0, inf]")
     if kind.name not in _GENERATORS:
         raise ValidationError(f"{kind} has no pointwise generator")
     return _GENERATORS[kind.name][1](t, kind.param)
@@ -165,10 +157,8 @@ def f_divergence(pair: AbsContPair, kind: DivergenceKind) -> float:
 
 def binary_f_divergence(p: float, q: float, kind: DivergenceKind) -> float:
     """Two-point divergence D_f(Ber(p) || Ber(q)) for q in (0, 1)."""
-    if not 0.0 < q < 1.0:
-        raise BoundaryError("binary divergence needs q in (0, 1)")
-    if not 0.0 <= p <= 1.0:
-        raise RangeError("p must lie in [0, 1]")
+    check_range(q, "q", OPEN_UNIT, BoundaryError)
+    check_range(p, "p", UNIT)
     ratios = np.array([p / q, (1.0 - p) / (1.0 - q)])
     masses = np.array([q, 1.0 - q])
     return float(f_divergence_from_ratios(ratios, masses, kind))
@@ -208,20 +198,17 @@ def bernoulli_kl_core(a, b):
 
 def bernoulli_kl(a: float, b: float) -> float:
     """kl(a, b) = a log(a/b) + (1-a) log((1-a)/(1-b)), with 0 log 0 = 0."""
-    if not 0.0 <= a <= 1.0 or not 0.0 < b < 1.0:
-        raise RangeError("need a in [0,1], b in (0,1)")
+    check_range(a, "a", UNIT)
+    check_range(b, "b", OPEN_UNIT)
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(bernoulli_kl_core(np.float64(a), np.float64(b)))
 
 
 def renyi(pair: AbsContPair, alpha: float) -> float:
     """Renyi divergence D_alpha = log(sum r^alpha Q) / (alpha - 1), in nats."""
-    if alpha <= 0 or alpha == 1.0:
-        raise RangeError("Renyi order must be in (0, inf) \\ {1}")
+    alpha = check_range(alpha, "alpha", RENYI_ORDER)
     r, q = pair.ratios, pair.q.probs
-    mask = (r > 0) & (q > 0)
-    if not mask.any():
-        return math.inf
+    mask = (r > 0) & (q > 0)  # nonempty: some atom has P > 0, so Q > 0
     with np.errstate(divide="ignore"):
         log_terms = alpha * np.log(r[mask]) + np.log(q[mask])
     total = logsumexp(log_terms)
@@ -230,10 +217,9 @@ def renyi(pair: AbsContPair, alpha: float) -> float:
 
 def binary_renyi(p: float, q: float, alpha: float) -> float:
     """D_alpha(Ber(p) || Ber(q))."""
-    if not 0.0 < q < 1.0:
-        raise BoundaryError("binary divergence needs q in (0, 1)")
-    if alpha <= 0 or alpha == 1.0:
-        raise RangeError("Renyi order must be in (0, inf) \\ {1}")
+    q = check_range(q, "q", OPEN_UNIT, BoundaryError)
+    p = check_range(p, "p", UNIT)
+    alpha = check_range(alpha, "alpha", RENYI_ORDER)
     terms = []
     if p > 0:
         terms.append(alpha * math.log(p) + (1.0 - alpha) * math.log(q))
@@ -244,17 +230,15 @@ def binary_renyi(p: float, q: float, alpha: float) -> float:
 
 def hellinger_to_renyi(h_beta: float, beta: float) -> float:
     """Convert the power-beta divergence value to Renyi of the same order."""
-    if beta <= 1.0:
-        raise RangeError("need beta > 1")
-    if h_beta < 0:
-        raise RangeError("divergence must be nonnegative")
+    beta = check_range(beta, "beta", "(1, inf)")
+    h_beta = check_range(h_beta, "h_beta", NONNEGATIVE)
     return math.log1p((beta - 1.0) * h_beta) / (beta - 1.0)
 
 
 def renyi_to_hellinger(d_alpha: float, alpha: float) -> float:
     """Inverse of :func:`hellinger_to_renyi`."""
-    if alpha <= 1.0:
-        raise RangeError("need alpha > 1")
+    alpha = check_range(alpha, "alpha", "(1, inf)")
+    d_alpha = check_range(d_alpha, "d_alpha", "[-inf, inf]")
     return math.expm1((alpha - 1.0) * d_alpha) / (alpha - 1.0)
 
 
@@ -274,14 +258,11 @@ def sibson_mi(joint: JointFinite, alpha: float) -> float:
     which the test suite proves against direct grid minimization rather than
     taking on faith.  alpha = inf gives maximal leakage.
     """
+    alpha = check_range(alpha, "alpha", SIBSON_ORDER)
     if alpha == math.inf:
         return maximal_leakage(joint)
-    if alpha <= 1.0:
-        raise RangeError("sibson_mi needs alpha in (1, inf]")
     cond = joint.conditional_w_given_s()  # raises on zero-mass rows
     ms = joint.matrix.sum(axis=1)
-    if np.any(ms == 0.0):
-        raise DegenerateMarginalError("marginal of S must be strictly positive")
     with np.errstate(divide="ignore"):
         log_cond = np.log(cond)
         log_ms = np.log(ms)
@@ -304,8 +285,7 @@ def fiber_constants(joint: JointFinite, alpha: float = math.inf) -> np.ndarray:
     gives the alpha-norm M_alpha(w) = (E_{P_S}[ratio^alpha])^(1/alpha).
     E_{P_W}[M(W)] equals exp(maximal leakage).
     """
-    if alpha != math.inf and alpha <= 1.0:
-        raise RangeError("fiber constants need alpha in (1, inf]")
+    alpha = check_range(alpha, "alpha", SIBSON_ORDER)
     mw = joint.matrix.sum(axis=0)
     if np.any(mw == 0.0):
         dead = np.flatnonzero(mw == 0.0).tolist()

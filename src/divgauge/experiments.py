@@ -33,7 +33,7 @@ import numpy as np
 from .dist import AbsContPair, FiniteDistribution, JointFinite, adopted_distribution, product_pair
 from .divergences import (CHI2, KL, SQUARED_HELLINGER, f_divergence, hockey_stick_kind,
                           maximal_leakage, power_kind, sibson_mi)
-from .errors import RangeError, ResourceError, ValidationError
+from .errors import COUNT, ResourceError, ValidationError, check_range
 from .genbounds import BoundedLossSetting, SubGaussianSetting
 
 ATOM_CAP = 20_000_000
@@ -113,10 +113,8 @@ class _Learner:
             raise ValidationError("loss_table must be k x |Z|")
         if not np.all(np.isfinite(table)):
             raise ValidationError("losses must be finite")
-        if self.n < 1:
-            raise RangeError("n must be at least 1")
-        if self.temperature < 0:
-            raise RangeError("temperature must be nonnegative")
+        check_range(self.n, "n", COUNT)
+        check_range(self.temperature, "temperature", "[0, inf]")
         if np.any(self.p_z.probs == 0.0):
             raise ValidationError("sample distribution must be strictly positive")
         object.__setattr__(self, "loss_table", table)
@@ -159,9 +157,7 @@ class ExactTail:
         self._suffix = np.append(suffix, 0.0)
 
     def __call__(self, eta: float) -> float:
-        if math.isnan(eta):
-            raise ValidationError(f"tail threshold eta must not be NaN, got {eta!r}")
-        i = int(np.searchsorted(self._v, eta, side="left"))
+        i = int(np.searchsorted(self._v, check_range(eta, "eta", "[-inf, inf]"), side="left"))
         return float(self._suffix[i])
 
 

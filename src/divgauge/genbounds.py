@@ -20,7 +20,8 @@ from .bounds import (
     power_small_q_core,
 )
 from .dist import AbsContPair
-from .errors import RangeError
+from .errors import (BETA, COUNT, NONNEGATIVE, OPEN_UNIT, POSITIVE, REAL, SIBSON_ORDER, RangeError,
+                     ValidationError, check_range)
 from .orlicz import OrliczSpec, amemiya_norm, indicator_norm
 from ._optim import increasing_root
 
@@ -33,15 +34,12 @@ class SubGaussianSetting:
     n: int
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise RangeError("sigma must be positive")
-        if self.n < 1:
-            raise RangeError("n must be at least 1")
+        check_range(self.sigma, "sigma", POSITIVE)
+        check_range(self.n, "n", COUNT)
 
     def theta(self, eta: float) -> float:
-        """Two-sided Hoeffding mass 2 exp(-n eta^2 / (2 sigma^2)), in (0, 2]."""
-        if eta <= 0:
-            raise RangeError("eta must be positive")
+        """Two-sided Hoeffding mass 2 exp(-n eta^2 / (2 sigma^2)), in [0, 2]."""
+        eta = check_range(eta, "eta", "(0, inf]")
         return 2.0 * math.exp(-self.n * eta * eta / (2.0 * self.sigma**2))
 
 
@@ -56,8 +54,7 @@ class BoundedLossSetting:
     def __post_init__(self) -> None:
         if not self.b > self.a:
             raise RangeError("need b > a")
-        if self.n < 1:
-            raise RangeError("n must be at least 1")
+        check_range(self.n, "n", COUNT)
 
     @property
     def span(self) -> float:
@@ -83,12 +80,12 @@ class DPParams:
     c2: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 0.5:
-            raise RangeError("epsilon must lie in (0, 1/2]")
-        if not 0.0 < self.delta < self.epsilon:
-            raise RangeError("delta must lie in (0, epsilon)")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise RangeError("c1, c2 must be positive")
+        check_range(self.epsilon, "epsilon", "(0, 0.5]")
+        check_range(self.delta, "delta", OPEN_UNIT)
+        if not self.delta < self.epsilon:
+            raise RangeError("need delta < epsilon")
+        check_range(self.c1, "c1", "(0, inf]")
+        check_range(self.c2, "c2", "(0, inf]")
 
 
 @dataclass(frozen=True)
@@ -126,6 +123,12 @@ def gen_tail_bounds(
     Hoeffding surrogate theta.  gamma is taken as given, never optimized
     silently.
     """
+    gamma = check_range(gamma, "gamma", REAL)
+    e_gamma, chi2, h2, h_beta = (
+        check_range(x, name, NONNEGATIVE)
+        for x, name in ((e_gamma, "e_gamma"), (chi2, "chi2"), (h2, "h2"), (h_beta, "h_beta"))
+    )
+    beta = check_range(beta, "beta", BETA)
     theta = setting.theta(eta)
     q_eff = min(theta, 1.0)
     branches = {
@@ -156,16 +159,14 @@ def _leakage_tail(theta: float, frac: float, info: float) -> float:
 
 def gen_tail_ml(setting: SubGaussianSetting, eta: float, leakage: float) -> BoundResult:
     """P(|gen| >= eta) <= 2 exp(L(S -> W) - n eta^2 / (2 sigma^2))."""
-    if leakage < 0:
-        raise RangeError("maximal leakage must be nonnegative")
+    leakage = check_range(leakage, "leakage", NONNEGATIVE)
     theta = setting.theta(eta)
     return BoundResult("gen_maximal_leakage", _leakage_tail(theta, 1.0, leakage), {"theta": theta})
 
 
 def gen_tail_ml_chi2(setting: SubGaussianSetting, eta: float, leakage: float) -> BoundResult:
     """Chi-square relaxation of the leakage bound via chi^2 <= exp(L) - 1."""
-    if leakage < 0:
-        raise RangeError("maximal leakage must be nonnegative")
+    leakage = check_range(leakage, "leakage", NONNEGATIVE)
     theta = setting.theta(eta)
     raw = theta + math.sqrt(theta * math.expm1(leakage))
     return BoundResult("gen_leakage_chi2", float(raw), {"theta": theta})
@@ -179,10 +180,8 @@ def gen_tail_alpha_mi(
     At alpha = inf the exponent is 1 and, with I_inf the maximal leakage,
     this is the maximal-leakage bound :func:`gen_tail_ml`.
     """
-    if alpha <= 1.0:
-        raise RangeError("need alpha > 1")
-    if i_alpha < 0:
-        raise RangeError("I_alpha must be nonnegative")
+    alpha = check_range(alpha, "alpha", SIBSON_ORDER)
+    i_alpha = check_range(i_alpha, "i_alpha", NONNEGATIVE)
     theta = setting.theta(eta)
     frac = 1.0 if alpha == math.inf else (alpha - 1.0) / alpha
     return BoundResult(
@@ -199,12 +198,9 @@ def pac_bayes_bound(
     tighter "holder" (direct Hoelder route); both scale as sqrt(2 sigma^2/n)
     and share the log(((beta-1) H_beta + 1)^(1/beta) / delta) term.
     """
-    if not 0.0 < delta < 1.0:
-        raise RangeError("delta must lie in (0, 1)")
-    if beta <= 1.0:
-        raise RangeError("need beta > 1")
-    if h_beta < 0:
-        raise RangeError("H_beta must be nonnegative")
+    delta = check_range(delta, "delta", OPEN_UNIT)
+    beta = check_range(beta, "beta", "(1, inf)")
+    h_beta = check_range(h_beta, "h_beta", NONNEGATIVE)
     scale = math.sqrt(2.0 * setting.sigma**2 / setting.n)
     log_term = math.log1p((beta - 1.0) * h_beta) / beta - math.log(delta)
     integral = scale * (
@@ -221,8 +217,8 @@ def cmi_tail_egamma(
 ) -> float:
     """Paired-sample tail: E_gamma(P_{WZS} || P_{W|Z} P_{ZS}) + 2 gamma
     exp(-n eta^2 / (2 (b-a)^2))."""
-    if e_gamma_cond < 0:
-        raise RangeError("conditional hockey-stick divergence must be nonnegative")
+    gamma = check_range(gamma, "gamma", REAL)
+    e_gamma_cond = check_range(e_gamma_cond, "e_gamma_cond", NONNEGATIVE)
     return e_gamma_cond + gamma * setting.theta(eta)
 
 
@@ -241,6 +237,7 @@ def cmi_tail_orlicz(
     at the Hoeffding surrogate mass, and is 0 where that mass underflows to
     0, as for events.
     """
+    gamma = check_range(gamma, "gamma", REAL)
     theta = setting.theta(eta)
     am = amemiya_norm(pair, gamma, spec)
     return gamma * theta + float(indicator_norm(theta, spec)) * am
@@ -249,8 +246,7 @@ def cmi_tail_orlicz(
 def cmi_convert(eps_fn, delta: float, setting: BoundedLossSetting) -> float:
     """Convert a paired-sample tail guarantee into a generalization bound:
     eps(delta/2) + sqrt((b-a)^2 / (2n) * log(4/delta))."""
-    if not 0.0 < delta < 1.0:
-        raise RangeError("delta must lie in (0, 1)")
+    delta = check_range(delta, "delta", OPEN_UNIT)
     slack = math.sqrt(setting.span**2 / (2.0 * setting.n) * math.log(4.0 / delta))
     return float(eps_fn(delta / 2.0)) + slack
 
@@ -262,8 +258,7 @@ def dp_egamma_cap(dp: DPParams, n: int) -> tuple[float, float]:
         tau = e^(-eps^2 n) + c1 n sqrt(delta / eps)
         k   = c2 (eps^2 n + n sqrt(delta / eps))
     """
-    if n < 1:
-        raise RangeError("n must be at least 1")
+    check_range(n, "n", COUNT)
     root = n * math.sqrt(dp.delta / dp.epsilon)
     tau = math.exp(-dp.epsilon**2 * n) + dp.c1 * root
     k = dp.c2 * (dp.epsilon**2 * n + root)
@@ -277,8 +272,7 @@ def dp_gen_bound(setting: SubGaussianSetting, eta: float, dp: DPParams) -> float
     from a product distribution (the hockey-stick cap behind (k, tau) fails
     for correlated records).
     """
-    if not 0.0 < eta < 1.0:
-        raise RangeError("eta must lie in (0, 1)")
+    eta = check_range(eta, "eta", OPEN_UNIT)
     k, tau = dp_egamma_cap(dp, setting.n)
     return setting.theta(eta) * math.exp(k) + tau
 
@@ -313,8 +307,7 @@ def avg_gen_bound_mi(setting: SubGaussianSetting, mi: float, variant: str = "clo
     variant "tstar":  prefactor * (2 t (1 - e^{-t^2}) + sqrt(pi) erfc(t)) at
     the root t of t^2 (1 - 2 e^{-t^2}) = I + 2/e; always at most "closed".
     """
-    if mi < 0:
-        raise RangeError("mutual information must be nonnegative")
+    mi = check_range(mi, "mi", NONNEGATIVE)
     pref = 2.0 * setting.sigma / math.sqrt(setting.n)
     if variant == "closed":
         return pref * (2.0 * math.sqrt(mi + 2.0 / math.e) + math.sqrt(math.pi))
@@ -323,11 +316,10 @@ def avg_gen_bound_mi(setting: SubGaussianSetting, mi: float, variant: str = "clo
         return pref * (
             2.0 * t * (1.0 - math.exp(-t * t)) + math.sqrt(math.pi) * math.erfc(t)
         )
-    raise RangeError(f"unknown variant {variant!r}")
+    raise ValidationError(f"unknown variant {variant!r}")
 
 
 def avg_mi_competitor(setting: SubGaussianSetting, mi: float) -> float:
     """The decorrelation-based competitor (2 sigma / sqrt(n)) sqrt(6 (I + 4))."""
-    if mi < 0:
-        raise RangeError("mutual information must be nonnegative")
+    mi = check_range(mi, "mi", NONNEGATIVE)
     return 2.0 * setting.sigma / math.sqrt(setting.n) * math.sqrt(6.0 * (mi + 4.0))

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._optim import golden_min, increasing_root, numeric_conjugate
 from .dist import AbsContPair
-from .errors import OrliczSpecError, RangeError
+from .errors import OrliczSpecError, check_range
 
 _CHECK_GRID = np.geomspace(1e-6, 1e6, 49)
 
@@ -43,8 +43,7 @@ class OrliczSpec:
 
 def power_orlicz(kappa: float) -> OrliczSpec:
     """psi(t) = t^kappa / kappa with conjugate u^alpha / alpha."""
-    if kappa <= 1.0:
-        raise RangeError("power gauge needs kappa > 1")
+    kappa = check_range(kappa, "kappa", "(1, inf)")
     alpha = kappa / (kappa - 1.0)
 
     def psi(t):
@@ -143,8 +142,7 @@ def indicator_norm(q, spec: OrliczSpec):
 
 def luxemburg_indicator_norm(q: float, spec: OrliczSpec) -> float:
     """Luxemburg norm of an indicator with mass q in (0, 1]: 1 / psi^{-1}(1/q)."""
-    if not 0.0 < q <= 1.0:
-        raise RangeError("indicator mass must lie in (0, 1]")
+    q = check_range(q, "q", "(0, 1]")
     return float(indicator_norm(q, spec))
 
 
@@ -232,5 +230,6 @@ def amemiya_norm_rows(u: np.ndarray, w: np.ndarray, spec: OrliczSpec) -> np.ndar
 
 def amemiya_norm(pair: AbsContPair, gamma: float, spec: OrliczSpec) -> float:
     """Amemiya norm of [dP/dQ - gamma]_+ under Q, wrt the conjugate of psi."""
+    gamma = check_range(gamma, "gamma", "[-inf, inf]")
     excess = np.maximum(pair.ratios - gamma, 0.0)
     return amemiya_norm_values(excess, pair.q.probs, spec)

@@ -36,7 +36,8 @@ from .dist import (
     normalized,
 )
 from .divergences import CHI2, DivergenceKind, f_divergence_from_ratios
-from .errors import RangeError, ResourceError, UnknownBoundError, ValidationError
+from .errors import (COUNT, OPEN_UNIT, POSITIVE, REAL, UNIT, ResourceError, UnknownBoundError,
+                     ValidationError, check_range)
 
 SLACK_TOL = 1e-9
 SAMPLED_EVENTS = 100_000
@@ -58,8 +59,8 @@ def _pair_masses(seed, indices, support: int, zero_prob: float):
     subset).  Each row is the normalized exponentials of its uniforms, with
     its rounding remainder at its largest atom.
     """
-    if support < 1:
-        raise RangeError(f"support must be at least 1, got {support}")
+    check_range(support, "support", COUNT)
+    check_range(zero_prob, "zero_prob", UNIT)
     indices = list(indices)
     u = np.empty((2, len(indices), support))  # Q's rows, then P's
     dead = np.zeros((len(indices), support), dtype=bool)
@@ -336,8 +337,8 @@ def master_soundness(
     batch_size: int = 500,
 ) -> dict[str, VerificationReport]:
     """The master suite: seeded random pairs x all events x all bounds."""
-    if n_pairs < 1 or batch_size < 1:
-        raise RangeError(f"need n_pairs >= 1 and batch_size >= 1, got {n_pairs} and {batch_size}")
+    check_range(n_pairs, "n_pairs", COUNT)
+    check_range(batch_size, "batch_size", COUNT)
     if support > EXHAUSTIVE_LIMIT:
         raise ResourceError("master suite is exhaustive; support must be <= 16")
     cases = default_cases() if cases is None else cases
@@ -395,6 +396,7 @@ def _event_masses(pair: AbsContPair, check: str) -> tuple[np.ndarray, np.ndarray
 def verify_egamma_variational(pair: AbsContPair, gamma: float) -> dict:
     """Exhaustively check sup_E (P(E) - gamma Q(E)) against the integral
     sum_i [r_i - gamma]_+ Q_i; also reports the absolute-value supremum."""
+    check_range(gamma, "gamma", REAL)
     p_e, q_e = _event_masses(pair, "variational check")
     signed = p_e - gamma * q_e
     integral = float(np.maximum(pair.ratios - gamma, 0.0) @ pair.q.probs)
@@ -412,8 +414,7 @@ def verify_egamma_variational(pair: AbsContPair, gamma: float) -> dict:
 def approx_max_info(pair: AbsContPair, tau: float) -> float:
     """log sup over events with P(E) > tau of (P(E) - tau) / Q(E), by
     exhaustive enumeration."""
-    if not 0.0 <= tau < 1.0:
-        raise RangeError("tau must lie in [0, 1)")
+    check_range(tau, "tau", "[0, 1)")
     p_e, q_e = _event_masses(pair, "approximate max-information")
     hot = p_e > tau
     if not hot.any():
@@ -429,10 +430,9 @@ def binary_tightness_witness(
     """Mixture pair P = p R1 + (1-p) R0, Q = q R1 + (1-q) R0 with R1, R0 on
     disjoint atom blocks.  Its ratio is two-valued, so every divergence of
     the pair equals the corresponding two-point divergence at (p, q)."""
-    if not 0.0 < p < 1.0 or not 0.0 < q < 1.0:
-        raise RangeError("need p, q in (0, 1)")
-    if atoms_per_block < 1:
-        raise RangeError("need at least one atom per block")
+    check_range(p, "p", OPEN_UNIT)
+    check_range(q, "q", OPEN_UNIT)
+    check_range(atoms_per_block, "atoms_per_block", COUNT)
     rng = np.random.default_rng(seed)
     r1 = -np.log(rng.random(atoms_per_block))
     r0 = -np.log(rng.random(atoms_per_block))
@@ -455,8 +455,8 @@ def sibson_grid_min(joint: JointFinite, alpha: float, resolution: float = 1e-3) 
     around the incumbent, dividing the step by SIBSON_SHRINK each time.
     Supports |W| in {2, 3}.
     """
-    if alpha <= 1.0:
-        raise RangeError("need alpha > 1")
+    check_range(alpha, "alpha", "(1, inf)")
+    check_range(resolution, "resolution", POSITIVE)
     n_w = joint.shape[1]
     if n_w not in (2, 3):
         raise ValidationError("grid oracle supports 2 or 3 outputs")
@@ -585,8 +585,7 @@ def dominance_rows_at_event(pair: AbsContPair, mask) -> list[dict]:
 def harness_self_test(n_pairs: int = 50, support: int = 6, seed: int = 7) -> VerificationReport:
     """Run the deliberately broken chi-square bound; a healthy harness must
     flag violations (> 0)."""
-    if n_pairs < 1:
-        raise RangeError(f"need at least one pair, got {n_pairs}")
+    check_range(n_pairs, "n_pairs", COUNT)
     indices = np.arange(n_pairs)
     batch = PairBatch(*random_pair_rows(seed, range(n_pairs), support, zero_prob=0.0),
                       event_mask_matrix(support))

@@ -38,6 +38,9 @@ def test_all_names_resolve_once():
         (bounds, "_C_FAMILIES"),
         (experiments.GibbsRun, "gen_table"),
         (experiments.SuperSampleRun, "gen_hat"),
+        (dist.EventMask, "count"),
+        (bounds, "_check_q"),
+        (bounds, "_check_beta"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):

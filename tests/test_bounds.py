@@ -1525,6 +1525,29 @@ def test_competitor_fixed_c_must_be_positive(row):
             dg.competitor_bound(row, 0.3, 0.5, c=c)
 
 
+def test_kl_fixed_c_must_be_positive():
+    assert dg.bound_kl(0.3, 0.5, c=0.7).free_params == {"c": 0.7}
+    for c in (0.0, -1.0):
+        with pytest.raises(RangeError, match=rf"^c = {c!r} must lie in \(0, inf\)$"):
+            dg.bound_kl(0.3, 0.5, c=c)
+
+
+def test_squared_hellinger_competitor_needs_a_distance_in_range():
+    assert not dg.competitor_bound("squared_hellinger", 0.3, 2.0).preconditions_met
+    with pytest.raises(RangeError, match=r"must lie in \[0, 2\]$"):
+        dg.competitor_bound("squared_hellinger", 0.3, math.nextafter(2.0, 3.0))
+
+
+def test_f_from_egamma_at_a_nonpositive_slope_gap_checks_nothing():
+    # below gamma = 1 the chi-square slope gap f'(gamma) - f'(1) is negative
+    q = np.array([0.0, 0.3, 1.0])
+    raw, valid = B._f_hs_case(q, 0.2, "chi2", 0.5)
+    assert np.all(raw == np.inf) and not valid.any()
+    report = dg.verify_com_bound(dg.random_pair(1, 0, 4), "f_from_egamma",
+                                 {"kind": "chi2", "gamma": 0.5})
+    assert report.trials == 0 and report.violations == 0
+
+
 # ---------------------------------------------------------------------------
 # BoundResult mechanics
 # ---------------------------------------------------------------------------
@@ -1535,3 +1558,4 @@ def test_bound_result_clips_for_reporting():
     assert res.value == 1.0 and res.raw == 3.7
     assert dg.BoundResult("x", -0.2).value == 0.0
     assert dg.BoundResult("x", math.inf).value == 1.0
+    assert dg.BoundResult("x", math.nan).value == 1.0  # NaN never reads as sound

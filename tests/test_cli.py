@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -434,3 +435,60 @@ def test_experiment_accepts_integer_gammas(tmp_path):
     code, payload = run_json(["experiment", "--config", str(cfg)], tmp_path)
     assert code == 0
     assert set(payload["conditional_hockey_stick"]) == {"1", "2.5"}
+
+
+# a command line that reads each float option of the parser, "{pair}" and
+# "{gibbs}" standing for the input files
+_FLOAT_OPTION_RUNS = {
+    ("div", "--gamma"): ["div", "--pair", "{pair}", "--kind", "hockey_stick"],
+    ("div", "--beta"): ["div", "--pair", "{pair}", "--kind", "power"],
+    ("div", "--alpha"): ["div", "--pair", "{pair}", "--kind", "renyi"],
+    ("bound", "--q"): ["bound", "--name", "chi2", "--div", "0.1"],
+    ("bound", "--div"): ["bound", "--name", "chi2", "--q", "0.3"],
+    ("bound", "--gamma"): ["bound", "--name", "egamma", "--q", "0.3", "--div", "0.1"],
+    ("bound", "--beta"): ["bound", "--name", "power_implicit", "--q", "0.3", "--div", "0.1"],
+    ("bound", "--c"): ["bound", "--name", "kl", "--q", "0.3", "--div", "0.1"],
+    ("bound", "--q-max"): ["bound", "--name", "power_qmax", "--q", "0.3", "--div", "0.1",
+                           "--beta", "2"],
+    ("genbound", "--sigma"): ["genbound", "--n", "5", "--eta-grid", "0.1:0.3:0.1",
+                              "--experiment", "{gibbs}"],
+    ("genbound", "--gamma"): ["genbound", "--sigma", "0.5", "--n", "5", "--eta-grid",
+                              "0.1:0.3:0.1", "--experiment", "{gibbs}"],
+    ("genbound", "--beta"): ["genbound", "--sigma", "0.5", "--n", "5", "--eta-grid",
+                             "0.1:0.3:0.1", "--experiment", "{gibbs}"],
+    ("genbound", "--alpha"): ["genbound", "--sigma", "0.5", "--n", "5", "--eta-grid",
+                              "0.1:0.3:0.1", "--experiment", "{gibbs}"],
+    ("mi-gap", "--sigma"): ["mi-gap", "--mi-grid", "0:1:0.5"],
+}
+
+
+def test_every_float_option_has_a_nan_run():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    floats = {
+        (command, action.option_strings[0])
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if action.type is float
+    }
+    assert floats == set(_FLOAT_OPTION_RUNS)
+
+
+@pytest.mark.parametrize("command, option", sorted(_FLOAT_OPTION_RUNS))
+def test_nan_float_option_exits_2(command, option, pair_file, gibbs_file, capsys):
+    argv = [a.format(pair=pair_file, gibbs=gibbs_file) for a in _FLOAT_OPTION_RUNS[command, option]]
+    assert cli.main([*argv, option, "nan"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("divgauge: error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind", ["gibbs", "supersample"])
+def test_experiment_config_nan_temperature_exits_2(kind, tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"type": kind, "p_z": [0.5, 0.5], "loss_table": [[0.0, 1.0]],
+                               "n": 2, "temperature": math.nan}))
+    assert cli.main(["experiment", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "divgauge: error: temperature = nan must lie in [0, inf]\n"

@@ -120,3 +120,11 @@ def test_linear_gauge_conjugate_is_conservative():
 def test_identically_zero_gauge_is_rejected():
     with pytest.raises(OrliczSpecError):
         custom_orlicz(lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+
+
+def test_luxemburg_bracket_grows_upward_for_a_steep_gauge():
+    # psi(t) = 2 t^2 exceeds 1 at the largest |U|, so the bracket's upper end
+    # doubles before the search; the norm of a point mass v is v sqrt(2)
+    steep = custom_orlicz(lambda t: 2.0 * np.asarray(t, dtype=float) ** 2)
+    assert luxemburg_norm_values([3.0], [1.0], steep) == pytest.approx(3.0 * math.sqrt(2.0),
+                                                                       rel=1e-12)

@@ -20,7 +20,8 @@ from divgauge import (
     verify_egamma_variational,
 )
 from divgauge import dist, verify
-from divgauge.errors import DominationError, RangeError, UnknownBoundError, ValidationError
+from divgauge.errors import (DominationError, RangeError, ResourceError, UnknownBoundError,
+                             ValidationError)
 from divgauge.verify import (
     SLACK_TOL,
     VerificationReport,
@@ -105,6 +106,16 @@ def test_support_below_one_is_a_range_error(support):
         random_pair_rows(0, range(3), support)
     with pytest.raises(RangeError):
         master_soundness(n_pairs=5, support=support, jobs=1)
+
+
+def test_exhaustive_checks_stop_beyond_the_exhaustive_limit():
+    pair = random_pair(0, 0, dist.EXHAUSTIVE_LIMIT + 1)
+    with pytest.raises(ResourceError, match="support must be <= 16"):
+        master_soundness(n_pairs=1, support=dist.EXHAUSTIVE_LIMIT + 1, jobs=1)
+    with pytest.raises(ResourceError, match=f"support <= {dist.EXHAUSTIVE_LIMIT}"):
+        verify_egamma_variational(pair, 1.0)
+    with pytest.raises(ResourceError, match=f"support <= {dist.EXHAUSTIVE_LIMIT}"):
+        dg.approx_max_info(pair, 0.5)
 
 
 @pytest.mark.parametrize("kwargs", [{"n_pairs": 0}, {"n_pairs": -5}, {"batch_size": 0}])
