@@ -346,11 +346,12 @@ def bound_kl(q: float, kl: float, c: float | None = None) -> BoundResult:
     """
     q = check_range(q, "q", UNIT)
     kl = _check_div(kl, "KL")
+    if c is not None:
+        c = check_range(c, "c", POSITIVE)
     deg = _degenerate("kl", q, {})
     if deg:
         return deg
     if c is not None:
-        c = check_range(c, "c", POSITIVE)
         return BoundResult("kl", float(kl_fixed_core(q, kl, c)), {"c": c})
     v = EventView(q)
     raw, c_star = competitor_optimum("kl", v, kl)
@@ -568,6 +569,8 @@ def bound_power_beta(
     q = check_range(q, "q", UNIT)
     beta = check_range(beta, "beta", BETA)
     h_beta = _check_div(h_beta, "power divergence")
+    if mode == "qmax" and (q_max is None or not q <= q_max < 1.0):
+        raise RangeError("qmax mode needs q <= q_max < 1")
     params: dict = {"beta": beta}
     name = f"power_{mode}"
     deg = _degenerate(name, q, params)
@@ -576,8 +579,6 @@ def bound_power_beta(
     if mode == "implicit":
         return BoundResult(name, float(power_implicit_core(q, h_beta, beta)), params)
     if mode == "qmax":
-        if q_max is None or not q <= q_max < 1.0:
-            raise RangeError("qmax mode needs q <= q_max < 1")
         raw, m, valid = power_qmax_core(q, h_beta, beta, q_max)
         params.update({"q_max": float(q_max), "m": float(m)})
         return BoundResult(name, float(raw), params, preconditions_met=bool(valid))
@@ -692,21 +693,23 @@ def bound_young_fenchel(
     df = _check_div(df, "D_f")
     if not isinstance(fspec, ConjugateSpec):
         fspec = conjugate_spec_for(fspec)
-    deg = _degenerate("young_fenchel", q, {"f": fspec.name})
-    if deg:
-        return deg
     if u is None and v is None:
         if fspec.generator is None:
             raise ValidationError(f"conjugate {fspec.name!r} has no generator: give u and v")
+    elif u is None or v is None:
+        raise ValidationError("provide both u and v, or neither")
+    elif not u > v:
+        raise RangeError("need u > v")
+    else:
+        fu, fv = fspec.fstar(u), fspec.fstar(v)
+        if not (math.isfinite(fu) and math.isfinite(fv)):
+            raise RangeError("conjugate not finite at the requested (u, v)")
+    deg = _degenerate("young_fenchel", q, {"f": fspec.name})
+    if deg:
+        return deg
+    if u is None:
         p, u, v = _fenchel_optimum(q, df, fspec.generator)
         return BoundResult("young_fenchel", p, {"u": u, "v": v, "f": fspec.name})
-    if u is None or v is None:
-        raise ValidationError("provide both u and v, or neither")
-    if not u > v:
-        raise RangeError("need u > v")
-    fu, fv = fspec.fstar(u), fspec.fstar(v)
-    if not (math.isfinite(fu) and math.isfinite(fv)):
-        raise RangeError("conjugate not finite at the requested (u, v)")
     raw = (df - v + q * fu + (1.0 - q) * fv) / (u - v)
     return BoundResult("young_fenchel", raw, {"u": float(u), "v": float(v), "f": fspec.name})
 
@@ -1091,12 +1094,12 @@ def competitor_bound(
         value = check_range(value, free.name, free.interval)
     q = check_range(q, "q", UNIT)
     div = _check_div(div)
-    deg = _degenerate(comp.id, q, {})
-    if deg:
-        return deg
     if comp.kind is SQUARED_HELLINGER:
         check_range(div, "squared Hellinger distance", _H2)
     case = {"beta": check_range(beta, "beta", BETA)} if "beta" in comp.grid[0] else {}
+    deg = _degenerate(comp.id, q, {})
+    if deg:
+        return deg
     if value is None:
         out, value = competitor_optimum(row, q, div, **case)
     else:
@@ -1130,8 +1133,8 @@ class Bound:
     row.  A competitor whose optimum is our bound ("same") names our core,
     so the two share one evaluation per batch; one with a free parameter
     declares it in ``free``.  ``scalar`` is the `divgauge bound` entry
-    point, called as scalar(q, div, **options) with the command-line
-    options named in ``scalar_args``.
+    point, called as scalar(q, div, **options); its parameters after
+    (q, div), less those a ``partial`` fixes, name its options.
     """
 
     id: str
@@ -1145,7 +1148,6 @@ class Bound:
     row_params: dict = field(default_factory=dict)
     free: FreeParam | None = None
     scalar: Callable[..., BoundResult] | None = None
-    scalar_args: tuple[str, ...] = ()
 
     def divergence(self, params: dict) -> DivergenceKind:
         return self.kind(**params) if callable(self.kind) else self.kind
@@ -1198,26 +1200,25 @@ _BETA_GRID = _grid(beta=(1.5, 2.0, 4.0))
 _F_GRID = _grid(kind=("chi2", "kl", "squared_hellinger"), gamma=(1.5, 2.0, 5.0)) + _grid(
     kind=("chi2",), gamma=(1.5, 2.0, 5.0), lipschitz=(2.0,)
 )
-_POWER_ARGS = ("beta", "q_max")
 
 # Ours, each followed by its competitor; the competitors' order is the
 # row order of the dominance report.
 _TABLE = (
     Bound("egamma", hockey_stick_kind, egamma_core, _HS_GRID,
-          scalar=bound_egamma, scalar_args=("gamma",)),
+          scalar=bound_egamma),
     Bound("strong_converse", None, egamma_core, _HS_GRID, stat=_tail_masses),
-    Bound("kl", KL, kl_opt_core, scalar=bound_kl, scalar_args=("c",), claim="same",
+    Bound("kl", KL, kl_opt_core, scalar=bound_kl, claim="same",
           competitor=Bound("competitor_kl", KL, kl_opt_core, free=FreeParam(
               "c", kl_fixed_core, lambda v, p, d: _logit_gap(p, v.qs)))),
     Bound("kl_closed", KL, kl_closed_core),
     Bound("chi2", CHI2, chi2_core, scalar=bound_chi2, claim="same",
           competitor=Bound("competitor_chi2", CHI2, chi2_core)),
     Bound("power_implicit", power_kind, power_implicit_core, _BETA_GRID,
-          scalar=partial(bound_power_beta, mode="implicit"), scalar_args=_POWER_ARGS),
+          scalar=partial(bound_power_beta, mode="implicit")),
     Bound("power_qmax", power_kind, _power_qmax_case, _BETA_GRID, checked=True,
-          scalar=partial(bound_power_beta, mode="qmax"), scalar_args=_POWER_ARGS),
+          scalar=partial(bound_power_beta, mode="qmax")),
     Bound("power_small_q", power_kind, power_small_q_core, _BETA_GRID,
-          scalar=partial(bound_power_beta, mode="small_q"), scalar_args=_POWER_ARGS,
+          scalar=partial(bound_power_beta, mode="small_q"),
           claim="incomparable", row_params={"beta": 2.0},
           competitor=Bound("competitor_power", power_kind, power_implicit_core, _BETA_GRID,
                            free=FreeParam("s", comp_power_fixed, lambda v, p, d, beta: np.where(

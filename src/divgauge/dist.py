@@ -85,6 +85,20 @@ def dominated_ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return r
 
 
+def _json_floats(obj, key: str, source: str) -> np.ndarray:
+    """obj[key] of a decoded JSON object as a float array, or ValidationError
+    naming `source` where obj is no object, lacks the key, or holds there an
+    entry that is no number or a ragged nesting."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{source}: expected a JSON object")
+    if key not in obj:
+        raise ValidationError(f"{source}: expected key {key!r}")
+    try:
+        return np.asarray(obj[key], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{source}: {key!r} must be a regular array of numbers") from exc
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
     """Probability vector on a labeled finite support.
@@ -126,9 +140,19 @@ class FiniteDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteDistribution":
-        obj = json.loads(text)
-        labels = tuple(obj["labels"]) if "labels" in obj else None
-        return cls(np.asarray(obj["probs"], dtype=float), labels)
+        return cls.from_obj(json.loads(text), "JSON")
+
+    @classmethod
+    def from_obj(cls, obj, source: str) -> "FiniteDistribution":
+        """The distribution of a decoded JSON object {"probs": [...]} with
+        optional "labels": [...]; a fault in that schema raises
+        ValidationError naming `source`."""
+        probs = _json_floats(obj, "probs", source)
+        if "labels" not in obj:
+            return cls(probs)
+        if not isinstance(obj["labels"], list):
+            raise ValidationError(f"{source}: 'labels' must be a list")
+        return cls(probs, tuple(obj["labels"]))
 
 
 def make_distribution(weights, labels=None) -> FiniteDistribution:
@@ -285,8 +309,13 @@ class JointFinite:
 
     @classmethod
     def from_json(cls, text: str) -> "JointFinite":
-        obj = json.loads(text)
-        return cls(np.asarray(obj["matrix"], dtype=float))
+        return cls.from_obj(json.loads(text), "JSON")
+
+    @classmethod
+    def from_obj(cls, obj, source: str) -> "JointFinite":
+        """The joint of a decoded JSON object {"matrix": [[...], ...]}; a
+        fault in that schema raises ValidationError naming `source`."""
+        return cls(_json_floats(obj, "matrix", source))
 
 
 def product_pair(joint: JointFinite) -> AbsContPair:

@@ -65,6 +65,9 @@ _GENERATORS = {
     ),
 }
 
+# every kind's name, in the order `divgauge div --kind` offers them
+KINDS = ("kl", "reverse_kl", "chi2", "reverse_chi2", "tv", "squared_hellinger",
+         "vincze_lecam", "power", "hockey_stick", "renyi")
 # the kinds with an order parameter: its name and interval
 ORDER_PARAMS = {"power": ("beta", BETA), "renyi": ("alpha", RENYI_ORDER),
                 "hockey_stick": ("gamma", REAL)}
@@ -78,7 +81,7 @@ class DivergenceKind:
     param: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in _GENERATORS and self.name != "renyi":
+        if self.name not in KINDS:
             raise ValidationError(f"unknown divergence kind {self.name!r}")
         if self.name in ORDER_PARAMS:
             check_range(self.param, *ORDER_PARAMS[self.name])

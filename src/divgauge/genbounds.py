@@ -40,7 +40,11 @@ class SubGaussianSetting:
     def theta(self, eta: float) -> float:
         """Two-sided Hoeffding mass 2 exp(-n eta^2 / (2 sigma^2)), in [0, 2]."""
         eta = check_range(eta, "eta", "(0, inf]")
-        return 2.0 * math.exp(-self.n * eta * eta / (2.0 * self.sigma**2))
+        try:
+            return 2.0 * math.exp(-self.n * eta * eta / (2.0 * self.sigma**2))
+        except ArithmeticError:  # sigma^2 underflows to 0 (sigma < ~1e-162) or overflows
+            ratio = eta / self.sigma
+            return 2.0 * math.exp(-self.n * (ratio * ratio) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -151,10 +155,22 @@ def gen_tail_bounds(
     return GenTailResult(eta, theta, branches)
 
 
+def _past_overflow(theta: float, x: float, power: float = 1.0) -> float:
+    """(theta e^x)^power where e^x overflows: exp(power (log theta + x)), or
+    +inf where that overflows too or theta is 0, a mass that underflowed."""
+    try:
+        return math.exp(power * (math.log(theta) + x)) if theta > 0.0 else math.inf
+    except OverflowError:
+        return math.inf
+
+
 def _leakage_tail(theta: float, frac: float, info: float) -> float:
     """(theta e^info)^frac as theta^frac exp(frac info): the order-alpha tail
     bound at frac = (alpha - 1) / alpha, the maximal-leakage one at frac = 1."""
-    return float(theta**frac * math.exp(frac * info))
+    try:
+        return float(theta**frac * math.exp(frac * info))
+    except OverflowError:
+        return _past_overflow(theta, info, frac)
 
 
 def gen_tail_ml(setting: SubGaussianSetting, eta: float, leakage: float) -> BoundResult:
@@ -168,7 +184,10 @@ def gen_tail_ml_chi2(setting: SubGaussianSetting, eta: float, leakage: float) ->
     """Chi-square relaxation of the leakage bound via chi^2 <= exp(L) - 1."""
     leakage = check_range(leakage, "leakage", NONNEGATIVE)
     theta = setting.theta(eta)
-    raw = theta + math.sqrt(theta * math.expm1(leakage))
+    try:
+        raw = theta + math.sqrt(theta * math.expm1(leakage))
+    except OverflowError:  # expm1 is exp there
+        raw = theta + _past_overflow(theta, leakage, 0.5)
     return BoundResult("gen_leakage_chi2", float(raw), {"theta": theta})
 
 
@@ -201,7 +220,10 @@ def pac_bayes_bound(
     delta = check_range(delta, "delta", OPEN_UNIT)
     beta = check_range(beta, "beta", "(1, inf)")
     h_beta = check_range(h_beta, "h_beta", NONNEGATIVE)
-    scale = math.sqrt(2.0 * setting.sigma**2 / setting.n)
+    try:
+        scale = math.sqrt(2.0 * setting.sigma**2 / setting.n)
+    except OverflowError:  # sigma^2 past the float range
+        scale = setting.sigma * math.sqrt(2.0 / setting.n)
     log_term = math.log1p((beta - 1.0) * h_beta) / beta - math.log(delta)
     integral = scale * (
         math.log(math.sqrt(math.pi * beta / (beta - 1.0)))
@@ -247,7 +269,10 @@ def cmi_convert(eps_fn, delta: float, setting: BoundedLossSetting) -> float:
     """Convert a paired-sample tail guarantee into a generalization bound:
     eps(delta/2) + sqrt((b-a)^2 / (2n) * log(4/delta))."""
     delta = check_range(delta, "delta", OPEN_UNIT)
-    slack = math.sqrt(setting.span**2 / (2.0 * setting.n) * math.log(4.0 / delta))
+    try:
+        slack = math.sqrt(setting.span**2 / (2.0 * setting.n) * math.log(4.0 / delta))
+    except OverflowError:  # (b - a)^2 past the float range
+        slack = setting.span * math.sqrt(math.log(4.0 / delta) / (2.0 * setting.n))
     return float(eps_fn(delta / 2.0)) + slack
 
 
@@ -274,7 +299,11 @@ def dp_gen_bound(setting: SubGaussianSetting, eta: float, dp: DPParams) -> float
     """
     eta = check_range(eta, "eta", OPEN_UNIT)
     k, tau = dp_egamma_cap(dp, setting.n)
-    return setting.theta(eta) * math.exp(k) + tau
+    theta = setting.theta(eta)
+    try:
+        return theta * math.exp(k) + tau
+    except OverflowError:
+        return _past_overflow(theta, k) + tau
 
 
 def mi_gap_constant() -> float:

@@ -115,7 +115,6 @@ class PairBatch:
         self.q = q
         self.r = r
         mf = masks.astype(float)
-        self.masks = masks
         self.p_events = p @ mf.T
         self.q_events = q @ mf.T
         self.events = B.EventView(self.q_events)  # shared by every case's core

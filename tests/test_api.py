@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import divgauge as dg
-from divgauge import bounds, dist, divergences, experiments, genbounds
+from divgauge import bounds, cli, dist, divergences, experiments, genbounds, verify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,6 +41,12 @@ def test_all_names_resolve_once():
         (dist.EventMask, "count"),
         (bounds, "_check_q"),
         (bounds, "_check_beta"),
+        (bounds.Bound, "scalar_args"),
+        (bounds, "_POWER_ARGS"),
+        (cli, "_dist_from_obj"),
+        (cli, "_jsonable"),
+        (verify.PairBatch.from_pairs([dg.random_pair(0, 0, 2)], dist.event_mask_matrix(2)),
+         "masks"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):

@@ -1281,6 +1281,37 @@ def test_orlicz_bound_gamma_above_max_ratio():
     assert res.raw >= p - 1e-12
 
 
+def test_orlicz_bound_with_a_custom_gauge_matches_its_power_twin():
+    # t^2 / 2, given as a callable, is the power gauge of kappa = 2
+    custom = dg.custom_orlicz(lambda t: np.asarray(t, dtype=float) ** 2 / 2.0, name="half-square")
+    pair = dg.AbsContPair(dg.make_distribution([3, 1, 2, 0, 2]), dg.make_distribution([1, 2, 1, 1, 3]))
+    for code in range(1, 32):
+        mask = EventMask.from_int(code, 5)
+        for gamma in (0.0, 1.0):
+            res = dg.bound_orlicz(pair, mask, gamma, custom)
+            twin = dg.bound_orlicz(pair, mask, gamma, dg.power_orlicz(2.0))
+            assert res.free_params["gauge"] == "half-square"
+            assert res.raw == pytest.approx(twin.raw, rel=1e-12)
+            assert res.raw >= dg.event_probability(pair.p, mask) - 1e-12
+
+
+@pytest.mark.parametrize("mask", [EventMask.empty(3), EventMask.from_indices([2], 3)])
+def test_pair_bounds_at_an_event_of_q_mass_0(mask):
+    # P(E) = 0 wherever Q(E) = 0, by domination
+    pair = dg.AbsContPair(dg.make_distribution([2, 1, 0]), dg.make_distribution([1, 2, 0]))
+    for res in (dg.bound_orlicz(pair, mask, 1.0, dg.power_orlicz(2.0)),
+                dg.bound_strong_converse(pair, mask, 1.0)):
+        assert res.raw == 0.0 and res.value == 0.0
+        assert res.notes[0].startswith("degenerate: Q(E)=0")
+
+
+def test_qmax_cap_is_checked_at_the_degenerate_events():
+    assert dg.bound_power_beta(0.0, 0.1, 2.0, mode="qmax", q_max=0.5).raw == 0.0
+    # no cap q_max < 1 lies at or above Q(E) = 1
+    with pytest.raises(RangeError, match="q <= q_max < 1"):
+        dg.bound_power_beta(1.0, 0.1, 2.0, mode="qmax", q_max=0.5)
+
+
 def test_orlicz_bound_sound_over_events():
     spec = dg.power_orlicz(2.0)
     for i in range(15):

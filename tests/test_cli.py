@@ -492,3 +492,67 @@ def test_experiment_config_nan_temperature_exits_2(kind, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "divgauge: error: temperature = nan must lie in [0, inf]\n"
+
+
+_HALVES = {"probs": [0.5, 0.5]}
+_DIVS = {"gamma": 1.0, "e_gamma": 0.05, "chi2": 0.3, "h2": 0.1, "beta": 2.0, "h_beta": 0.3}
+_GENBOUND = ["genbound", "--n", "10", "--eta-grid", "0.1:0.3:0.1", "--div-file", "{file}"]
+
+# (id, the input file's content, a command line reading it as "{file}", exit
+# code): each malformed file or literal exits 2; the two extremes give rows.
+EDGE_INPUTS = [
+    ("pair_side_missing_probs", {"p": {"prob": [0.5, 0.5]}, "q": _HALVES},
+     ["div", "--pair", "{file}", "--kind", "kl"], 2),
+    ("pair_probs_not_numbers", {"p": {"probs": ["x", 0.5]}, "q": _HALVES},
+     ["div", "--pair", "{file}", "--kind", "kl"], 2),
+    ("pair_probs_ragged", {"p": {"probs": [[0.5], [0.5, 0.0]]}, "q": _HALVES},
+     ["div", "--pair", "{file}", "--kind", "kl"], 2),
+    ("pair_side_not_an_object", {"p": [0.5, 0.5], "q": _HALVES},
+     ["div", "--pair", "{file}", "--kind", "kl"], 2),
+    ("pair_labels_not_a_list", {"p": {**_HALVES, "labels": "ab"}, "q": _HALVES},
+     ["compare", "--pair", "{file}"], 2),
+    ("joint_matrix_not_numbers", {"matrix": "abc"},
+     ["div", "--joint", "{file}", "--kind", "mutual_information"], 2),
+    ("joint_matrix_ragged", {"matrix": [[0.5], [0.5, 0.0]]},
+     ["div", "--joint", "{file}", "--kind", "kl"], 2),
+    ("joint_not_an_object", [[0.5, 0.5]],
+     ["div", "--joint", "{file}", "--kind", "maximal_leakage"], 2),
+    ("event_not_an_integer_literal", {"p": _HALVES, "q": _HALVES},
+     ["compare", "--pair", "{file}", "--event", "abc"], 2),
+    ("genbound_leakage_1000", {**_DIVS, "leakage": 1000}, [*_GENBOUND, "--sigma", "1"], 0),
+    ("genbound_sigma_1e-200", _DIVS, [*_GENBOUND, "--sigma", "1e-200"], 0),
+]
+
+
+@pytest.mark.parametrize("content, argv, code", [row[1:] for row in EDGE_INPUTS],
+                         ids=[row[0] for row in EDGE_INPUTS])
+def test_malformed_input_exits_2_and_extreme_values_give_rows(content, argv, code, tmp_path,
+                                                              capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / "out.txt"
+    assert cli.main([a.format(file=path) for a in argv] + ["--out", str(out)]) == code
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    if code == 2:
+        assert err.startswith("divgauge: error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert len(out.read_text().splitlines()) == 2 + 3  # config, header, one row per eta
+
+
+def test_bound_options_come_from_the_entry_point_signatures():
+    options = {spec.id: cli._bound_options(spec.scalar) for spec in cli._BOUND_DISPATCH.values()}
+    assert options == {
+        "egamma": ("gamma",),
+        "kl": ("c",),
+        **dict.fromkeys(("power_implicit", "power_qmax", "power_small_q"), ("beta", "q_max")),
+        **dict.fromkeys(("chi2", "hellinger", "reverse_chi2", "reverse_kl_exact",
+                         "reverse_kl_explicit", "vincze_lecam"), ()),
+    }
+    # each names an option of the `bound` command
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for action in commands.choices["bound"]._actions}
+    assert {name for names in options.values() for name in names} <= dests

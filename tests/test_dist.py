@@ -236,6 +236,31 @@ def test_joint_json_round_trip():
     assert np.array_equal(back.matrix, joint.matrix)
 
 
+_NOT_NUMBERS = "'{}' must be a regular array of numbers"
+
+
+@pytest.mark.parametrize("reader, obj, message", [
+    (FiniteDistribution, [0.5, 0.5], "expected a JSON object"),
+    (FiniteDistribution, {"prob": [0.5, 0.5]}, "expected key 'probs'"),
+    (FiniteDistribution, {"probs": ["x", 0.5]}, _NOT_NUMBERS.format("probs")),
+    (FiniteDistribution, {"probs": [[0.5], [0.5, 0.0]]}, _NOT_NUMBERS.format("probs")),
+    (FiniteDistribution, {"probs": [0.5, 10**400]}, _NOT_NUMBERS.format("probs")),
+    (FiniteDistribution, {"probs": [0.5, 0.5], "labels": "ab"}, "'labels' must be a list"),
+    (FiniteDistribution, {"probs": [0.5, 0.5], "labels": None}, "'labels' must be a list"),
+    (JointFinite, "matrix", "expected a JSON object"),
+    (JointFinite, {"matrix": "abc"}, _NOT_NUMBERS.format("matrix")),
+    (JointFinite, {"matrix": [[0.5], [0.5, 0.0]]}, _NOT_NUMBERS.format("matrix")),
+    (JointFinite, {"probs": [0.5, 0.5]}, "expected key 'matrix'"),
+])
+def test_json_readers_name_the_source_of_a_schema_fault(reader, obj, message):
+    with pytest.raises(ValidationError) as info:
+        reader.from_obj(obj, "in.json")
+    assert str(info.value) == f"in.json: {message}"
+    with pytest.raises(ValidationError) as info:  # from_json runs the same reader
+        reader.from_json(json.dumps(obj))
+    assert str(info.value) == f"JSON: {message}"
+
+
 def test_distribution_json_uses_shortest_round_trip_floats():
     d = make_distribution([1, 2])
     obj = json.loads(d.to_json())

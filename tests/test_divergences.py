@@ -30,9 +30,10 @@ from divgauge import (
     renyi_to_hellinger,
     sibson_mi,
 )
+from divgauge import divergences
 from divgauge.dist import JointFinite, event_mask_matrix
 from divgauge.divergences import bernoulli_kl_core, generator_values
-from divgauge.errors import BoundaryError, DegenerateMarginalError, RangeError
+from divgauge.errors import BoundaryError, DegenerateMarginalError, RangeError, ValidationError
 
 ALL_KINDS = [
     KL,
@@ -45,6 +46,15 @@ ALL_KINDS = [
     power_kind(2.5),
     hockey_stick_kind(1.5),
 ]
+
+
+def test_kinds_name_every_generator_and_renyi():
+    assert sorted(divergences.KINDS) == sorted({*divergences._GENERATORS, "renyi"})
+    for name in divergences.KINDS:
+        order = 2.0 if name in divergences.ORDER_PARAMS else None
+        assert divergences.DivergenceKind(name, order).name == name
+    with pytest.raises(ValidationError, match="unknown divergence kind 'sibson'"):
+        divergences.DivergenceKind("sibson")
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -203,6 +203,59 @@ def test_cmi_convert_composes_the_slack_term():
     assert cmi_convert(eps, delta, setting) == pytest.approx(want, abs=1e-15)
 
 
+def test_tail_bounds_past_the_exponent_range():
+    s = SubGaussianSetting(1.0, 10)
+    theta = s.theta(0.5)
+    # below the overflow each keeps the bits of its formula
+    assert float.hex(gen_tail_ml(s, 0.5, 709.0).raw) == float.hex(theta * math.exp(709.0))
+    assert float.hex(gen_tail_ml_chi2(s, 0.5, 709.0).raw) == float.hex(
+        theta + math.sqrt(theta * math.expm1(709.0)))
+    assert float.hex(gen_tail_alpha_mi(s, 0.5, 1419.0, 2.0).raw) == float.hex(
+        theta**0.5 * math.exp(709.5))
+    # past it: theta e^x where that is finite, written with e^x split in two
+    assert gen_tail_ml(s, 0.5, 710.0).raw == pytest.approx(
+        theta * math.exp(1.0) * math.exp(709.0), rel=1e-12)
+    assert gen_tail_ml_chi2(s, 0.5, 1000.0).raw == pytest.approx(
+        theta + math.sqrt(theta) * math.exp(500.0), rel=1e-12)
+    assert gen_tail_alpha_mi(s, 0.5, 1420.0, 2.0).raw == pytest.approx(
+        math.sqrt(theta) * math.exp(1.0) * math.exp(709.0), rel=1e-12)
+    # +inf where it is not, and where theta underflowed to 0 (never 0 * inf)
+    assert s.theta(1e3) == 0.0
+    for eta in (0.5, 1e3):
+        assert gen_tail_ml(s, eta, 800.0).raw == math.inf
+        assert gen_tail_ml_chi2(s, eta, 1500.0).raw == math.inf
+        assert gen_tail_alpha_mi(s, eta, 1600.0, 2.0).raw == math.inf
+        assert gen_tail_alpha_mi(s, eta, 800.0, math.inf).raw == math.inf
+
+
+def test_dp_bound_past_the_exponent_range():
+    dp = DPParams(epsilon=0.5, delta=1e-3)
+    # k = 29,472 and theta underflows to 0
+    assert dp_gen_bound(SubGaussianSetting(1.0, 100_000), 0.5, dp) == math.inf
+    # k = 1000.1 > 709.8, theta = 2 e^-700 > 0
+    s = SubGaussianSetting(1.0, 3393)
+    eta = math.sqrt(1400.0 / 3393)
+    k, tau = dp_egamma_cap(dp, 3393)
+    theta = s.theta(eta)
+    assert k > 710.0 and theta > 0.0
+    assert dp_gen_bound(s, eta, dp) == pytest.approx(
+        theta * math.exp(700.0) * math.exp(k - 700.0) + tau, rel=1e-12)
+
+
+def test_extreme_sigmas_give_their_limits():
+    # 2 sigma^2 underflows to 0 at sigma = 1e-200, and sigma^2 overflows at 1e200
+    assert SubGaussianSetting(1e-200, 5).theta(0.1) == 0.0
+    assert BoundedLossSetting(0.0, 1e-200, 5).theta(0.1) == 0.0
+    assert SubGaussianSetting(1e200, 5).theta(0.1) == 2.0
+    assert SubGaussianSetting(1e200, 5).theta(math.inf) == 0.0
+    big, unit = pac_bayes_bound(SubGaussianSetting(1e200, 5), 0.1, 0.1, 2.0), pac_bayes_bound(
+        SubGaussianSetting(1.0, 5), 0.1, 0.1, 2.0)
+    for variant in ("integral", "holder"):
+        assert big[variant] == pytest.approx(1e200 * unit[variant], rel=1e-12)
+    assert cmi_convert(lambda d: 0.0, 0.1, BoundedLossSetting(-1e200, 1e200, 5)) == pytest.approx(
+        1e200 * cmi_convert(lambda d: 0.0, 0.1, BoundedLossSetting(-1.0, 1.0, 5)), rel=1e-12)
+
+
 def test_dp_params_validation():
     with pytest.raises(RangeError):
         DPParams(epsilon=0.8, delta=0.1)

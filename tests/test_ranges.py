@@ -228,6 +228,28 @@ def test_every_numeric_argument_keeps_its_interval_and_rejects_nan(row):
                 call(value)
 
 
+# Calls with a faulty argument at Q(E) in {0, 1}, where an entry point
+# returns the degenerate bound: each checks all its arguments first.
+DEGENERATE_ROWS = [
+    ("bound_kl.c", lambda q: dg.bound_kl(q, 0.1, c=math.nan)),
+    ("competitor_bound.beta[missing]", lambda q: dg.competitor_bound("power", q, 0.1)),
+    ("competitor_bound.beta", lambda q: dg.competitor_bound("power", q, 0.1, beta=math.nan)),
+    ("competitor_bound.div[squared_hellinger]",
+     lambda q: dg.competitor_bound("squared_hellinger", q, 3.0)),
+    ("bound_power_beta.q_max",
+     lambda q: dg.bound_power_beta(q, 0.1, 2.0, mode="qmax", q_max=math.nan)),
+    ("bound_young_fenchel.u", lambda q: dg.bound_young_fenchel(q, 0.1, dg.CHI2, u=math.nan, v=0.0)),
+]
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+@pytest.mark.parametrize("call", [row[1] for row in DEGENERATE_ROWS],
+                         ids=[row[0] for row in DEGENERATE_ROWS])
+def test_degenerate_events_do_not_skip_the_argument_checks(call, q):
+    with pytest.raises(RangeError):
+        call(q)
+
+
 # exported records of results, whose numeric fields are outputs, and the
 # arguments that only seed or size a random draw
 NOT_ARGUMENTS = {"BoundResult", "GenTailResult", "VerificationReport", "OrliczSpec",

@@ -512,3 +512,12 @@ def test_report_serialization_schema():
     assert set(d) == {"bound", "trials", "violations", "worst_slack", "seed", "witness"}
     assert d["seed"] == 11
     assert d["trials"] == 2**5
+
+
+def test_process_pool_sweep_gives_the_serial_reports():
+    # two chunks on two workers, the path `divgauge verify` takes by default
+    kwargs = dict(n_pairs=40, support=4, seed=5, batch_size=20)
+    serial = master_soundness(jobs=1, **kwargs)
+    pooled = master_soundness(jobs=2, **kwargs)
+    assert list(pooled) == list(serial)
+    assert [r.to_dict() for r in pooled.values()] == [r.to_dict() for r in serial.values()]
