@@ -72,7 +72,7 @@ from .divergences import (
     hockey_stick_kind,
     power_kind,
 )
-from .errors import (BETA, NONNEGATIVE, OPEN_UNIT, POSITIVE, REAL, UNIT, RangeError,
+from .errors import (BETA, OPEN_UNIT, POSITIVE, REAL, UNIT, RangeError,
                      ValidationError, check_range)
 from .orlicz import (
     OrliczSpec,
@@ -111,8 +111,8 @@ class BoundResult:
 def _check_div(d: float, what: str = "divergence") -> float:
     """A divergence value as a float; one within 1e-12 below 0 (roundoff in
     the sum that gave it) reads as 0."""
-    d = float(d)
-    return check_range(0.0 if -1e-12 <= d < 0.0 else d, what, NONNEGATIVE)
+    d = check_range(d, what, "[-1e-12, inf]")
+    return 0.0 if d < 0.0 else d
 
 
 def _degenerate(name: str, q: float, params: dict) -> BoundResult | None:
@@ -698,7 +698,7 @@ def bound_young_fenchel(
             raise ValidationError(f"conjugate {fspec.name!r} has no generator: give u and v")
     elif u is None or v is None:
         raise ValidationError("provide both u and v, or neither")
-    elif not u > v:
+    elif not check_range(u, "u", REAL) > check_range(v, "v", REAL):
         raise RangeError("need u > v")
     else:
         fu, fv = fspec.fstar(u), fspec.fstar(v)

@@ -393,14 +393,13 @@ def _experiment_from_file(path: str):
         if key not in obj:
             raise ValidationError(f"{path}: missing key {key!r}")
     temperature = obj["temperature"]
-    try:  # malformed values, e.g. "n": "eight"
+    try:  # malformed values, e.g. "p_z": "even"; the experiment checks n
         p_z = np.asarray(obj["p_z"], dtype=float)
         loss_table = np.asarray(obj["loss_table"], dtype=float)
-        n = int(obj["n"])
         temperature = math.inf if temperature == "inf" else float(temperature)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    exp = _EXPERIMENT_TYPES[kind](FiniteDistribution(p_z), loss_table, n, temperature)
+    exp = _EXPERIMENT_TYPES[kind](FiniteDistribution(p_z), loss_table, obj["n"], temperature)
     return exp, obj
 
 

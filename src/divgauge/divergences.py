@@ -84,7 +84,7 @@ class DivergenceKind:
         if self.name not in KINDS:
             raise ValidationError(f"unknown divergence kind {self.name!r}")
         if self.name in ORDER_PARAMS:
-            check_range(self.param, *ORDER_PARAMS[self.name])
+            object.__setattr__(self, "param", check_range(self.param, *ORDER_PARAMS[self.name]))
         elif self.param is not None:
             raise ValidationError(f"kind {self.name!r} takes no parameter")
 
@@ -104,15 +104,15 @@ VINCZE_LECAM = DivergenceKind("vincze_lecam")
 
 
 def power_kind(beta: float) -> DivergenceKind:
-    return DivergenceKind("power", float(beta))
+    return DivergenceKind("power", beta)
 
 
 def hockey_stick_kind(gamma: float) -> DivergenceKind:
-    return DivergenceKind("hockey_stick", float(gamma))
+    return DivergenceKind("hockey_stick", gamma)
 
 
 def renyi_kind(alpha: float) -> DivergenceKind:
-    return DivergenceKind("renyi", float(alpha))
+    return DivergenceKind("renyi", alpha)
 
 
 def generator_values(kind: DivergenceKind, t) -> np.ndarray:
@@ -172,12 +172,18 @@ def _log_ratio(x, y, diff):
     caller without cancellation; where diff / y rounds to -1 (x below an ulp
     of y) log1p returns -inf, and log(x / y) is taken instead, only in the
     rare calls that have such an element: a call at one point (0-d) reads
-    its element, a batch its minimum."""
+    its element, a batch its minimum.  At one point, where diff / y
+    overflows (y subnormal), log x - log y is taken; a batch's y is never
+    subnormal (``EventView`` clips it), so a batch does not look."""
     down = diff / y
     out = np.log1p(down)
-    if (down if out.ndim == 0 else np.min(down, initial=np.inf)) > -1.0:
+    if out.ndim:
+        if np.min(down, initial=np.inf) > -1.0:
+            return out
+        return np.where(down > -1.0, out, np.log(x / y))
+    if -1.0 < down < np.inf:
         return out
-    return np.where(down > -1.0, out, np.log(x / y))
+    return np.log(x / y) if down <= -1.0 else np.log(x) - np.log(y)
 
 
 def bernoulli_kl_core(a, b):
@@ -203,7 +209,7 @@ def bernoulli_kl(a: float, b: float) -> float:
     """kl(a, b) = a log(a/b) + (1-a) log((1-a)/(1-b)), with 0 log 0 = 0."""
     check_range(a, "a", UNIT)
     check_range(b, "b", OPEN_UNIT)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return float(bernoulli_kl_core(np.float64(a), np.float64(b)))
 
 

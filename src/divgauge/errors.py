@@ -1,5 +1,5 @@
-"""Semantic exception hierarchy, and the one range check of every numeric
-argument.
+"""Semantic exception hierarchy, the one range check of every numeric
+argument, and the one check of every count.
 
 Public functions never raise bare ValueError/KeyError; every failure mode
 maps to one of the classes below so callers can dispatch on meaning.
@@ -7,6 +7,7 @@ maps to one of the classes below so callers can dispatch on meaning.
 
 import functools
 import math
+import numbers
 
 
 class DivgaugeError(Exception):
@@ -58,7 +59,7 @@ OPEN_UNIT = "(0, 1)"  # a two-point q, a confidence level delta
 NONNEGATIVE = "[0, inf]"  # a divergence or an information value
 POSITIVE = "(0, inf)"
 REAL = "(-inf, inf)"  # a hockey-stick threshold gamma
-COUNT = "[1, inf)"  # a sample, pair or atom count
+COUNT = "[1, inf)"  # a sample, pair or atom count, an integer (check_count)
 BETA = "(1, 50]"  # the power divergence's order
 RENYI_ORDER = "(0, inf) \\ {1}"
 SIBSON_ORDER = "(1, inf]"
@@ -78,13 +79,28 @@ def _bounds(interval: str) -> tuple[float, float, bool, bool, float]:
 def check_range(value, name: str, interval: str, error: type = RangeError) -> float:
     """`value` as a float, or `error` (RangeError or a subclass) with the
     message "{name} = {value} must lie in {interval}" where the value is
-    NaN, not a number, or outside `interval`, written as :func:`_bounds`
-    reads it.  Every comparison is one a NaN fails."""
+    NaN, not a number, an integer past the float range, or outside
+    `interval`, written as :func:`_bounds` reads it.  Every comparison is
+    one a NaN fails."""
     lo, hi, lo_open, hi_open, hole = _bounds(interval)
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         x = math.nan
     if (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi) and x != hole:
         return x
     raise error(f"{name} = {x if isinstance(value, float) else value!r} must lie in {interval}")
+
+
+def check_count(value, name: str) -> int:
+    """`value` as an int, or RangeError with the message "{name} = {value}
+    must be an integer in [1, inf)" where the value is a bool, not a real
+    number, not integral (8.0 is), below 1 or past the float range."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if 1.0 <= x < math.inf and x.is_integer():
+            return int(value)
+    raise RangeError(f"{name} = {value!r} must be an integer in {COUNT}")

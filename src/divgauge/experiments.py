@@ -33,7 +33,7 @@ import numpy as np
 from .dist import AbsContPair, FiniteDistribution, JointFinite, adopted_distribution, product_pair
 from .divergences import (CHI2, KL, SQUARED_HELLINGER, f_divergence, hockey_stick_kind,
                           maximal_leakage, power_kind, sibson_mi)
-from .errors import COUNT, ResourceError, ValidationError, check_range
+from .errors import ResourceError, ValidationError, check_count, check_range
 from .genbounds import BoundedLossSetting, SubGaussianSetting
 
 ATOM_CAP = 20_000_000
@@ -113,7 +113,7 @@ class _Learner:
             raise ValidationError("loss_table must be k x |Z|")
         if not np.all(np.isfinite(table)):
             raise ValidationError("losses must be finite")
-        check_range(self.n, "n", COUNT)
+        object.__setattr__(self, "n", check_count(self.n, "n"))
         check_range(self.temperature, "temperature", "[0, inf]")
         if np.any(self.p_z.probs == 0.0):
             raise ValidationError("sample distribution must be strictly positive")

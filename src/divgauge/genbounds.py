@@ -20,8 +20,8 @@ from .bounds import (
     power_small_q_core,
 )
 from .dist import AbsContPair
-from .errors import (BETA, COUNT, NONNEGATIVE, OPEN_UNIT, POSITIVE, REAL, SIBSON_ORDER, RangeError,
-                     ValidationError, check_range)
+from .errors import (BETA, NONNEGATIVE, OPEN_UNIT, POSITIVE, REAL, SIBSON_ORDER, RangeError,
+                     ValidationError, check_count, check_range)
 from .orlicz import OrliczSpec, amemiya_norm, indicator_norm
 from ._optim import increasing_root
 
@@ -35,7 +35,7 @@ class SubGaussianSetting:
 
     def __post_init__(self) -> None:
         check_range(self.sigma, "sigma", POSITIVE)
-        check_range(self.n, "n", COUNT)
+        object.__setattr__(self, "n", check_count(self.n, "n"))
 
     def theta(self, eta: float) -> float:
         """Two-sided Hoeffding mass 2 exp(-n eta^2 / (2 sigma^2)), in [0, 2]."""
@@ -56,9 +56,9 @@ class BoundedLossSetting:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.b > self.a:
+        if not check_range(self.b, "b", "[-inf, inf]") > check_range(self.a, "a", "[-inf, inf]"):
             raise RangeError("need b > a")
-        check_range(self.n, "n", COUNT)
+        object.__setattr__(self, "n", check_count(self.n, "n"))
 
     @property
     def span(self) -> float:
@@ -166,7 +166,10 @@ def _past_overflow(theta: float, x: float, power: float = 1.0) -> float:
 
 def _leakage_tail(theta: float, frac: float, info: float) -> float:
     """(theta e^info)^frac as theta^frac exp(frac info): the order-alpha tail
-    bound at frac = (alpha - 1) / alpha, the maximal-leakage one at frac = 1."""
+    bound at frac = (alpha - 1) / alpha, the maximal-leakage one at frac = 1.
+    Infinite information gives +inf, also where theta underflowed to 0."""
+    if info == math.inf:  # exp(inf) raises nothing, and 0 * inf is NaN
+        return math.inf
     try:
         return float(theta**frac * math.exp(frac * info))
     except OverflowError:
@@ -184,6 +187,8 @@ def gen_tail_ml_chi2(setting: SubGaussianSetting, eta: float, leakage: float) ->
     """Chi-square relaxation of the leakage bound via chi^2 <= exp(L) - 1."""
     leakage = check_range(leakage, "leakage", NONNEGATIVE)
     theta = setting.theta(eta)
+    if leakage == math.inf:  # as in _leakage_tail
+        return BoundResult("gen_leakage_chi2", math.inf, {"theta": theta})
     try:
         raw = theta + math.sqrt(theta * math.expm1(leakage))
     except OverflowError:  # expm1 is exp there
@@ -283,7 +288,7 @@ def dp_egamma_cap(dp: DPParams, n: int) -> tuple[float, float]:
         tau = e^(-eps^2 n) + c1 n sqrt(delta / eps)
         k   = c2 (eps^2 n + n sqrt(delta / eps))
     """
-    check_range(n, "n", COUNT)
+    n = check_count(n, "n")
     root = n * math.sqrt(dp.delta / dp.epsilon)
     tau = math.exp(-dp.epsilon**2 * n) + dp.c1 * root
     k = dp.c2 * (dp.epsilon**2 * n + root)

@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from . import bounds as B
-from ._optim import logsumexp
 from .dist import (
     EXHAUSTIVE_LIMIT,
     AbsContPair,
@@ -36,8 +35,8 @@ from .dist import (
     normalized,
 )
 from .divergences import CHI2, DivergenceKind, f_divergence_from_ratios
-from .errors import (COUNT, OPEN_UNIT, POSITIVE, REAL, UNIT, ResourceError, UnknownBoundError,
-                     ValidationError, check_range)
+from .errors import (OPEN_UNIT, REAL, UNIT, ResourceError, UnknownBoundError, check_count,
+                     check_range)
 
 SLACK_TOL = 1e-9
 SAMPLED_EVENTS = 100_000
@@ -59,7 +58,7 @@ def _pair_masses(seed, indices, support: int, zero_prob: float):
     subset).  Each row is the normalized exponentials of its uniforms, with
     its rounding remainder at its largest atom.
     """
-    check_range(support, "support", COUNT)
+    support = check_count(support, "support")
     check_range(zero_prob, "zero_prob", UNIT)
     indices = list(indices)
     u = np.empty((2, len(indices), support))  # Q's rows, then P's
@@ -336,8 +335,9 @@ def master_soundness(
     batch_size: int = 500,
 ) -> dict[str, VerificationReport]:
     """The master suite: seeded random pairs x all events x all bounds."""
-    check_range(n_pairs, "n_pairs", COUNT)
-    check_range(batch_size, "batch_size", COUNT)
+    n_pairs = check_count(n_pairs, "n_pairs")
+    support = check_count(support, "support")
+    batch_size = check_count(batch_size, "batch_size")
     if support > EXHAUSTIVE_LIMIT:
         raise ResourceError("master suite is exhaustive; support must be <= 16")
     cases = default_cases() if cases is None else cases
@@ -431,7 +431,7 @@ def binary_tightness_witness(
     the pair equals the corresponding two-point divergence at (p, q)."""
     check_range(p, "p", OPEN_UNIT)
     check_range(q, "q", OPEN_UNIT)
-    check_range(atoms_per_block, "atoms_per_block", COUNT)
+    atoms_per_block = check_count(atoms_per_block, "atoms_per_block")
     rng = np.random.default_rng(seed)
     r1 = -np.log(rng.random(atoms_per_block))
     r0 = -np.log(rng.random(atoms_per_block))
@@ -440,72 +440,6 @@ def binary_tightness_witness(
     pv = absorb_rounding(np.concatenate([p * r1, (1.0 - p) * r0]))
     qv = absorb_rounding(np.concatenate([q * r1, (1.0 - q) * r0]))
     return AbsContPair(FiniteDistribution(pv), FiniteDistribution(qv))
-
-
-SIBSON_ZOOMS = 2  # refinements of sibson_grid_min around its incumbent
-SIBSON_SHRINK = 20.0  # the factor each refinement divides its step by
-
-
-def sibson_grid_min(joint: JointFinite, alpha: float, resolution: float = 1e-3) -> float:
-    """Direct grid minimization of the order-alpha divergence over output
-    marginals: the independent oracle for the Sibson closed form.
-
-    Scans the whole simplex at `resolution`, then zooms SIBSON_ZOOMS times
-    around the incumbent, dividing the step by SIBSON_SHRINK each time.
-    Supports |W| in {2, 3}.
-    """
-    check_range(alpha, "alpha", "(1, inf)")
-    check_range(resolution, "resolution", POSITIVE)
-    n_w = joint.shape[1]
-    if n_w not in (2, 3):
-        raise ValidationError("grid oracle supports 2 or 3 outputs")
-    ms = joint.matrix.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_c = logsumexp(
-            alpha * np.log(joint.matrix) + (1.0 - alpha) * np.log(ms)[:, None],
-            axis=0,
-        )
-
-    def objective(qw: np.ndarray) -> np.ndarray:
-        bad = (qw <= 0.0).any(axis=1)
-        safe = np.where(qw > 0.0, qw, 1.0)
-        terms = log_c[None, :] + (1.0 - alpha) * np.log(safe)
-        m = terms.max(axis=1, keepdims=True)
-        val = (np.log(np.exp(terms - m).sum(axis=1)) + m[:, 0]) / (alpha - 1.0)
-        return np.where(bad, math.inf, val)
-
-    def grid_around(center: np.ndarray, half_width: float, step: float) -> np.ndarray:
-        axes = [
-            np.arange(
-                max(0.0, c - half_width), min(1.0, c + half_width) + step / 2, step
-            )
-            for c in center[:-1]
-        ]
-        if n_w == 2:
-            x = axes[0]
-            pts = np.stack([x, 1.0 - x], axis=1)
-        else:
-            xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-            x = xx.ravel()
-            y = yy.ravel()
-            keep = x + y <= 1.0 + 1e-15
-            pts = np.stack([x[keep], y[keep], 1.0 - x[keep] - y[keep]], axis=1)
-        return np.clip(pts, 0.0, 1.0)
-
-    step = resolution
-    center = np.full(n_w, 1.0 / n_w)
-    half = 1.0
-    best = math.inf
-    for _ in range(SIBSON_ZOOMS + 1):
-        pts = grid_around(center, half, step)
-        vals = objective(pts)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            center = pts[i]
-        half = 2.0 * step
-        step = step / SIBSON_SHRINK
-    return best
 
 
 def _dominance_rows(q, divergence):
@@ -584,7 +518,8 @@ def dominance_rows_at_event(pair: AbsContPair, mask) -> list[dict]:
 def harness_self_test(n_pairs: int = 50, support: int = 6, seed: int = 7) -> VerificationReport:
     """Run the deliberately broken chi-square bound; a healthy harness must
     flag violations (> 0)."""
-    check_range(n_pairs, "n_pairs", COUNT)
+    n_pairs = check_count(n_pairs, "n_pairs")
+    support = check_count(support, "support")
     indices = np.arange(n_pairs)
     batch = PairBatch(*random_pair_rows(seed, range(n_pairs), support, zero_prob=0.0),
                       event_mask_matrix(support))

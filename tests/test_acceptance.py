@@ -16,6 +16,7 @@ from divgauge import bounds as B
 from divgauge import cli
 from divgauge.dist import event_mask_matrix
 from divgauge.verify import PairBatch, case_label, default_cases, master_soundness, random_pair_rows
+from sibson_oracle import definition_values, sibson_grid_min
 
 MASTER_PAIRS = 10_000
 MASTER_SUPPORT = 8
@@ -214,11 +215,46 @@ def test_criterion_4_sibson_closed_form_vs_grid():
         joint = dg.random_joint(201, idx, 3, 3)
         for alpha in (1.5, 2.0, 4.0):
             closed = dg.sibson_mi(joint, alpha)
-            grid = dg.sibson_grid_min(joint, alpha, resolution=1e-3)
+            grid = sibson_grid_min(joint, alpha, resolution=1e-3)
             assert grid >= closed - 1e-12, (idx, alpha, grid - closed)
             worst = max(worst, abs(grid - closed))
     assert worst <= 1e-6, worst
     print(f"[criterion 4] PASS - closed form vs grid minimization, worst gap {worst:.2e}")
+
+
+def _sibson_definition_faults(sibson):
+    """(idx, alpha, fault) for criterion 4's joints where `sibson` differs
+    from D_alpha(P_SW || P_S x Q_W*) at the closed-form minimizer Q_W* by more
+    than 1e-12, or where a seeded marginal gives a smaller D_alpha; the
+    grid's 1e-6 cannot see an I_alpha that is wrong by less."""
+    faults = []
+    for idx in range(5):
+        joint = dg.random_joint(201, idx, 3, 3)
+        for alpha in (1.5, 2.0, 4.0):
+            value = sibson(joint, alpha)
+            at_star, others = definition_values(joint, alpha, seed=idx)
+            if abs(at_star - value) > 1e-12:
+                faults.append((idx, alpha, at_star - value))
+            if others.min() < value:
+                faults.append((idx, alpha, others.min() - value))
+    return faults
+
+
+def test_criterion_4_sibson_closed_form_is_its_definition():
+    assert _sibson_definition_faults(dg.sibson_mi) == []
+    print("[criterion 4] PASS - closed form is D_alpha at its minimizer, and no marginal is lower")
+
+
+def test_sibson_definition_check_sees_what_the_grid_cannot():
+    def shrunk(joint, alpha):
+        return dg.sibson_mi(joint, alpha) * (1.0 - 1e-9)
+
+    for idx in range(5):
+        joint = dg.random_joint(201, idx, 3, 3)
+        for alpha in (1.5, 2.0, 4.0):
+            value, grid = shrunk(joint, alpha), sibson_grid_min(joint, alpha, resolution=1e-3)
+            assert value - 1e-12 <= grid <= value + 1e-6
+    assert len(_sibson_definition_faults(shrunk)) == 15
 
 
 def test_criterion_5_reproduced_numbers(tmp_path):

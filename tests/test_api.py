@@ -45,6 +45,8 @@ def test_all_names_resolve_once():
         (bounds, "_POWER_ARGS"),
         (cli, "_dist_from_obj"),
         (cli, "_jsonable"),
+        *((verify, name) for name in ("sibson_grid_min", "SIBSON_ZOOMS", "SIBSON_SHRINK")),
+        (dg, "sibson_grid_min"),
         (verify.PairBatch.from_pairs([dg.random_pair(0, 0, 2)], dist.event_mask_matrix(2)),
          "masks"),
     ],

@@ -260,6 +260,22 @@ def test_genbound_div_file_input(tmp_path):
     ) == 2
 
 
+def test_genbound_infinite_leakage_where_theta_underflows_is_vacuous(tmp_path):
+    div_file = tmp_path / "d.json"
+    div_file.write_text(json.dumps({**_DIVS, "leakage": math.inf, "alpha": 2.0,
+                                    "i_alpha": math.inf}))
+    code, payload = run_json(
+        ["genbound", "--sigma", "1.0", "--n", "10", "--eta-grid", "40:41:1",
+         "--div-file", str(div_file), "--format", "json"],
+        tmp_path,
+    )
+    assert code == 0
+    for row in payload["rows"]:
+        assert row["theta"] == 0.0
+        assert row["maximal_leakage"] == row["alpha_mi"] == math.inf
+        assert not any(math.isnan(v) for v in row.values()), row
+
+
 def test_genbound_rejects_supersample_experiment(tmp_path, capsys):
     cfg = tmp_path / "ss.json"
     cfg.write_text(json.dumps({"type": "supersample", "p_z": [0.5, 0.5],
@@ -342,6 +358,19 @@ def test_experiment_config_bad_values_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"type": "other"}))
     assert cli.main(["experiment", "--config", str(cfg)]) == 2
     assert "unknown experiment type 'other'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["gibbs", "supersample"])
+@pytest.mark.parametrize("n", [4.9, True, 10**400], ids=["4.9", "true", "1e400"])
+def test_experiment_config_count_not_an_integer_exits_2(kind, n, tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"type": kind, "p_z": [0.5, 0.5], "loss_table": [[0.0, 1.0]],
+                               "n": n, "temperature": 1.0}))
+    assert cli.main(["experiment", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("divgauge: error: n = ") and err.count("\n") == 1, err
+    assert err.endswith(" must be an integer in [1, inf)\n")
 
 
 def test_mi_gap_reproduces_the_constant(tmp_path):

@@ -219,13 +219,15 @@ def test_tail_bounds_past_the_exponent_range():
         theta + math.sqrt(theta) * math.exp(500.0), rel=1e-12)
     assert gen_tail_alpha_mi(s, 0.5, 1420.0, 2.0).raw == pytest.approx(
         math.sqrt(theta) * math.exp(1.0) * math.exp(709.0), rel=1e-12)
-    # +inf where it is not, and where theta underflowed to 0 (never 0 * inf)
+    # +inf where it is not, at infinite information, and where theta
+    # underflowed to 0 (never 0 * inf)
     assert s.theta(1e3) == 0.0
     for eta in (0.5, 1e3):
-        assert gen_tail_ml(s, eta, 800.0).raw == math.inf
-        assert gen_tail_ml_chi2(s, eta, 1500.0).raw == math.inf
-        assert gen_tail_alpha_mi(s, eta, 1600.0, 2.0).raw == math.inf
-        assert gen_tail_alpha_mi(s, eta, 800.0, math.inf).raw == math.inf
+        for info in (800.0, 1600.0, math.inf):
+            assert gen_tail_ml(s, eta, info).raw == math.inf
+            assert gen_tail_ml_chi2(s, eta, 2 * info).raw == math.inf
+            assert gen_tail_alpha_mi(s, eta, 2 * info, 2.0).raw == math.inf
+            assert gen_tail_alpha_mi(s, eta, info, math.inf).raw == math.inf
 
 
 def test_dp_bound_past_the_exponent_range():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import divgauge as dg
-from divgauge.errors import BoundaryError, RangeError, check_range
+from divgauge.errors import BoundaryError, RangeError, check_count, check_range
 
 SRC = Path(dg.__file__).resolve().parent
 
@@ -25,13 +25,15 @@ GIBBS = dg.GibbsExperiment(dg.make_distribution([1, 1]), [[0.0, 1.0], [1.0, 0.0]
 SUPER = dg.SuperSampleExperiment(dg.make_distribution([1, 1]), [[0.0, 1.0], [1.0, 0.0]], 1, 1.0)
 
 DIV = "[-1e-12, inf]"  # a bound's divergence: within 1e-12 below 0 reads as 0
-COUNT = "[1, inf)"  # probed with the integers 1 and 0
+COUNT = "[1, inf)"  # an integer, probed at 1 and 0 and with 2.5, True and 10**400
+COUNT_PROBES = [(1, True), (0, False), (2.5, False), (True, False), (10**400, False)]
 
 
 def _probes(interval: str) -> list[tuple[float, bool]]:
     """(value, accepted) at each end of `interval`: a finite end's float
     inside and its neighbour outside, an infinite end itself (inside where
-    the bracket is closed), an excluded point and its neighbour."""
+    the bracket is closed), an excluded point and its neighbour, and an
+    integer past the float range (outside any interval)."""
     body, _, hole = interval.partition(" \\ ")
     lo, hi = (float(x) for x in body[1:-1].split(", "))
     out = []
@@ -45,7 +47,7 @@ def _probes(interval: str) -> list[tuple[float, bool]]:
     if hole:
         point = float(hole.strip("{}"))
         out += [(point, False), (math.nextafter(point, math.inf), True)]
-    return out
+    return [*out, (10**400, False)]
 
 
 # One row per public numeric parameter: its label, a call that reads the
@@ -89,7 +91,7 @@ ROWS = [
     ("bound_young_fenchel.q", lambda x: dg.bound_young_fenchel(x, 0.1, dg.KL), "[0, 1]"),
     ("bound_young_fenchel.df", lambda x: dg.bound_young_fenchel(0.3, x, dg.KL), DIV),
     ("bound_young_fenchel.u", lambda x: dg.bound_young_fenchel(0.3, 0.1, dg.CHI2, x, 0.0),
-     "(0, inf)", [(5e-324, True), (0.0, False)]),
+     "(0, inf)", [(5e-324, True), (0.0, False), (10**400, False)]),
     ("bound_young_fenchel.v", lambda x: dg.bound_young_fenchel(0.3, 0.1, dg.CHI2, 1.0, x),
      "(-inf, 1)", [(math.nextafter(1.0, 0.0), True), (1.0, False)]),
     ("competitor_bound.q", lambda x: dg.competitor_bound("chi2", x, 0.1), "[0, 1]"),
@@ -202,27 +204,33 @@ ROWS = [
      COUNT),
     ("random_pair.support", lambda x: dg.random_pair(0, 0, x), COUNT),
     ("random_pair.zero_prob", lambda x: dg.random_pair(0, 0, 3, zero_prob=x), "[0, 1]"),
-    ("sibson_grid_min.alpha", lambda x: dg.sibson_grid_min(JOINT, x, 0.05), "(1, inf)"),
-    # a resolution near 0 would scan the simplex on an endless grid
-    ("sibson_grid_min.resolution", lambda x: dg.sibson_grid_min(JOINT, 2.0, x), "(0, inf)",
-     [(0.05, True), (0.0, False), (-0.05, False)]),
     ("verify_egamma_variational.gamma", lambda x: dg.verify_egamma_variational(PAIR, x),
      "(-inf, inf)"),
 ]
 
 
+# (probe, value) where a row's end reaches a corner of the arithmetic: the
+# call must return the exact value (mpmath, 50 digits) within 4 ulp, not
+# only return.  At b = 5e-324, (a - b) / b overflows.
+AT_ENDS = {"bernoulli_kl.b": (5e-324, 222.72115727435948)}
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("row", ROWS, ids=[row[0] for row in ROWS])
 def test_every_numeric_argument_keeps_its_interval_and_rejects_nan(row):
     label, call, interval, *probes = row
     if probes:
         probes = probes[0]
     elif interval == COUNT:
-        probes = [(1, True), (0, False)]
+        probes = COUNT_PROBES
     else:
         probes = _probes(interval)
     for value, accepted in [*probes, (math.nan, False)]:
         if accepted:
-            call(value)
+            got = call(value)
+            if AT_ENDS.get(label, (None,))[0] == value:
+                exact = AT_ENDS[label][1]
+                assert abs(got - exact) <= 4 * math.ulp(exact), (value, got)
         else:
             with pytest.raises(RangeError):
                 call(value)
@@ -281,6 +289,7 @@ def test_check_range_message_and_error_class():
         ("x", "gamma", "(-inf, inf)", "gamma = 'x' must lie in (-inf, inf)"),
         (1.0, "alpha", "(0, inf) \\ {1}", "alpha = 1.0 must lie in (0, inf) \\ {1}"),
         (math.inf, "c", "(0, inf)", "c = inf must lie in (0, inf)"),
+        (10**400, "n", "[1, inf)", f"n = {10**400} must lie in [1, inf)"),
     ]
     for value, name, interval, message in cases:
         with pytest.raises(RangeError) as info:
@@ -288,6 +297,26 @@ def test_check_range_message_and_error_class():
         assert str(info.value) == message
     with pytest.raises(BoundaryError, match=r"^q = 0.0 must lie in \(0, 1\)$"):
         check_range(0.0, "q", "(0, 1)", BoundaryError)
+
+
+def test_check_count_returns_an_int_or_names_the_interval():
+    for value in (1, 8.0, 2**70):
+        n = check_count(value, "n")
+        assert type(n) is int and n == value
+    for value in (0, 2.5, True, "3", None, math.inf, 10**400):
+        with pytest.raises(RangeError, match=r" must be an integer in \[1, inf\)$"):
+            check_count(value, "n")
+
+
+def test_callers_keep_an_integral_count_as_an_int():
+    assert type(dg.GibbsExperiment(GIBBS.p_z, GIBBS.loss_table, 3.0, 1.0).n) is int
+    assert type(dg.SuperSampleExperiment(SUPER.p_z, SUPER.loss_table, 1.0, 1.0).n) is int
+    assert type(dg.SubGaussianSetting(1.0, 10.0).n) is int
+    assert type(dg.BoundedLossSetting(0.0, 1.0, 5.0).n) is int
+    assert dg.dp_egamma_cap(DP, 4.0) == dg.dp_egamma_cap(DP, 4)
+    assert dg.binary_tightness_witness(0.3, 0.4, 2.0).p.size == 4
+    report = dg.harness_self_test(n_pairs=3.0, support=3.0)
+    assert report.to_dict() == dg.harness_self_test(n_pairs=3, support=3).to_dict()
 
 
 # Outside errors.py, the only hand-written range tests left are those that

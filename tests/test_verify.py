@@ -14,7 +14,6 @@ from divgauge import (
     master_soundness,
     random_pair,
     renyi,
-    sibson_grid_min,
     sibson_mi,
     verify_com_bound,
     verify_egamma_variational,
@@ -30,6 +29,7 @@ from divgauge.verify import (
     random_pair_rows,
     registered_bounds,
 )
+from sibson_oracle import sibson_grid_min
 
 
 def test_random_pair_is_reproducible_and_normalized():
