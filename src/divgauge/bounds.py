@@ -144,13 +144,20 @@ class EventView:
     positions of the degenerate events, Q(E) = 0 (``empty``) and Q(E) >= 1
     (``full``), and, each computed on first use, ``qs``, q clipped to
     [1e-300, 1 - 1e-16] (where its logs and 1/q are finite), and ``log_q``
-    and ``log1m_q``, its log and log1p(-qs).  A core given a plain array or
-    scalar builds its own view."""
+    and ``log1m_q``, its log and log1p(-qs).  One event (shape ``()``) is
+    held as a float64 scalar, with ``empty`` and ``full`` two booleans, so
+    a scalar call's core runs on float64 scalars with nothing to index.  A
+    core given a plain array or scalar builds its own view."""
 
     def __init__(self, q) -> None:
-        self.q = np.asarray(q, dtype=float)
-        flat = self.q.reshape(-1)
-        self.empty, self.full = (flat <= 0.0).nonzero()[0], (flat >= 1.0).nonzero()[0]
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 0:
+            self.q = q[()]
+            self.empty, self.full = bool(self.q <= 0.0), bool(self.q >= 1.0)
+        else:
+            self.q = q
+            flat = q.reshape(-1)
+            self.empty, self.full = (flat <= 0.0).nonzero()[0], (flat >= 1.0).nonzero()[0]
         self._norm: tuple = (None, None)
 
     qs = _OnFirstUse(lambda self: self.q.clip(1e-300, 1.0 - 1e-16))
@@ -175,34 +182,44 @@ def _view(q) -> EventView:
 def _override(v: EventView, raw, full=1.0):
     """raw, a fresh array of Q(E)'s shape or a scalar, with the degenerate-
     event convention written at those events alone: 0 where Q(E) = 0 and
-    ``full`` where Q(E) >= 1 (None keeps raw there)."""
+    ``full`` where Q(E) >= 1 (None keeps raw there).  At one event the
+    result is a float64 scalar, the convention's value or raw, chosen by
+    the view's two booleans."""
     if np.shape(raw) != v.q.shape:  # q broadcast against a larger divergence
         v = EventView(np.broadcast_to(v.q, np.shape(raw)))
-    raw = np.asarray(raw)  # a scalar becomes a writable 0-d array
+    if v.q.ndim == 0:
+        return np.float64(0.0 if v.empty else full if v.full and full is not None else raw)
     raw.put(v.empty, 0.0)
     if full is not None:
         raw.put(v.full, full)
     return raw
 
 
-def _search(fn, v: EventView, settled, hi, target, start, root=None):
+def _search(fn, v: EventView, settled, hi, target, start, root=None, at_hi=None):
     """The root of fn(p, qs) = target on [qs, hi] from ``start(qs, target)``,
     searched only where 0 < q < 1 and not ``settled``: the start is computed
     and the root-finder (``increasing_root`` unless ``root`` is given) called
-    on those elements alone, and every other element is qs, which the caller
-    overrides.  A NaN target gives NaN, not the hi side, which counts as sound.
-    One element (shape ``()``) is searched as one, with no masks."""
-    out = np.array(v.qs, dtype=float)
+    on those elements alone.  Every other element is hi where ``at_hi`` (a
+    part of ``settled``), else qs, which the caller overrides.  A NaN target
+    gives NaN, not the hi side, which counts as sound.  One element (shape
+    ``()``) is searched as one, with no masks, and returned as a float64
+    scalar."""
     open_ = (v.q > 0.0) & (v.q < 1.0) & np.logical_not(settled)
     if open_.ndim == 0:
-        if open_:
-            qo, to = v.qs[()], np.float64(target)
-            found = (root or increasing_root)(fn, qo, start(qo, to), hi, to, qo)
-            out[()] = to if np.isnan(to) else found
-    elif open_.any():
+        if at_hi:
+            return np.float64(hi)
+        if not open_:
+            return v.qs
+        to = np.float64(target)
+        found = (root or increasing_root)(fn, v.qs, start(v.qs, to), hi, to, v.qs)
+        return to if np.isnan(to) else found
+    out = np.array(v.qs, dtype=float)
+    if open_.any():
         qo, to = v.qs[open_], np.broadcast_to(target, v.q.shape)[open_]
         found = (root or increasing_root)(fn, qo, start(qo, to), hi, to, qo)
         out[open_] = found if not np.isnan(to.min()) else np.where(np.isnan(to), to, found)
+    if at_hi is not None:
+        out[at_hi] = hi
     return out
 
 
@@ -303,8 +320,7 @@ def kl_opt_core(q, d):
     d = np.broadcast_to(np.asarray(d, dtype=float), v.q.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         saturated = d >= -v.log_q
-        p = _search(_kl_above, v, saturated | (d == 0.0), 1.0, d, _kl_start)
-    p[saturated] = 1.0
+        p = _search(_kl_above, v, saturated | (d == 0.0), 1.0, d, _kl_start, at_hi=saturated)
     return _override(v, p)
 
 
@@ -453,8 +469,7 @@ def power_implicit_core(q, h_beta, beta):
         start, root = ((chi2_core, _ulp_raise) if beta == 2.0
                        else (partial(_power_start, beta=beta), None))
         p = _search(partial(_power_excess, beta=beta), v, admits_one | (excess == 0.0), 1.0,
-                    excess, start, root)
-    p[admits_one] = 1.0
+                    excess, start, root, admits_one)
     return _override(v, p)
 
 
@@ -536,7 +551,7 @@ def power_small_q_core(q, h_beta, beta):
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = (np.log(1.0 + excess) + (beta - 1.0) * v.log_q) / beta
-        raw = np.asarray(np.exp(a))  # a 0-d array where a is a scalar
+        raw = np.exp(a)
         u0 = np.minimum(raw, 1.0)
         if raw.ndim == 0:  # one element: no index arrays
             if a < 0.0:
@@ -891,9 +906,12 @@ def bound_vincze_lecam(q: float, vc: float) -> BoundResult:
 
 
 def orlicz_core(q, amemiya: float, gamma: float, spec: OrliczSpec):
-    """gamma q + ||1_E||_psi amemiya, 0 at q = 0 and kept at q >= 1."""
+    """gamma q + ||1_E||_psi amemiya, 0 at q = 0 (also where amemiya is +inf
+    and the product is 0 * inf) and kept at q >= 1."""
     v = _view(q)
-    return _override(v, gamma * v.q + v.indicator_norm(spec) * amemiya, full=None)
+    with np.errstate(invalid="ignore"):
+        raw = gamma * v.q + v.indicator_norm(spec) * amemiya
+    return _override(v, raw, full=None)
 
 
 def bound_orlicz(
@@ -1178,7 +1196,9 @@ def _power_qmax_case(q, h_beta, beta):
     """The q_max relaxation at the tightest admissible cap, q_max = Q(E); a
     trial whose Q(E) exceeds the largest cap, 1 - 1e-12, is not valid."""
     v = _view(q)
-    cap = np.clip(v.q, 1e-300, 1 - 1e-12)
+    # an array at every size, so that the core's power of it is numpy's
+    # loop, as in a batch (** on a float64 scalar is the C library's pow)
+    cap = np.asarray(np.clip(v.q, 1e-300, 1 - 1e-12))
     raw, _m, valid = power_qmax_core(v, h_beta, beta, cap)
     return raw, valid & (v.q <= cap)
 

@@ -125,6 +125,13 @@ class FiniteDistribution:
             p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
+    def __eq__(self, other) -> bool:
+        """Value equality: the same labels and masses, atom by atom (the
+        generated one compared the arrays as a tuple, which raises)."""
+        if not isinstance(other, FiniteDistribution):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.probs, other.probs)
+
     @property
     def size(self) -> int:
         return int(self.probs.size)
@@ -187,6 +194,12 @@ class AbsContPair:
         r = dominated_ratios(self.p.probs, self.q.probs)
         r.flags.writeable = False
         object.__setattr__(self, "ratios", r)
+
+    def __eq__(self, other) -> bool:
+        """Value equality of P and of Q (the ratios follow from them)."""
+        if not isinstance(other, AbsContPair):
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
 
     @property
     def size(self) -> int:

@@ -76,9 +76,28 @@ def _bounds(interval: str) -> tuple[float, float, bool, bool, float]:
     return float(lo), float(hi), body[0] == "(", body[-1] == ")", point
 
 
+_SHOWN = 40  # the longest repr of a value an error message prints whole
+
+
+def _shown(value) -> str:
+    """repr(value) for a message, short where it is long: an integer of more
+    than _SHOWN digits (past 4,300 digits repr even raises) in scientific
+    notation with seven digits, truncated, and any other repr longer than
+    _SHOWN characters cut there with "..."."""
+    if isinstance(value, int) and abs(value) >= 10**_SHOWN:
+        a = abs(value)
+        e = int(math.log10(a))  # a float log: off by one at worst
+        e += (a >= 10 ** (e + 1)) - (a < 10**e)
+        head = str(a // 10 ** (e - 6))
+        return f"{'-' if value < 0 else ''}{head[0]}.{head[1:]}e+{e}"
+    text = repr(value)
+    return text if len(text) <= _SHOWN else text[: _SHOWN - 3] + "..."
+
+
 def check_range(value, name: str, interval: str, error: type = RangeError) -> float:
     """`value` as a float, or `error` (RangeError or a subclass) with the
-    message "{name} = {value} must lie in {interval}" where the value is
+    message "{name} = {value} must lie in {interval}" (the value as
+    :func:`_shown` prints it) where the value is
     NaN, not a number, an integer past the float range, or outside
     `interval`, written as :func:`_bounds` reads it.  Every comparison is
     one a NaN fails."""
@@ -89,7 +108,7 @@ def check_range(value, name: str, interval: str, error: type = RangeError) -> fl
         x = math.nan
     if (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi) and x != hole:
         return x
-    raise error(f"{name} = {x if isinstance(value, float) else value!r} must lie in {interval}")
+    raise error(f"{name} = {x if isinstance(value, float) else _shown(value)} must lie in {interval}")
 
 
 def check_count(value, name: str) -> int:
@@ -103,4 +122,4 @@ def check_count(value, name: str) -> int:
             x = math.inf
         if 1.0 <= x < math.inf and x.is_integer():
             return int(value)
-    raise RangeError(f"{name} = {value!r} must be an integer in {COUNT}")
+    raise RangeError(f"{name} = {_shown(value)} must be an integer in {COUNT}")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import partial
 
@@ -298,6 +299,33 @@ def test_override_writes_only_the_degenerate_events():
     batch = B.chi2_core(q, 0.5)
     for i, j in np.ndindex(q.shape):
         assert float(B.chi2_core(q[i, j], 0.5)) == batch[i, j]
+
+
+# the edges of Q(E) and seeded masses, among which C pow and np.power
+# differ by an ulp at about one point in twenty
+_ONE_Q = (0.0, 5e-324, 1e-300, 0.3, 1.0 - 2.0**-53, 1.0,
+          *np.random.default_rng(11).uniform(0.0, 1.0, 24), *10.0 ** -np.arange(2, 300, 37.5))
+_ONE_D = (0.0, 1e-30, 0.3, 50.0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "bound_id, params", [(b.id, params) for b in B.BOUNDS.values() for params in b.grid]
+)
+def test_table_cores_at_one_event_give_a_float64_with_the_batch_bits(bound_id, params):
+    # a scalar call's core runs on float64 scalars (the view holds Q(E) as
+    # one); it must give the bits of the same core on a one-element batch,
+    # which would move where a power of a value derived from Q(E) were
+    # taken with the C library's pow instead of np.power
+    core = B.BOUNDS[bound_id].core
+
+    def raw(out):
+        return out[0] if isinstance(out, tuple) else out
+
+    for q, d in itertools.product(_ONE_Q, _ONE_D):
+        one = raw(core(q, d, **params))
+        batch = raw(core(np.array([q]), d, **params))
+        assert type(one) is np.float64, (q, d, type(one))
+        assert batch.shape == (1,) and one.tobytes() == batch[0].tobytes(), (q, d, one, batch)
 
 
 # bound_kl and competitor_bound("kl") at (q, KL): the bits of (raw, c*), as

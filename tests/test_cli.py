@@ -371,6 +371,7 @@ def test_experiment_config_count_not_an_integer_exits_2(kind, n, tmp_path, capsy
     assert out == ""
     assert err.startswith("divgauge: error: n = ") and err.count("\n") == 1, err
     assert err.endswith(" must be an integer in [1, inf)\n")
+    assert len(err) < 120, err  # 10**400 is printed as 1.000000e+400
 
 
 def test_mi_gap_reproduces_the_constant(tmp_path):

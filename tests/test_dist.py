@@ -10,6 +10,7 @@ from divgauge import (
     EventMask,
     FiniteDistribution,
     JointFinite,
+    binary_tightness_witness,
     event_probability,
     make_distribution,
     product_pair,
@@ -76,6 +77,23 @@ def test_distribution_json_round_trip_is_bit_exact():
     back = FiniteDistribution.from_json(d.to_json())
     assert np.array_equal(back.probs, d.probs)
     assert back.labels == d.labels
+
+
+def test_distributions_and_pairs_compare_by_value():
+    d = make_distribution([1, 7, 2], labels=("a", "b", "c"))
+    same = FiniteDistribution(d.probs.copy(), ("a", "b", "c"))
+    assert (d == same) is True and (d != same) is False
+    assert (d == FiniteDistribution(d.probs)) is False  # labels differ
+    assert (d == make_distribution([1, 7, 3], labels=("a", "b", "c"))) is False
+    assert (d == make_distribution([1, 1])) is False  # another support
+    assert (d == d.probs.tolist()) is False and (d == None) is False  # noqa: E711
+    witness = binary_tightness_witness(0.3, 0.4, 2)
+    assert (witness == binary_tightness_witness(0.3, 0.4, 2)) is True
+    assert (witness != binary_tightness_witness(0.3, 0.4, 2)) is False
+    assert (witness == binary_tightness_witness(0.3, 0.5, 2)) is False
+    assert (witness == binary_tightness_witness(0.3, 0.4, 3)) is False  # 8 atoms, not 4
+    assert (witness == AbsContPair(witness.q, witness.p)) is False  # P and Q swapped
+    assert (witness == witness.p) is False
 
 
 def test_make_pair_ratios():

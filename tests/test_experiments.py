@@ -12,7 +12,7 @@ from divgauge import (
     run_supersample_experiment,
 )
 from divgauge.errors import RangeError, ResourceError, ValidationError
-from divgauge.experiments import _digit_matrix, _posterior
+from divgauge.experiments import _digit_matrix, _posterior, _selected_strings, _type_index
 
 LOSSES = np.array([[0.0, 1.0], [1.0, 0.0], [0.4, 0.6]])
 
@@ -28,6 +28,40 @@ def test_digit_matrix_matches_unravel_index(m, n):
     want = np.stack(np.unravel_index(np.arange(m**n), (m,) * n), axis=1)
     got = _digit_matrix(m, n)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+def _type_index_by_advanced_indexing(m, n):
+    """The type index with each letter's gather written as step[index]: the
+    oracle for the np.take gather of :func:`_type_index`."""
+    types = np.zeros((1, m), dtype=np.int64)
+    index = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        grown = (types[:, None, :] + np.eye(m, dtype=np.int64)).reshape(-1, m)
+        types, step = np.unique(grown, axis=0, return_inverse=True)
+        step = step.reshape(-1, m).astype(np.min_scalar_type(len(types) - 1))
+        index = step[index].ravel()
+    return types, index
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in (1, 2, 3, 4) for n in range(1, 9)]
+                         + [(2, 20), (2, 21)])
+def test_type_index_matches_the_advanced_indexing_oracle(m, n):
+    types, index = _type_index(m, n)
+    want_types, want_index = _type_index_by_advanced_indexing(m, n)
+    assert types.dtype == want_types.dtype and np.array_equal(types, want_types)
+    assert index.dtype == want_index.dtype and np.array_equal(index, want_index)
+    assert index.shape == (m**n,)
+
+
+@pytest.mark.parametrize("m, n", [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 5)])
+def test_selected_strings_match_the_selector_matmul(m, n):
+    digits = _digit_matrix(m, 2 * n).astype(np.intp)
+    first, second = digits[:, :n], digits[:, n:]
+    place = m ** np.arange(n - 1, -1, -1)
+    # the selector bits times the second half's letter change, summed by a matmul
+    want = first @ place + (_digit_matrix(2, n) * place) @ (second - first).T
+    got = _selected_strings(first, second, place)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_joint_has_all_dataset_atoms_and_unit_mass():

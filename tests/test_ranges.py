@@ -289,7 +289,9 @@ def test_check_range_message_and_error_class():
         ("x", "gamma", "(-inf, inf)", "gamma = 'x' must lie in (-inf, inf)"),
         (1.0, "alpha", "(0, inf) \\ {1}", "alpha = 1.0 must lie in (0, inf) \\ {1}"),
         (math.inf, "c", "(0, inf)", "c = inf must lie in (0, inf)"),
-        (10**400, "n", "[1, inf)", f"n = {10**400} must lie in [1, inf)"),
+        (10**400, "n", "[1, inf)", "n = 1.000000e+400 must lie in [1, inf)"),
+        (-7 * 10**45 - 1, "n", "[1, inf)", "n = -7.000000e+45 must lie in [1, inf)"),
+        ("x" * 50, "gamma", "(-inf, inf)", f"gamma = '{'x' * 36}... must lie in (-inf, inf)"),
     ]
     for value, name, interval, message in cases:
         with pytest.raises(RangeError) as info:
