@@ -13,6 +13,11 @@ Conventions
   index-stable across P and Q.
 * ``AbsContPair.ratios`` holds dP/dQ on atoms with Q > 0 and 0.0 on atoms
   with Q = 0 (where absolute continuity forces P = 0 as well).
+* A pair holds p, q and r = dP/dQ, 24 bytes per atom, and building one
+  makes no other full-size array: the check that r * q sums back to 1 runs
+  one block of BACK_SUM_BLOCK atoms at a time.
+* The types compare and hash by value: equal masses (0.0 and -0.0 alike)
+  and labels give equal objects with equal hashes.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .errors import (
 MASS_TOL = 1e-12
 JOINT_SUM_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 16  # largest support whose 2^n masks are held as one matrix
+BACK_SUM_BLOCK = 1 << 16  # atoms per row of r * q formed at once by dominated_ratios
 
 
 # Row-wise checks: each row (last axis) of an array is one distribution, so
@@ -68,7 +74,9 @@ def dominated_ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     `check_masses`.
 
     Raises DominationError where P > 0 = Q, and ValidationError where a row
-    of ratios * Q does not sum back to 1 within MASS_TOL.
+    of ratios * Q does not sum back to 1 within MASS_TOL.  That sum adds the
+    pairwise sums of blocks of BACK_SUM_BLOCK atoms, so the check forms no
+    full-size temporary; a row of one block keeps the bits of its plain sum.
     """
     if q.min(initial=np.inf) > 0.0:  # one read of q where every atom is positive
         r = p / q
@@ -80,9 +88,20 @@ def dominated_ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             where = np.flatnonzero(bad[np.argmax(rows)]).tolist()
             raise DominationError(f"P is not dominated by Q at atoms {where}{_in_row(p, rows)}")
         r = np.divide(p, q, out=np.zeros(q.shape), where=positive)
-    if np.count_nonzero(np.abs((r * q).sum(axis=-1) - 1.0) > MASS_TOL):
+    sums = 0.0
+    for lo in range(0, r.shape[-1], BACK_SUM_BLOCK):
+        block = np.s_[..., lo:lo + BACK_SUM_BLOCK]
+        sums = sums + (r[block] * q[block]).sum(axis=-1)
+    if np.count_nonzero(np.abs(sums - 1.0) > MASS_TOL):
         raise ValidationError("ratios * Q does not sum back to 1")
     return r
+
+
+def _value_key(a: np.ndarray) -> tuple:
+    """A hashable key of an array's shape and values, equal wherever
+    np.array_equal holds: adding 0.0 maps -0.0, equal to 0.0 but of other
+    bytes, to 0.0."""
+    return a.shape, (a + 0.0).tobytes()
 
 
 def _json_floats(obj, key: str, source: str) -> np.ndarray:
@@ -131,6 +150,9 @@ class FiniteDistribution:
         if not isinstance(other, FiniteDistribution):
             return NotImplemented
         return self.labels == other.labels and np.array_equal(self.probs, other.probs)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, _value_key(self.probs)))
 
     @property
     def size(self) -> int:
@@ -201,6 +223,9 @@ class AbsContPair:
             return NotImplemented
         return self.p == other.p and self.q == other.q
 
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
     @property
     def size(self) -> int:
         return self.p.size
@@ -219,6 +244,15 @@ class EventMask:
         b = b.astype(bool).copy()
         b.flags.writeable = False
         object.__setattr__(self, "bits", b)
+
+    def __eq__(self, other) -> bool:
+        """Value equality: the same atoms selected."""
+        if not isinstance(other, EventMask):
+            return NotImplemented
+        return np.array_equal(self.bits, other.bits)
+
+    def __hash__(self) -> int:
+        return hash(_value_key(self.bits))
 
     @classmethod
     def from_indices(cls, indices, size: int) -> "EventMask":
@@ -292,6 +326,15 @@ class JointFinite:
         object.__setattr__(self, "matrix", m / total)  # a fresh array, frozen as it is
         self.matrix.flags.writeable = False
 
+    def __eq__(self, other) -> bool:
+        """Value equality: the same shape and entries."""
+        if not isinstance(other, JointFinite):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash(_value_key(self.matrix))
+
     @property
     def shape(self) -> tuple[int, int]:
         return tuple(self.matrix.shape)  # type: ignore[return-value]
@@ -335,14 +378,15 @@ def product_pair(joint: JointFinite) -> AbsContPair:
     """Flatten P_SW versus P_S * P_W into an AbsContPair over S x W.
 
     Flattening is row-major (atom index = s * |W| + w), matching
-    ``matrix.ravel()``.
+    ``matrix.ravel()``.  P is a normalized copy of the frozen matrix, and Q
+    the fresh outer product of the marginals, normalized in place by
+    adopted_distribution with the bits of a normalized copy; so the pair
+    holds its three arrays and nothing else at full size.
     """
     ms = joint.matrix.sum(axis=1)
     mw = joint.matrix.sum(axis=0)
-    prod = np.outer(ms, mw)
     p = FiniteDistribution(normalized(joint.matrix.ravel()))
-    q = FiniteDistribution(normalized(prod.ravel()))
-    return AbsContPair(p, q)
+    return AbsContPair(p, adopted_distribution(np.outer(ms, mw).ravel()))
 
 
 def absorb_rounding(v: np.ndarray) -> np.ndarray:

@@ -275,7 +275,12 @@ def sibson_mi(joint: JointFinite, alpha: float) -> float:
     with np.errstate(divide="ignore"):
         log_cond = np.log(cond)
         log_ms = np.log(ms)
-    inner = logsumexp(log_ms[:, None] + alpha * log_cond, axis=0) / alpha
+    # the terms in (k, rows) order, C-contiguous, so that each output's sum
+    # over the rows is pairwise along memory (down a C-ordered (rows, k)
+    # array it would add one row after another)
+    terms = np.multiply(alpha, log_cond.T, order="C")
+    terms += log_ms
+    inner = logsumexp(terms, axis=1) / alpha
     # where W is independent of S the sum is 1 up to roundoff; I_alpha >= 0
     return max(float(alpha / (alpha - 1.0) * logsumexp(inner)), 0.0)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from divgauge import (
     event_probability,
     make_distribution,
     product_pair,
+    random_joint,
     random_pair,
 )
 from divgauge.dist import (
+    BACK_SUM_BLOCK,
     EXHAUSTIVE_LIMIT,
     adopted_distribution,
     dominated_ratios,
@@ -94,6 +97,35 @@ def test_distributions_and_pairs_compare_by_value():
     assert (witness == binary_tightness_witness(0.3, 0.4, 3)) is False  # 8 atoms, not 4
     assert (witness == AbsContPair(witness.q, witness.p)) is False  # P and Q swapped
     assert (witness == witness.p) is False
+    joint = JointFinite(np.array([[0.5, 0.5]]))
+    assert (joint == JointFinite(np.array([[0.5, 0.5]]))) is True
+    assert (joint != JointFinite(np.array([[0.5, 0.5]]))) is False
+    assert (joint == JointFinite(np.array([[0.25, 0.75]]))) is False
+    assert (joint == JointFinite(np.array([[0.5], [0.5]]))) is False  # transposed
+    assert (joint == [[0.5, 0.5]]) is False and (joint == witness.p) is False
+    mask = EventMask.from_int(5, 4)
+    assert (mask == EventMask.from_int(5, 4)) is True
+    assert (mask == EventMask.from_indices([0, 2], 4)) is True
+    assert (mask != EventMask.from_int(5, 4)) is False
+    assert (mask == EventMask.from_int(4, 4)) is False
+    assert (mask == EventMask.from_int(5, 5)) is False  # another support
+    assert (mask == 5) is False and (mask == joint) is False
+
+
+def test_equal_values_hash_alike():
+    # the generated dataclass hash hashed the array field and raised TypeError
+    probs, signed = np.array([0.0, 0.25, 0.75]), np.array([-0.0, 0.25, 0.75])
+    equal = [
+        (FiniteDistribution(probs, ("a", "b", "c")), FiniteDistribution(signed, ("a", "b", "c"))),
+        (AbsContPair(FiniteDistribution(probs), FiniteDistribution(probs)),
+         AbsContPair(FiniteDistribution(signed), FiniteDistribution(probs))),
+        (JointFinite(probs.reshape(1, 3)), JointFinite(signed.reshape(1, 3))),
+        (EventMask.from_int(5, 4), EventMask.from_indices([0, 2], 4)),
+    ]
+    for a, b in equal:
+        assert a == b and hash(a) == hash(b), type(a).__name__
+        assert {a: type(a).__name__}[b] == type(a).__name__
+    assert len({x for pair in equal for x in pair}) == len(equal)
 
 
 def test_make_pair_ratios():
@@ -203,6 +235,44 @@ def test_adopted_distribution_normalizes_in_place_with_the_same_bits():
     got = adopted_distribution(w)
     assert got.probs is w and not w.flags.writeable
     assert np.array_equal(got.probs, want.probs)
+
+
+def test_building_a_pair_holds_its_ratios_and_one_block_beyond_its_inputs():
+    # the back-sum check formed r * q at full size: a peak of two arrays here
+    atoms = 1 << 20
+    rng = np.random.default_rng(5)
+    p, q = make_distribution(rng.random(atoms)), make_distribution(rng.random(atoms))
+    tracemalloc.start()
+    try:
+        AbsContPair(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (atoms + BACK_SUM_BLOCK) + (1 << 16)
+
+
+@pytest.mark.parametrize("shape", [(3 * BACK_SUM_BLOCK + 5,), (2, BACK_SUM_BLOCK + 7)])
+def test_back_sum_check_past_one_block_rejects_p_scaled_by_1e_10(shape):
+    rng = np.random.default_rng(8)
+    p, q = normalized(rng.random(shape)), normalized(rng.random(shape))
+    assert np.array_equal(dominated_ratios(p, q), p / q)
+    with pytest.raises(ValidationError, match="does not sum back to 1"):
+        dominated_ratios(p * (1.0 + 1e-10), q)
+
+
+def test_ratios_and_product_pair_masses_keep_their_bits():
+    rng = np.random.default_rng(9)
+    p, q = rng.random(2 * BACK_SUM_BLOCK + 3), rng.random(2 * BACK_SUM_BLOCK + 3)
+    p[::7] = q[::7] = 0.0
+    p, q = normalized(p), normalized(q)
+    r, positive = dominated_ratios(p, q), q > 0.0
+    assert np.array_equal(r[positive], p[positive] / q[positive]) and not r[~positive].any()
+    joint = random_joint(9, 0, 300, 500)
+    pair = product_pair(joint)
+    marginals = np.outer(joint.matrix.sum(axis=1), joint.matrix.sum(axis=0))
+    assert np.array_equal(pair.p.probs, normalized(joint.matrix.ravel()))
+    assert np.array_equal(pair.q.probs, normalized(marginals.ravel()))
+    assert np.array_equal(pair.ratios, pair.p.probs / pair.q.probs)
 
 
 def test_dominated_ratios_where_every_q_is_positive_and_where_some_is_zero():

@@ -31,6 +31,7 @@ from divgauge import (
     sibson_mi,
 )
 from divgauge import divergences
+from divgauge._optim import logsumexp
 from divgauge.dist import JointFinite, event_mask_matrix
 from divgauge.divergences import bernoulli_kl_core, generator_values
 from divgauge.errors import BoundaryError, DegenerateMarginalError, RangeError, ValidationError
@@ -243,6 +244,24 @@ def test_sibson_monotone_in_alpha_and_below_leakage():
         assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
         assert leak >= values[-1] - 1e-10
         assert sibson_mi(joint, math.inf) == pytest.approx(leak, abs=0)
+
+
+def _sibson_down_the_rows(joint, alpha):
+    """Sibson's I_alpha with the terms summed down a C-ordered (rows, k)
+    array, one row after another: the reference below 8 rows, where numpy's
+    pairwise sum along memory adds in the same order."""
+    with np.errstate(divide="ignore"):
+        log_cond, log_ms = np.log(joint.conditional_w_given_s()), np.log(joint.matrix.sum(axis=1))
+    inner = logsumexp(log_ms[:, None] + alpha * log_cond, axis=0) / alpha
+    return max(float(alpha / (alpha - 1.0) * logsumexp(inner)), 0.0)
+
+
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_sibson_of_fewer_than_8_rows_keeps_the_bits_of_the_row_by_row_sum(rows):
+    for i in range(20):
+        joint = random_joint(23, i, rows, 5)
+        for alpha in (1.5, 2.0, 7.0):
+            assert sibson_mi(joint, alpha) == _sibson_down_the_rows(joint, alpha)
 
 
 def test_sibson_rejects_zero_marginal_rows():

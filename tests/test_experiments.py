@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from divgauge import (
     run_gibbs_experiment,
     run_supersample_experiment,
 )
+from divgauge.dist import BACK_SUM_BLOCK
 from divgauge.errors import RangeError, ResourceError, ValidationError
 from divgauge.experiments import _digit_matrix, _posterior, _selected_strings, _type_index
 
@@ -282,13 +284,9 @@ def test_type_enumeration_matches_string_enumeration(m, temperature):
         "hockey_stick": {g: dg.f_divergence(pair, dg.hockey_stick_kind(g)) for g in (1.0, 2.0)},
     }
     got = run.divergence_panel((2.0, 4.0), (1.5, 2.0), (1.0, 2.0))
-    sibson = want.pop("sibson_mi")
     for key, value in want.items():
         # abs covers the temperature-0 panel, which is 0 up to roundoff
         assert got[key] == pytest.approx(value, rel=1e-13, abs=1e-15), key
-    # Sibson's sum over the strings is itself off by up to 3.5e-14 from a
-    # 50-digit reference here (at m = 3, temperature 2), the type sum by 2.5e-16
-    assert got["sibson_mi"] == pytest.approx(sibson, abs=1e-13)
 
     masses, gaps = joint.matrix.ravel(), np.abs(gen_table).ravel()
     for eta in [0.0, *np.unique(gaps)[::3], 0.37, 2.0]:
@@ -306,6 +304,18 @@ def test_exact_tail_is_the_exact_sum_over_two_million_strings():
     masses = joint.matrix.ravel()
     want = math.fsum(masses[np.abs(gen_table).ravel() >= eta])
     assert run.exact_tail(eta) == pytest.approx(want, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_sibson_sum_over_millions_of_strings_matches_the_type_sum(n):
+    # summing down the rows one after another was off by 4.3e-9 relative at
+    # n = 20 (2 M strings), 1.6e-10 at n = 16 and 9.6e-12 at n = 12
+    exp = GibbsExperiment(make_distribution([0.4, 0.6]), np.array([[0.3, 0.7], [0.9, 0.2]]),
+                          n, 0.5)
+    run = run_gibbs_experiment(exp)
+    for alpha in (2.0, 4.0):
+        want = dg.sibson_mi(run.type_joint, alpha)
+        assert dg.sibson_mi(run.joint, alpha) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def _supersample_strings(exp):
@@ -373,6 +383,21 @@ def test_class_enumeration_matches_supersample_strings(m, n, k, temperature):
     for eta in [*np.unique(gaps), *(np.linspace(0.02, 1.0, 50) * setting.span)]:
         want_tail = math.fsum(masses[gaps >= eta])
         assert run.exact_tail(float(eta)) == pytest.approx(want_tail, rel=0, abs=1e-13)
+
+
+def test_supersample_pair_holds_three_arrays_and_one_block():
+    # the back-sum check of its ratios formed r * q at full size: four arrays
+    exp = SuperSampleExperiment(make_distribution([0.5, 0.5]),
+                                np.array([[0.0, 1.0], [0.8, 0.1]]), 6, 1.0)
+    run = run_supersample_experiment(exp)
+    atoms = 4**6 * 2**6 * 2
+    tracemalloc.start()
+    try:
+        assert run.pair.size == atoms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (3 * atoms + BACK_SUM_BLOCK) + (1 << 16)
 
 
 def test_supersample_exact_tail_is_the_exact_sum_over_four_million_atoms():
