@@ -575,12 +575,14 @@ def bound_power_beta(
     Newton steps, on the upper side of the root.
     mode = "qmax": linear relaxation requiring an a-priori cap q_max < 1 on
     Q(E); flags ``preconditions_met`` False when the implied slope is
-    nonpositive.
+    nonpositive.  No other mode takes q_max.
     mode = "small_q": relaxation with the plug-in cap u0, tightest when Q(E)
     is small.
     """
     if mode not in ("implicit", "qmax", "small_q"):
         raise ValidationError(f"unknown power mode {mode!r}")
+    if mode != "qmax" and q_max is not None:
+        raise ValidationError(f"power mode {mode!r} takes no q_max")
     q = check_range(q, "q", UNIT)
     beta = check_range(beta, "beta", BETA)
     h_beta = _check_div(h_beta, "power divergence")
@@ -629,7 +631,10 @@ def _power_conjugate(beta: float) -> Callable[[float], float]:
         base = 1.0 / (beta - 1.0)
         if u <= 0.0:
             return base
-        return base + _exp_safe(kexp * math.log((beta - 1.0) * u / beta))
+        try:
+            return base + math.pow((beta - 1.0) * u / beta, kexp)
+        except OverflowError:
+            return math.inf
 
     return fstar
 

@@ -102,9 +102,7 @@ def parse_event(text: str, size: int) -> EventMask:
 
 def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
     """Write JSON (default) or CSV with the resolved config echoed first."""
-    fmt = getattr(args, "format", "json")
-    text: str
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=True) + "\n"
     else:
         if csv_rows is None:
@@ -115,82 +113,59 @@ def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
         for row in csv_rows:
             lines.append(",".join(_fmt(row[c]) for c in cols))
         text = "\n".join(lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _config_echo(args) -> dict:
-    skip = {"func"}
     return {
         k: (v if not isinstance(v, float) or math.isfinite(v) else str(v))
         for k, v in sorted(vars(args).items())
-        if k not in skip and v is not None
+        if k != "func" and v is not None
     }
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
     return int(env) if env else 0
 
 
-def _kind_from_args(args) -> dv.DivergenceKind:
-    """The kind of --kind, with its order from the option of that name."""
-    if args.kind not in dv.ORDER_PARAMS:
-        return dv.DivergenceKind(args.kind)
-    option = dv.ORDER_PARAMS[args.kind][0]
-    if getattr(args, option) is None:
-        raise ValidationError(f"--kind {args.kind} needs --{option}")
-    return dv.DivergenceKind(args.kind, getattr(args, option))
-
-
 _JOINT_KINDS = ("sibson", "maximal_leakage", "mutual_information")
+# the order option each kind reads: its own of ORDER_PARAMS, and Renyi's
+# --alpha for sibson
+_ORDER_OPTION = {kind: option for kind, (option, _) in dv.ORDER_PARAMS.items()}
+_ORDER_OPTION["sibson"] = _ORDER_OPTION["renyi"]
 
 
-def cmd_div(args) -> int:
+def cmd_div(args) -> dict:
     if (args.pair is None) == (args.joint is None):
         raise ValidationError("provide exactly one of --pair / --joint")
-    params: dict = {}
-    kind_name = args.kind
-    if args.joint and args.kind in _JOINT_KINDS:
-        joint = load_joint(args.joint)
-        if args.kind == "sibson":
-            if args.alpha is None:
-                raise ValidationError("--kind sibson needs --alpha")
-            value = dv.sibson_mi(joint, args.alpha)
-            params = {"order": args.alpha}
-        elif args.kind == "maximal_leakage":
-            value = dv.maximal_leakage(joint)
-        else:
-            value = dv.mutual_information(joint)
+    if args.kind in _JOINT_KINDS and args.joint is None:
+        raise ValidationError(f"--kind {args.kind} needs --joint")
+    option = _ORDER_OPTION.get(args.kind)
+    for name, _ in dv.ORDER_PARAMS.values():
+        if name != option and getattr(args, name) is not None:
+            raise ValidationError(f"div --kind {args.kind} takes no --{name}")
+    order = getattr(args, option) if option else None
+    if option and order is None:
+        raise ValidationError(f"--kind {args.kind} needs --{option}")
+    if args.kind == "sibson":
+        value = dv.sibson_mi(load_joint(args.joint), order)
+    elif args.kind == "maximal_leakage":
+        value = dv.maximal_leakage(load_joint(args.joint))
+    elif args.kind == "mutual_information":
+        value = dv.mutual_information(load_joint(args.joint))
     else:
-        if args.kind in _JOINT_KINDS:
-            raise ValidationError(f"--kind {args.kind} needs --joint")
         # f-divergences of a joint mean: joint law against its product law
         pair = product_pair(load_joint(args.joint)) if args.joint else load_pair(args.pair)
-        kind = _kind_from_args(args)
-        value = dv.renyi(pair, kind.param) if kind.name == "renyi" else dv.f_divergence(pair, kind)
-        params = {} if kind.param is None else {"order": kind.param}
-        kind_name = kind.name
-    payload = {
-        "config": _config_echo(args),
-        "kind": kind_name,
-        "params": params,
-        "value": value,
-    }
-    _emit(args, payload)
-    return 0
-
-
-# the bounds with a scalar entry point, from the bound table
-_BOUND_DISPATCH = {spec.id: spec for spec in B.BOUNDS.values() if spec.scalar}
-# options a bound cannot do without, whenever it takes them
-_REQUIRED = {"gamma": "egamma needs --gamma", "beta": "power bounds need --beta"}
+        kind = dv.DivergenceKind(args.kind, order)  # checks the order's range
+        value = dv.renyi(pair, order) if args.kind == "renyi" else dv.f_divergence(pair, kind)
+    return {"kind": args.kind, "params": {} if order is None else {"order": order}, "value": value}
 
 
 def _bound_options(entry) -> tuple[str, ...]:
@@ -201,19 +176,32 @@ def _bound_options(entry) -> tuple[str, ...]:
                  if name not in fixed)
 
 
-def cmd_bound(args) -> int:
+# the bounds with a scalar entry point, from the bound table, and their options
+_BOUND_DISPATCH = {spec.id: spec for spec in B.BOUNDS.values() if spec.scalar}
+_BOUND_OPTIONS = {name: _bound_options(spec.scalar) for name, spec in _BOUND_DISPATCH.items()}
+# the value options of `bound`: every entry point's, in table order
+_BOUND_VALUE_OPTIONS = tuple(dict.fromkeys(
+    name for options in _BOUND_OPTIONS.values() for name in options))
+# options a bound cannot do without, whenever it takes them
+_REQUIRED = {"gamma": "egamma needs --gamma", "beta": "power bounds need --beta"}
+
+
+def cmd_bound(args) -> dict:
     spec = _BOUND_DISPATCH.get(args.name)
     if spec is None:
         raise ValidationError(
             f"unknown bound {args.name!r}; choose one of {sorted(_BOUND_DISPATCH)}"
         )
-    options = {name: getattr(args, name) for name in _bound_options(spec.scalar)}
+    taken = _BOUND_OPTIONS[args.name]
+    for name in _BOUND_VALUE_OPTIONS:
+        if name not in taken and getattr(args, name) is not None:
+            raise ValidationError(f"bound {args.name} takes no --{name.replace('_', '-')}")
+    options = {name: getattr(args, name) for name in taken}
     for name, value in options.items():
         if value is None and name in _REQUIRED:
             raise ValidationError(_REQUIRED[name])
     res = spec.scalar(args.q, args.div, **options)
-    payload = {
-        "config": _config_echo(args),
+    return {
         "name": res.name,
         "raw": res.raw,
         "value": res.value,
@@ -221,72 +209,47 @@ def cmd_bound(args) -> int:
         "preconditions_met": res.preconditions_met,
         "notes": list(res.notes),
     }
-    _emit(args, payload)
-    return 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[dict, list[dict]]:
     pair = load_pair(args.pair)
-    config = _config_echo(args)
     if args.event is not None:
         # per-event replica: ours vs competitor vs the true P(E), one row
         # per divergence family
         rows = vf.dominance_rows_at_event(pair, parse_event(args.event, pair.size))
-        payload = {"config": config, "p": rows[0]["p"], "q": rows[0]["q"], "rows": rows}
+        payload = {"p": rows[0]["p"], "q": rows[0]["q"], "rows": rows}
     else:
         rows = vf.dominance_report(pair)
-        payload = {"config": config, "rows": rows}
-    csv_rows = [{k: ("" if v is None else v) for k, v in r.items()} for r in rows]
-    _emit(args, payload, csv_rows)
-    return 0
+        payload = {"rows": rows}
+    return payload, [{k: ("" if v is None else v) for k, v in r.items()} for r in rows]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, None, int]:
     seed = _resolve_seed(args)
     suite = args.suite
-    reports: list[dict] = []
-    ok = True
-
+    checked: list[vf.VerificationReport] = []
     if suite in ("master", "all"):
         merged = vf.master_soundness(
             n_pairs=args.pairs, support=args.support, seed=seed, jobs=args.jobs
         )
-        for key in sorted(merged):
-            rep = merged[key]
-            reports.append(rep.to_dict())
-            ok = ok and rep.violations == 0
-
+        checked.extend(merged[key] for key in sorted(merged))
     if suite in ("identities", "all"):
-        ident_ok, ident_reports = _identity_suite(seed)
-        reports.extend(ident_reports)
-        ok = ok and ident_ok
-
+        checked.extend(_identity_suite(seed))
+    reports = [rep.to_dict() for rep in checked]
+    ok = all(rep.violations == 0 for rep in checked)
     if suite in ("selftest", "all"):
         control = vf.harness_self_test(seed=seed)
-        caught = control.violations > 0
-        entry = control.to_dict()
-        entry["bound"] = "negative_control:" + entry["bound"]
-        entry["expected_violations"] = True
-        reports.append(entry)
-        ok = ok and caught
-
-    payload = {
-        "config": _config_echo(args),
-        "seed": seed,
-        "suite": suite,
-        "ok": ok,
-        "reports": reports,
-    }
-    _emit(args, payload)
-    return 0 if ok else 3
+        reports.append({**control.to_dict(), "bound": "negative_control:" + control.bound,
+                        "expected_violations": True})
+        ok = ok and control.violations > 0
+    payload = {"seed": seed, "suite": suite, "ok": ok, "reports": reports}
+    return payload, None, 0 if ok else 3
 
 
-def _identity_suite(seed: int, trials: int = 200) -> tuple[bool, list[dict]]:
+def _identity_suite(seed: int, trials: int = 200) -> list[vf.VerificationReport]:
     """Exact identities on random pairs: variational form of the hockey-stick
     divergence, order-2 Renyi vs chi-square, unit hockey-stick vs TV."""
-    worst_var = 0.0
-    worst_d2 = 0.0
-    worst_tv = 0.0
+    worst_var = worst_d2 = worst_tv = 0.0
     for i in range(trials):
         pair = vf.random_pair(seed, i, 8)
         for g in (0.5, 1.0, 2.0, 5.0):
@@ -294,23 +257,19 @@ def _identity_suite(seed: int, trials: int = 200) -> tuple[bool, list[dict]]:
             worst_var = max(worst_var, abs(rep["gap"]))
         chi2 = dv.f_divergence(pair, dv.CHI2)
         if math.isfinite(chi2):
-            worst_d2 = max(
-                worst_d2, abs(dv.renyi(pair, 2.0) - math.log1p(chi2))
-            )
+            worst_d2 = max(worst_d2, abs(dv.renyi(pair, 2.0) - math.log1p(chi2)))
         tv = dv.f_divergence(pair, dv.TV)
         e1 = dv.f_divergence(pair, dv.hockey_stick_kind(1.0))
         worst_tv = max(worst_tv, abs(tv - e1))
-    entries = [
-        {"bound": f"identity:{name}", "trials": n, "violations": int(worst > 1e-12),
-         "worst_slack": worst, "seed": seed, "witness": None}
+    return [
+        vf.VerificationReport(f"identity:{name}", trials=n, violations=int(worst > 1e-12),
+                              worst_slack=worst, seed=seed)
         for name, n, worst in (
             ("egamma_variational", trials * 4, worst_var),
             ("renyi2_chi2", trials, worst_d2),
             ("unit_hockey_stick_tv", trials, worst_tv),
         )
     ]
-    ok = all(e["violations"] == 0 for e in entries)
-    return ok, entries
 
 
 # the divergence values gen_tail_bounds needs, by keyword
@@ -338,7 +297,7 @@ def _tail_rows(args, eta_grid, divs, exact_tail=None) -> list[dict]:
     return rows
 
 
-def cmd_genbound(args) -> int:
+def cmd_genbound(args) -> tuple[dict, list[dict]]:
     eta_grid = parse_grid(args.eta_grid)
     exact_tail = None
     if args.experiment:
@@ -374,9 +333,7 @@ def cmd_genbound(args) -> int:
     else:
         raise ValidationError("provide --div-file or --experiment")
     rows = _tail_rows(args, eta_grid, divs, exact_tail)
-    payload = {"config": _config_echo(args), "rows": rows}
-    _emit(args, payload, rows)
-    return 0
+    return {"rows": rows}, rows
 
 
 _EXPERIMENT_TYPES = {"gibbs": GibbsExperiment, "supersample": SuperSampleExperiment}
@@ -403,14 +360,12 @@ def _experiment_from_file(path: str):
     return exp, obj
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> dict:
     eta_grid = parse_grid(args.eta_grid) if args.eta_grid else None
     exp, obj = _experiment_from_file(args.config)
-    payload = {"config": _config_echo(args)}
     if isinstance(exp, GibbsExperiment):
         run = run_gibbs_experiment(exp)
-        payload["type"] = "gibbs"
-        payload["divergences"] = run.divergence_panel()
+        payload = {"type": "gibbs", "divergences": run.divergence_panel()}
     else:
         gammas = obj.get("gammas", [1.0, 2.0, 4.0])
         if not isinstance(gammas, list) or not all(
@@ -419,19 +374,16 @@ def cmd_experiment(args) -> int:
         ):
             raise ValidationError(f"{args.config}: gammas must be a list of finite numbers")
         run = run_supersample_experiment(exp)
-        payload["type"] = "supersample"
-        payload["conditional_hockey_stick"] = {
-            str(g): run.conditional_hockey_stick(float(g)) for g in gammas
-        }
+        payload = {"type": "supersample", "conditional_hockey_stick": {
+            str(g): run.conditional_hockey_stick(float(g)) for g in gammas}}
     if eta_grid is not None:
         payload["tails"] = [
             {"eta": float(e), "exact_tail": run.exact_tail(float(e))} for e in eta_grid
         ]
-    _emit(args, payload)
-    return 0
+    return payload
 
 
-def cmd_mi_gap(args) -> int:
+def cmd_mi_gap(args) -> tuple[dict, list[dict]]:
     """Averaged-MI bound vs its competitor over an I(S;W) grid.
 
     Emits columns mi, ours, competitor, gap; the minimum gap approaches
@@ -445,14 +397,11 @@ def cmd_mi_gap(args) -> int:
         ours = gb.avg_gen_bound_mi(setting, mi, variant="closed")
         comp = gb.avg_mi_competitor(setting, mi)
         rows.append({"mi": mi, "ours": ours, "competitor": comp, "gap": comp - ours})
-    payload = {
-        "config": _config_echo(args),
+    return {
         "rows": rows,
         "min_gap": min(r["gap"] for r in rows),
         "gap_constant_scaled": gb.mi_gap_constant() * args.sigma / math.sqrt(args.n),
-    }
-    _emit(args, payload, rows)
-    return 0
+    }, rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,19 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, fmt_default="json"):
         p.add_argument("--out", help="output file (stdout when omitted)")
         p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
-        p.add_argument("--seed", type=int, help=f"RNG seed (fallback ${SEED_ENV})")
 
     p = sub.add_parser("div", help="evaluate an information measure")
     p.add_argument("--pair", help="pair JSON file (dominated pair P, Q)")
     p.add_argument("--joint", help="joint JSON file (matrix over S x W)")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=(*dv.KINDS, *_JOINT_KINDS),
-    )
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--kind", required=True, choices=(*dv.KINDS, *_JOINT_KINDS))
+    for option, _ in dv.ORDER_PARAMS.values():
+        p.add_argument(f"--{option}", type=float)
     common(p)
     p.set_defaults(func=cmd_div)
 
@@ -486,10 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--div", type=float, required=True)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--q-max", dest="q_max", type=float)
+    for option in _BOUND_VALUE_OPTIONS:
+        p.add_argument("--" + option.replace("_", "-"), type=float)
     common(p)
     p.set_defaults(func=cmd_bound)
 
@@ -505,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--support", type=int, default=8)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--seed", type=int, help=f"RNG seed (fallback ${SEED_ENV})")
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -540,9 +482,15 @@ _parser = functools.cache(build_parser)  # main's, built on its first call, not 
 
 
 def main(argv=None) -> int:
+    """Run one command and write its payload, the echoed config first.  A
+    command returns its payload, or (payload, CSV rows[, exit code])."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        result = (result,) if isinstance(result, dict) else result
+        payload, csv_rows, code = result + (None, None, 0)[len(result):]
+        _emit(args, {"config": _config_echo(args), **payload}, csv_rows)
+        return code
     except DivgaugeError as exc:
         print(f"divgauge: error: {exc}", file=sys.stderr)
         return 2

@@ -66,9 +66,9 @@ def custom_orlicz(
     inverse: Callable | None = None,
     *,
     name: str = "custom",
-    validate: bool = True,
 ) -> OrliczSpec:
-    """Wrap a user-supplied convex gauge; derive missing pieces numerically.
+    """Wrap a user-supplied convex gauge; derive missing pieces numerically,
+    and check the gauge (:class:`OrliczSpecError` where it fails).
 
     The numeric conjugate sup_{l>0} (l u - psi(l)) is +inf where the
     supremum runs off the search bracket (see :func:`numeric_conjugate`).
@@ -100,8 +100,7 @@ def custom_orlicz(
     spec = OrliczSpec(
         name, psi, conjugate if conjugate else num_conj, inverse if inverse else num_inv
     )
-    if validate:
-        _validate(spec)
+    _validate(spec)
     return spec
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 from functools import partial
 
 import numpy as np
@@ -365,6 +366,12 @@ def test_power_qmax_flags_nonpositive_slope():
         dg.bound_power_beta(0.5, 0.1, 2.0, mode="bogus")
 
 
+@pytest.mark.parametrize("mode", ["implicit", "small_q"])
+def test_power_beta_takes_q_max_only_in_qmax_mode(mode):
+    with pytest.raises(ValidationError, match=f"power mode '{mode}' takes no q_max"):
+        dg.bound_power_beta(0.3, 0.1, 2.0, mode=mode, q_max=0.5)
+
+
 @pytest.mark.parametrize("q", [0.0, 1.0, 0.3])
 def test_power_beta_rejects_an_unknown_mode_at_every_q(q):
     with pytest.raises(ValidationError):
@@ -612,6 +619,28 @@ def test_closed_conjugates_match_numeric_conjugation(kind, f):
         assert closed.fstar(u) == pytest.approx(numeric.fstar(u), rel=1e-7)
         # f(1) = 0 forces f*(x) >= x; a smaller conjugate would be unsound
         assert closed.fstar(u) >= u - 1e-12
+
+
+# the worst error of the power conjugate, in ulp, where its exponent
+# b/(b-1) is a float (3 and 2 exactly, 4/3 rounded)
+POWER_CONJUGATE_ULPS = {1.5: 3.0, 2.0: 3.0, 4.0: 12.0}
+
+
+@pytest.mark.parametrize("beta", sorted(POWER_CONJUGATE_ULPS))
+def test_power_conjugate_matches_a_decimal_reference(beta):
+    """1/(b-1) + ((b-1)u/b)^(b/(b-1)) against 50 digits on log-uniform u in
+    [1e-6, 1e6]."""
+    fstar = dg.conjugate_spec_for(dg.power_kind(beta)).fstar
+    b, worst = Decimal(beta), 0.0
+    with localcontext() as context:
+        context.prec = 50
+        for u in 10.0 ** np.random.default_rng(0).uniform(-6.0, 6.0, 3000):
+            want = 1 / (b - 1) + ((b - 1) * Decimal(u) / b) ** (b / (b - 1))
+            err = abs(Decimal(fstar(u)) - want) / Decimal(math.ulp(float(want)))
+            worst = max(worst, float(err))
+    assert worst <= POWER_CONJUGATE_ULPS[beta]
+    assert fstar(0.0) == fstar(-1.0) == 1.0 / (beta - 1.0)
+    assert fstar(1e300) == math.inf  # past the float range
 
 
 # ---------------------------------------------------------------------------
@@ -1185,7 +1214,7 @@ def test_scalar_callers_of_the_root_finder_agree_with_a_batch_of_one(monkeypatch
 
     gauges = [O.custom_orlicz(lambda t: arr(t) ** 2 / 2.0, name="half-square"),
               O.custom_orlicz(lambda t: (1.0 + arr(t)) * np.log1p(arr(t)) - arr(t), name="xlogx"),
-              O.custom_orlicz(lambda t: t ** 3.3 / 3.3, name="power(3.3) by **", validate=False)]
+              O.custom_orlicz(lambda t: t ** 3.3 / 3.3, name="power(3.3) by **")]
     values, weights = np.array([1e-14, 0.3, 2.5, 40.0]), np.array([0.1, 0.2, 0.3, 0.4])
 
     def results(root):

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import inspect
 import json
 import math
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from divgauge import cli, mi_gap_constant
+from divgauge import divergences as dv
 from divgauge.verify import VerificationReport
 
 
@@ -75,6 +78,32 @@ def test_bound_command_round_trip(tmp_path):
 def test_bound_command_rejects_unknown_name_and_bad_q(tmp_path):
     assert cli.main(["bound", "--name", "nope", "--q", "0.1", "--div", "0.3"]) == 2
     assert cli.main(["bound", "--name", "chi2", "--q", "1.5", "--div", "0.3"]) == 2
+
+
+# (a command line with an option its command does not read, the error line)
+UNREAD_OPTIONS = [
+    (["bound", "--name", "kl", "--q", "0.1", "--div", "0.3", "--gamma", "2"],
+     "bound kl takes no --gamma"),
+    (["bound", "--name", "chi2", "--q", "0.1", "--div", "0.3", "--q-max", "0.5"],
+     "bound chi2 takes no --q-max"),
+    (["bound", "--name", "power_implicit", "--q", "0.1", "--div", "0.3", "--beta", "2",
+      "--q-max", "0.3"], "power mode 'implicit' takes no q_max"),
+    (["div", "--pair", "{pair}", "--kind", "chi2", "--beta", "2"],
+     "div --kind chi2 takes no --beta"),
+    (["div", "--pair", "{pair}", "--kind", "renyi", "--alpha", "2", "--gamma", "1"],
+     "div --kind renyi takes no --gamma"),
+    (["div", "--joint", "{pair}", "--kind", "sibson", "--alpha", "2", "--beta", "2"],
+     "div --kind sibson takes no --beta"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD_OPTIONS, ids=[m for _, m in UNREAD_OPTIONS])
+def test_an_option_the_command_does_not_read_exits_2(argv, message, pair_file, tmp_path,
+                                                     capsys):
+    out = tmp_path / "out.json"
+    assert cli.main([a.format(pair=pair_file) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"divgauge: error: {message}\n")
+    assert not out.exists()
 
 
 def test_compare_outputs_rows(pair_file, tmp_path):
@@ -493,11 +522,9 @@ _FLOAT_OPTION_RUNS = {
 
 
 def test_every_float_option_has_a_nan_run():
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     floats = {
         (command, action.option_strings[0])
-        for command, sub in commands.choices.items()
+        for command, sub in _subparsers().items()
         for action in sub._actions
         if action.type is float
     }
@@ -581,8 +608,60 @@ def test_bound_options_come_from_the_entry_point_signatures():
         **dict.fromkeys(("chi2", "hellinger", "reverse_chi2", "reverse_kl_exact",
                          "reverse_kl_explicit", "vincze_lecam"), ()),
     }
-    # each names an option of the `bound` command
-    commands = next(a for a in cli.build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    dests = {action.dest for action in commands.choices["bound"]._actions}
-    assert {name for names in options.values() for name in names} <= dests
+    # the `bound` command's value options are exactly these, in table order
+    values = [action.dest for action in _subparsers()["bound"]._actions
+              if action.dest not in ("help", "name", "q", "div", "out", "format")]
+    assert values == ["gamma", "c", "beta", "q_max"]
+    assert set(values) == {name for names in options.values() for name in names}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _cli_functions() -> dict[str, ast.FunctionDef]:
+    tree = ast.parse(inspect.getsource(cli))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _calls(node: ast.AST) -> list[str]:
+    return [n.func.id for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+
+
+def test_only_main_writes_the_output_and_echoes_the_config():
+    callers = {name: [f for f in _calls(node) if f in ("_emit", "_config_echo")]
+               for name, node in _cli_functions().items()}
+    assert {name: found for name, found in callers.items() if found} == {
+        "main": ["_emit", "_config_echo"]}
+
+
+def test_each_command_has_exactly_the_options_it_reads():
+    """A command's options are the `args.<name>` its function and the cli
+    functions it calls read, and main's (`--out`, `--format`), plus the
+    ones read by name: a bound entry point's signature, a kind's order."""
+    functions = _cli_functions()
+
+    def reads(name: str, seen: set) -> set[str]:
+        if name in seen or name not in functions:
+            return set()
+        seen.add(name)
+        node = functions[name]
+        found = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        for callee in _calls(node):
+            found |= reads(callee, seen)
+        return found
+
+    by_name = {
+        "bound": {name for spec in cli._BOUND_DISPATCH.values()
+                  for name in cli._bound_options(spec.scalar)},
+        "div": {option for option, _ in dv.ORDER_PARAMS.values()},
+    }
+    for command, sub in _subparsers().items():
+        options = {action.dest for action in sub._actions} - {"help"}
+        func = sub.get_default("func").__name__
+        read = (reads(func, set()) | reads("main", set())) - {"func"}
+        assert options == read | by_name.get(command, set()), command
+        assert ("seed" in options) == (command == "verify")
