@@ -55,12 +55,14 @@ _ULP = 2.0**-52  # |x| times this is between 1 and 2 ulp of x
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
-    """log(sum(exp(a))) that tolerates -inf entries."""
+    """log(sum(exp(a))) that tolerates -inf entries; it holds one array of
+    a's size, the shifted copy, exponentiated in place."""
     a = np.asarray(a, dtype=float)
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
+        shifted = a - m
+        out = np.log(np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)) + m
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)

@@ -129,10 +129,18 @@ def _config_echo(args) -> dict:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
+    """--seed, else $DIVGAUGE_SEED, else 0; ValidationError unless it is an
+    integer >= 0."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get(SEED_ENV)
+        try:
+            seed = int(env) if env else 0
+        except ValueError as exc:
+            raise ValidationError(f"${SEED_ENV} = {env!r} is not an integer") from exc
+    if seed < 0:
+        raise ValidationError(f"seed = {seed} must be an integer >= 0")
+    return seed
 
 
 _JOINT_KINDS = ("sibson", "maximal_leakage", "mutual_information")
@@ -301,6 +309,9 @@ def cmd_genbound(args) -> tuple[dict, list[dict]]:
     eta_grid = parse_grid(args.eta_grid)
     exact_tail = None
     if args.experiment:
+        # resolved here, so the echoed config carries the values used
+        args.gamma = 1.0 if args.gamma is None else args.gamma
+        args.beta = 2.0 if args.beta is None else args.beta
         exp, obj = _experiment_from_file(args.experiment)
         if not isinstance(exp, GibbsExperiment):
             raise ValidationError(
@@ -326,6 +337,10 @@ def cmd_genbound(args) -> tuple[dict, list[dict]]:
             divs["i_alpha"] = panel["sibson_mi"][args.alpha]
         exact_tail = run.exact_tail
     elif args.div_file:
+        # the rows take gamma, beta and alpha from the file
+        for name, value in (("gamma", args.gamma), ("beta", args.beta), ("alpha", args.alpha)):
+            if value is not None:
+                raise ValidationError(f"genbound --div-file takes no --{name}")
         divs = _load_json(args.div_file)
         for key in _TAIL_KEYS:
             if key not in divs:
@@ -456,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-grid", dest="eta_grid", required=True)
     p.add_argument("--div-file", dest="div_file")
     p.add_argument("--experiment", help="Gibbs experiment JSON for exact tails")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--gamma", type=float, help="default 1.0; --experiment only")
+    p.add_argument("--beta", type=float, help="default 2.0; --experiment only")
     p.add_argument("--alpha", type=float)
     common(p, fmt_default="csv")
     p.set_defaults(func=cmd_genbound)

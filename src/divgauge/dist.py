@@ -16,6 +16,10 @@ Conventions
 * A pair holds p, q and r = dP/dQ, 24 bytes per atom, and building one
   makes no other full-size array: the check that r * q sums back to 1 runs
   one block of BACK_SUM_BLOCK atoms at a time.
+* A joint the package builds itself (an experiment's joints, a random
+  joint of the verifier) is normalized in place by adopted_joint, so it
+  holds one array, the matrix it was built in; the public constructor
+  normalizes a copy and never writes its caller's array.
 * The types compare and hash by value: equal masses (0.0 and -0.0 alike)
   and labels give equal objects with equal hashes.
 """
@@ -307,13 +311,20 @@ class JointFinite:
 
     The matrix is |S| x |W|, entrywise nonnegative, and sums to 1 (inputs
     within 1e-9 of 1 are renormalized exactly).  Conditionals at zero-mass
-    rows/columns raise DegenerateMarginalError rather than imputing.
+    rows/columns raise DegenerateMarginalError rather than imputing.  The
+    constructor normalizes a copy and never writes its argument; a joint the
+    package builds itself comes from :func:`adopted_joint`, which normalizes
+    the fresh matrix in place, so the joint holds that one array.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        self._normalize(np.asarray(self.matrix, dtype=float), None)
+
+    def _normalize(self, m: np.ndarray, out: np.ndarray | None) -> None:
+        """Check m, divide it by its total into `out` (a fresh array where
+        None), freeze the result and hold it."""
         if m.ndim != 2 or m.size == 0:
             raise ShapeError("joint matrix must be 2-D and nonempty")
         if not (m.min() >= 0.0 and m.max() < np.inf):  # one read each, NaN failing
@@ -323,8 +334,9 @@ class JointFinite:
         total = float(m.sum())
         if abs(total - 1.0) > JOINT_SUM_TOL:
             raise ValidationError(f"joint mass {total!r} is not 1 within {JOINT_SUM_TOL}")
-        object.__setattr__(self, "matrix", m / total)  # a fresh array, frozen as it is
-        self.matrix.flags.writeable = False
+        m = np.divide(m, total, out=out)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     def __eq__(self, other) -> bool:
         """Value equality: the same shape and entries."""
@@ -410,3 +422,12 @@ def adopted_distribution(w: np.ndarray) -> FiniteDistribution:
     w /= w.sum()
     absorb_rounding(w).flags.writeable = False
     return FiniteDistribution(w)
+
+
+def adopted_joint(m: np.ndarray) -> JointFinite:
+    """JointFinite(m) in m's memory: m, a fresh float matrix that nothing
+    else writes, is checked as the constructor checks it, divided by its
+    total in place (the bits of the constructor's copy) and frozen."""
+    joint = object.__new__(JointFinite)
+    joint._normalize(m, m)
+    return joint

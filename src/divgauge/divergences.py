@@ -270,15 +270,17 @@ def sibson_mi(joint: JointFinite, alpha: float) -> float:
     alpha = check_range(alpha, "alpha", SIBSON_ORDER)
     if alpha == math.inf:
         return maximal_leakage(joint)
-    cond = joint.conditional_w_given_s()  # raises on zero-mass rows
-    ms = joint.matrix.sum(axis=1)
+    # P(w | s) and P_S, fresh arrays, their logs taken in place
+    log_cond = joint.conditional_w_given_s()  # raises on zero-mass rows
+    log_ms = joint.matrix.sum(axis=1)
     with np.errstate(divide="ignore"):
-        log_cond = np.log(cond)
-        log_ms = np.log(ms)
+        np.log(log_cond, out=log_cond)
+        np.log(log_ms, out=log_ms)
     # the terms in (k, rows) order, C-contiguous, so that each output's sum
     # over the rows is pairwise along memory (down a C-ordered (rows, k)
     # array it would add one row after another)
     terms = np.multiply(alpha, log_cond.T, order="C")
+    del log_cond  # so logsumexp's shifted copy is the second joint-sized array
     terms += log_ms
     inner = logsumexp(terms, axis=1) / alpha
     # where W is independent of S the sum is 1 up to roundoff; I_alpha >= 0

@@ -30,7 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import AbsContPair, FiniteDistribution, JointFinite, adopted_distribution, product_pair
+from .dist import (AbsContPair, FiniteDistribution, JointFinite, adopted_distribution,
+                   adopted_joint, product_pair)
 from .divergences import (CHI2, KL, SQUARED_HELLINGER, f_divergence, hockey_stick_kind,
                           maximal_leakage, power_kind, sibson_mi)
 from .errors import ResourceError, ValidationError, check_count, check_range
@@ -204,10 +205,20 @@ class GibbsRun:
 
     @cached_property
     def joint(self) -> JointFinite:
-        """The m^n x k law of (S, W): one gather of the per-type rows."""
+        """The m^n x k law of (S, W): one gather of the per-type rows into
+        the matrix, normalized in place.
+
+        Its storage is first the per-string weights, whose pairwise sum is
+        the string total, then the rows gathered over them.  mode="clip"
+        lets np.take write straight into `out` (the default "raise"
+        buffers it); every index is a type row by construction.
+        """
         w, index = self._weights, self._index
-        rows = (w / np.take(w, index).sum())[:, None] * self._post
-        return JointFinite(np.take(rows, index, axis=0))
+        out = np.empty((len(index), self._post.shape[1]))
+        strings = out.reshape(-1)[:len(index)]
+        np.take(w, index, out=strings, mode="clip")
+        rows = (w / strings.sum())[:, None] * self._post
+        return adopted_joint(np.take(rows, index, axis=0, out=out, mode="clip"))
 
     def divergence_panel(
         self,
@@ -246,7 +257,7 @@ def run_gibbs_experiment(exp: GibbsExperiment) -> GibbsRun:
     gen = pop_risk[None, :] - emp_loss
 
     mass = np.bincount(index, minlength=len(types)) * weights  # multinomial
-    type_joint = JointFinite(mass[:, None] / mass.sum() * post)
+    type_joint = adopted_joint(mass[:, None] / mass.sum() * post)
     tail = ExactTail(gen, type_joint.matrix)
     return GibbsRun(exp, tail, type_joint, index, weights, post)
 

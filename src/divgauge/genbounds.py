@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .bounds import (
     BoundResult,
+    EventView,
     chi2_core,
     hellinger_core,
     power_small_q_core,
@@ -134,7 +135,7 @@ def gen_tail_bounds(
     )
     beta = check_range(beta, "beta", BETA)
     theta = setting.theta(eta)
-    q_eff = min(theta, 1.0)
+    q_eff = EventView(min(theta, 1.0))  # one view, shared by the three cores
     branches = {
         "hockey_stick": BoundResult(
             "gen_hockey_stick",

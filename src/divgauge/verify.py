@@ -28,6 +28,7 @@ from .dist import (
     FiniteDistribution,
     JointFinite,
     absorb_rounding,
+    adopted_joint,
     check_masses,
     dominated_ratios,
     event_mask_matrix,
@@ -98,7 +99,7 @@ def random_pair(seed, index: int, support: int, zero_prob: float = 0.2) -> AbsCo
 def random_joint(seed, index: int, n_s: int, n_w: int) -> JointFinite:
     rng = np.random.default_rng((seed, index))
     m = -np.log(rng.random((n_s, n_w)))
-    return JointFinite(m / m.sum())
+    return adopted_joint(m / m.sum())
 
 
 # ---------------------------------------------------------------------------

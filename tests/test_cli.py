@@ -94,6 +94,10 @@ UNREAD_OPTIONS = [
      "div --kind renyi takes no --gamma"),
     (["div", "--joint", "{pair}", "--kind", "sibson", "--alpha", "2", "--beta", "2"],
      "div --kind sibson takes no --beta"),
+    # refused before the file is read
+    *((["genbound", "--sigma", "1", "--n", "5", "--eta-grid", "0.1:0.3:0.1", "--div-file",
+        "{pair}", f"--{name}", "2"], f"genbound --div-file takes no --{name}")
+      for name in ("gamma", "beta", "alpha")),
 ]
 
 
@@ -428,6 +432,22 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     code, payload = run_json(["verify", "--suite", "selftest"], tmp_path)
     assert code == 0
     assert payload["seed"] == 7
+
+
+@pytest.mark.parametrize("env, argv, message", [
+    ("abc", [], "$DIVGAUGE_SEED = 'abc' is not an integer"),
+    ("-3", [], "seed = -3 must be an integer >= 0"),
+    (None, ["--seed", "-1"], "seed = -1 must be an integer >= 0"),
+])
+def test_verify_bad_seed_exits_2(env, argv, message, tmp_path, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("DIVGAUGE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("DIVGAUGE_SEED", env)
+    out = tmp_path / "out.json"
+    assert cli.main(["verify", "--suite", "selftest", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"divgauge: error: {message}\n")
+    assert not out.exists()
 
 
 def test_grid_parsing():

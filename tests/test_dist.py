@@ -22,6 +22,7 @@ from divgauge.dist import (
     BACK_SUM_BLOCK,
     EXHAUSTIVE_LIMIT,
     adopted_distribution,
+    adopted_joint,
     dominated_ratios,
     event_mask_matrix,
     normalized,
@@ -212,14 +213,18 @@ def test_joint_renormalizes_within_tolerance():
         ([[-0.1, 0.6], [0.25, 0.25]], "nonnegative"),
     ],
 )
-def test_joint_checks_finite_before_nonnegative(entries, problem):
+@pytest.mark.parametrize("build", [JointFinite, adopted_joint])
+def test_joint_checks_finite_before_nonnegative(entries, problem, build):
     with pytest.raises(ValidationError, match=f"joint entries must be {problem}$"):
-        JointFinite(np.array(entries))
+        build(np.array(entries))
 
 
 def test_joint_and_distribution_hold_read_only_copies():
     m = np.array([[0.25, 0.25], [0.25, 0.25]])
     joint = JointFinite(m)
+    # the constructor neither writes nor shares the caller's array
+    assert m.flags.writeable and not np.shares_memory(joint.matrix, m)
+    assert np.array_equal(m, np.full((2, 2), 0.25))
     w = np.array([0.5, 0.5])
     dist = FiniteDistribution(w)
     m[0, 0] = w[0] = 0.9
@@ -235,6 +240,15 @@ def test_adopted_distribution_normalizes_in_place_with_the_same_bits():
     got = adopted_distribution(w)
     assert got.probs is w and not w.flags.writeable
     assert np.array_equal(got.probs, want.probs)
+
+
+def test_adopted_joint_normalizes_in_place_with_the_same_bits():
+    m = np.random.default_rng(4).random((300, 7))
+    m /= m.sum() * (1.0 + 1e-10)  # within JOINT_SUM_TOL of 1, renormalized
+    want = JointFinite(m)
+    got = adopted_joint(m)
+    assert got.matrix is m and not m.flags.writeable
+    assert np.array_equal(got.matrix, want.matrix) and got == want
 
 
 def test_building_a_pair_holds_its_ratios_and_one_block_beyond_its_inputs():

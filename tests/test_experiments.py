@@ -318,6 +318,40 @@ def test_sibson_sum_over_millions_of_strings_matches_the_type_sum(n):
         assert dg.sibson_mi(run.joint, alpha) == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def _string_joint_run():
+    """An m = 2, n = 18, k = 2 run, whose string joint holds 2^18 x 2 floats."""
+    exp = GibbsExperiment(make_distribution([0.5, 0.5]), np.array([[0.2, 0.9], [0.7, 0.1]]),
+                          18, 2.0)
+    return run_gibbs_experiment(exp), 8 * 2**18 * 2
+
+
+def test_string_joint_is_built_in_one_read_only_buffer():
+    run, nbytes = _string_joint_run()
+    tracemalloc.start()
+    try:
+        joint = run.joint
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not joint.matrix.flags.writeable
+    # the matrix and numpy's intp copy of the uint8 string index
+    assert peak <= 1.5 * nbytes + (1 << 16)
+
+
+def test_sibson_mi_holds_at_most_three_joint_sized_arrays():
+    # P(w | s) in place as its log, the (k, rows) terms, and logsumexp's
+    # shifted copy in place as its exp, the log freed before the copy
+    run, nbytes = _string_joint_run()
+    joint = run.joint
+    tracemalloc.start()
+    try:
+        dg.sibson_mi(joint, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * nbytes + (1 << 16)
+
+
 def _supersample_strings(exp):
     """The law of (S, Ztilde, W) and the paired gap summed atom by atom over
     every selector and super-sample: the oracle for the class enumeration."""
